@@ -8,7 +8,6 @@ series expansion).
 
 from .formulas import (
     BicharInput,
-    InvariantReport,
     Rank3Check,
     WHomInput,
     bichar_closed,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BicharInput",
     "GradedDim",
-    "InvariantReport",
     "Rank3Check",
     "TruncSeries",
     "WHomInput",

@@ -45,21 +45,6 @@ MUST_AGREE_CHECKS = {
     "quadratic_simplification",
 }
 
-#: which of the bundle letters each table role mentions
-_ROLE_BUNDLES = {
-    "coh_o": (),
-    "coh_f": ("F",),
-    "coh_l": ("L",),
-    "coh_e_dual": ("E",),
-    "coh_l_dual": ("L",),
-    "coh_k_dual": ("K",),
-    "hom_ef": ("E", "F"),
-    "hom_el": ("E", "L"),
-    "hom_lf": ("L", "F"),
-    "hom_kl": ("K", "L"),
-}
-
-
 class UsageError(ValueError):
     """Bad command line input; maps to exit code 2."""
 
@@ -71,7 +56,6 @@ class JobSpec:
     command: str
     formula_id: str | None = None
     profile: str | None = None
-    profile_kind: str | None = None
     n_range: tuple[int, int] | None = None
     k_range: tuple[int, int | None] | None = None
     l_range: tuple[int, int | None] | None = None
@@ -183,7 +167,7 @@ def _variant_row(
     if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
         notes.append("vanishing symmetric power of negative index suppressed (k = n)")
 
-    used = sorted({b for role in roles for b in _ROLE_BUNDLES[role]})
+    used = sorted({b for role in roles for b in formulas.TABLE_ROLES[role] if b})
     return {
         "formula_id": formula,
         "n": n,
@@ -406,7 +390,7 @@ def run_series(job: JobSpec) -> int:
         raise ConfigError("series formulas need a surface profile")
     k_max = job.k_max if job.k_max is not None else job.n_max
     if job.formula_id == "bichar":
-        roles = ("hom_kl", "coh_k_dual", "coh_l", "coh_o")
+        roles = formulas.variant_signature("Extwedgewedge")[2]
         chis = geometry.variant_chis(
             surface, roles, k_name=job.k_name, l_name=job.l_name
         )
@@ -460,6 +444,8 @@ def run_jobs(config_path: str) -> int:
         if "command" not in entry:
             raise ConfigError(f"jobs[{index}] is missing field 'command'")
         command = str(entry["command"])
+        if command == "run":
+            raise ConfigError(f"jobs[{index}]: a job cannot itself be 'run'")
         argv = [command]
         for key, value in entry.items():
             if key == "command":
@@ -541,6 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
+    if args.command in ("table", "verify") and args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     if args.command == "table":
         if args.surface and args.curve:
             raise UsageError("pass either --surface or --curve, not both")
@@ -551,7 +539,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
             command="table",
             formula_id=args.formula,
             profile=profile,
-            profile_kind="surface" if args.surface else "curve",
             n_range=None if args.n is None else _exact_range(args.n, "--n"),
             k_range=None if args.k is None else parse_range(args.k, "--k", allow_n=True),
             l_range=None if args.l is None else parse_range(args.l, "--l", allow_n=True),
@@ -610,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigError, MissingTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (oracle.ConsistencyError, oracle.SizeBoundError) as exc:
+    except oracle.ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -11,7 +11,7 @@ suites compare against it and against the brute-force oracles.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -25,17 +25,6 @@ from .graded import (
     wedge_power,
 )
 from .series import TruncSeries
-
-VARIANTS = (
-    "cohF",
-    "cohEvee",
-    "ExtEF",
-    "cohwedge",
-    "ExtEwedge",
-    "ExtwedgeF",
-    "Extwedgewedge",
-)
-
 
 class MissingTableError(KeyError):
     """A formula variant was asked to run without one of its inputs."""
@@ -93,19 +82,34 @@ def w_hom(inp: WHomInput) -> GradedDim:
     return out
 
 
-#: table keys each variant consumes, with a short human description
-TABLE_ROLES = {
-    "hom_ef": "graded Hom-space Hom*(E, F)",
-    "coh_e_dual": "cohomology of the dual of E",
-    "coh_f": "cohomology of F",
-    "coh_o": "cohomology of the structure sheaf",
-    "coh_l": "cohomology of the line bundle L",
-    "coh_l_dual": "cohomology of the dual of L",
-    "coh_k_dual": "cohomology of the dual of K",
-    "hom_el": "graded Hom-space Hom*(E, L)",
-    "hom_lf": "graded Hom-space Hom*(L, F)",
-    "hom_kl": "graded Hom-space Hom*(K, L)",
+#: table role -> (source, target) bundle letters.  Every input table is
+#: the graded Hom-space Hom*(source, target) on the surface, a missing
+#: letter standing for the structure sheaf O: H*(F) = Hom*(O, F) and
+#: H*(E^dual) = Hom*(E, O).
+TABLE_ROLES: dict[str, tuple[str | None, str | None]] = {
+    "hom_ef": ("E", "F"),
+    "coh_e_dual": ("E", None),
+    "coh_f": (None, "F"),
+    "coh_o": (None, None),
+    "coh_l": (None, "L"),
+    "coh_l_dual": ("L", None),
+    "coh_k_dual": ("K", None),
+    "hom_el": ("E", "L"),
+    "hom_lf": ("L", "F"),
+    "hom_kl": ("K", "L"),
 }
+
+
+def role_bundles(role: str, names: Mapping[str, str]) -> tuple[str | None, str | None]:
+    """Source and target bundle names of a table role; None stands for O.
+
+    ``names`` maps the bundle letters E, F, K, L to profile bundle names.
+    """
+    if role not in TABLE_ROLES:
+        raise ValueError(f"unknown table role {role!r}")
+    src, tgt = TABLE_ROLES[role]
+    return (names[src] if src else None, names[tgt] if tgt else None)
+
 
 # Substitution table: variant -> (e, f, slot keys) where e/f may be the
 # wedge indices k and l.  Slots are (hom_ef, coh_e_dual, coh_f, coh_o)
@@ -121,6 +125,8 @@ _SUBSTITUTIONS: dict[str, tuple[object, object, tuple[str, str, str, str]]] = {
     "ExtwedgeF": ("k", 1, ("hom_lf", "coh_l_dual", "coh_f", "coh_o")),
     "Extwedgewedge": ("k", "l", ("hom_kl", "coh_k_dual", "coh_l", "coh_o")),
 }
+
+VARIANTS = tuple(_SUBSTITUTIONS)
 
 
 def required_tables(variant: str) -> tuple[str, ...]:
@@ -158,8 +164,9 @@ def taut_substitution(
     slots = []
     for key in keys:
         if key not in tables:
+            src, tgt = TABLE_ROLES[key]
             raise MissingTableError(
-                f"variant {variant!r} needs table {key!r} ({TABLE_ROLES[key]})"
+                f"variant {variant!r} needs table {key!r}, Hom*({src or 'O'}, {tgt or 'O'})"
             )
         slots.append(tables[key])
     return WHomInput(n=n, e=e, f=f, hom_ef=slots[0], coh_e_dual=slots[1],
@@ -366,11 +373,7 @@ def tensor_euler_terms(
 
 
 def tensor_euler_series(
-    chi_flp: Sequence[int] | Callable[[int], int],
-    chi_l: int,
-    chi_o: int,
-    n_max: int,
-    k_max: int,
+    chi_flp: Sequence[int], chi_l: int, chi_o: int, n_max: int, k_max: int
 ) -> TruncSeries:
     """Generating function with coefficient of u^k Q^n the tensor Euler value.
 
@@ -379,16 +382,10 @@ def tensor_euler_series(
     """
     if n_max < 0 or k_max < 0:
         raise ValueError("n_max and k_max must be non-negative")
-    source: Callable[[int], int]
-    if callable(chi_flp):
-        source = chi_flp
-    else:
-        values = list(chi_flp)
-        if len(values) < n_max + 1:
-            raise ValueError(
-                f"chi_flp needs entries for p = 0..{n_max}, got only {len(values)}"
-            )
-        source = values.__getitem__
+    if len(chi_flp) < n_max + 1:
+        raise ValueError(
+            f"chi_flp needs entries for p = 0..{n_max}, got only {len(chi_flp)}"
+        )
     orders = {"Q": n_max + 1, "u": k_max + 1}
     one = TruncSeries.const(1, orders)
     q = TruncSeries.variable("Q", orders)
@@ -399,9 +396,9 @@ def tensor_euler_series(
         sign = 1 if (p - 1) % 2 == 0 else -1
         term = TruncSeries.zero(orders)
         if p - 1 <= k_max:
-            term = term + source(p - 1) * u.int_pow(p - 1) * q.int_pow(p)
+            term = term + chi_flp[p - 1] * u.int_pow(p - 1) * q.int_pow(p)
         if p <= k_max:
-            term = term + source(p) * u.int_pow(p) * q.int_pow(p)
+            term = term + chi_flp[p] * u.int_pow(p) * q.int_pow(p)
         correction = correction + sign * term
     return prefactor * correction
 
@@ -449,25 +446,3 @@ def rank3_check(chi_o: int, chi_omega: int) -> Rank3Check:
     """
     predicted = lambda_scalar(2, chi_o)
     return Rank3Check(value=predicted - chi_omega, naive=predicted)
-
-
-# -- report plumbing -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """One evaluated cell of a formula table."""
-
-    formula_id: str
-    inputs: Mapping[str, object]
-    euler: int
-    graded: GradedDim | None = None
-    cross_checks: tuple[tuple[str, bool], ...] = ()
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.graded is not None and self.graded.euler() != self.euler:
-            raise ValueError(
-                f"euler {self.euler} disagrees with graded table "
-                f"{self.graded.to_json()} (euler {self.graded.euler()})"
-            )

@@ -17,6 +17,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .formulas import role_bundles
 from .graded import GradedDim
 
 
@@ -133,27 +134,12 @@ def chi_pair(surface: SurfaceData, src: LineBundleClass, tgt: LineBundleClass) -
 
 
 def chi_tensor_powers(
-    surface: SurfaceData,
-    sheaf: LineBundleClass | Sequence[int],
-    line: LineBundleClass,
-    k: int,
+    surface: SurfaceData, sheaf: LineBundleClass, line: LineBundleClass, k: int
 ) -> list[int]:
-    """Euler characteristics of sheaf (x) line^p for p = 0..k.
-
-    When the sheaf is not a line bundle its values cannot come from the
-    lattice, so a plain integer sequence is passed through unchanged
-    (after a length check).
-    """
+    """Euler characteristics of sheaf (x) line^p for p = 0..k."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if isinstance(sheaf, LineBundleClass):
-        return [rr_chi(surface, sheaf + line.scale(p)) for p in range(k + 1)]
-    values = [int(v) for v in sheaf]
-    if len(values) < k + 1:
-        raise ConfigError(
-            f"explicit chi list needs entries for p = 0..{k}, got {len(values)}"
-        )
-    return values[: k + 1]
+    return [rr_chi(surface, sheaf + line.scale(p)) for p in range(k + 1)]
 
 
 def curve_chi(curve: CurveData, bundle: CurveBundle | tuple[int, int]) -> int:
@@ -169,23 +155,47 @@ _DUAL_KEY = re.compile(r"^dual\((?P<name>[^(),]+)\)$")
 _HOM_KEY = re.compile(r"^hom\((?P<src>[^(),]+),(?P<tgt>[^(),]+)\)$")
 
 
-def _surface_key_class(surface: SurfaceData, key: str) -> LineBundleClass:
-    # the lattice class whose Riemann-Roch value a cohomology table
-    # under this key must reproduce
+def _key_bundles(key: str) -> tuple[str | None, str | None]:
+    """Source and target of the Hom-space a cohomology key names.
+
+    ``NAME`` is Hom*(O, NAME), ``dual(NAME)`` is Hom*(NAME, O) and
+    ``hom(A,B)`` is Hom*(A, B); None stands for O.
+    """
     m = _DUAL_KEY.match(key)
     if m:
-        return -surface.bundle(m.group("name").strip())
+        return m.group("name").strip(), None
     m = _HOM_KEY.match(key)
     if m:
-        return surface.bundle(m.group("tgt").strip()) - surface.bundle(m.group("src").strip())
-    return surface.bundle(key)
+        return m.group("src").strip(), m.group("tgt").strip()
+    return None, key
+
+
+def _table_key(src: str | None, tgt: str | None) -> str:
+    """The cohomology key of Hom*(src, tgt); None stands for O."""
+    if src is None:
+        return tgt or "O"
+    if tgt is None:
+        return f"dual({src})"
+    return f"hom({src},{tgt})"
+
+
+def _hom_class(surface: SurfaceData, src: str | None, tgt: str | None) -> LineBundleClass:
+    """Lattice class of Hom(src, tgt): target minus source, None being O."""
+    return surface.bundle(tgt or "O") - surface.bundle(src or "O")
+
+
+def _curve_hom_chi(curve: CurveData, src: str | None, tgt: str | None) -> int:
+    """chi(Hom(src, tgt)) on a curve by Riemann-Roch for src^dual (x) tgt."""
+    a = curve.bundle(src or "O")
+    b = curve.bundle(tgt or "O")
+    return curve_chi(curve, CurveBundle(a.rank * b.rank, a.rank * b.degree - b.rank * a.degree))
 
 
 def table_for_class(surface: SurfaceData, wanted: LineBundleClass) -> GradedDim | None:
     """A supplied cohomology table for any bundle in the given class."""
     for name in sorted(surface.cohomology):
         try:
-            cls = _surface_key_class(surface, name)
+            cls = _hom_class(surface, *_key_bundles(name))
         except ConfigError:
             continue
         if cls == wanted:
@@ -202,7 +212,7 @@ def surface_table(surface: SurfaceData, key: str) -> GradedDim:
     """
     if key in surface.cohomology:
         return surface.cohomology[key]
-    wanted = _surface_key_class(surface, key)
+    wanted = _hom_class(surface, *_key_bundles(key))
     found = table_for_class(surface, wanted)
     if found is None:
         raise ConfigError(
@@ -212,8 +222,6 @@ def surface_table(surface: SurfaceData, key: str) -> GradedDim:
     return found
 
 
-#: formula table roles resolved to profile cohomology keys, given the
-#: bundle names selected for E, F, K, L
 def variant_tables(
     surface: SurfaceData,
     variant_keys: Sequence[str],
@@ -223,30 +231,13 @@ def variant_tables(
     k_name: str = "O",
     l_name: str = "O",
 ) -> dict[str, GradedDim]:
-    def key_for(role: str) -> str:
-        if role == "coh_o":
-            return "O"
-        if role == "coh_f":
-            return f_name
-        if role == "coh_l":
-            return l_name
-        if role == "coh_e_dual":
-            return f"dual({e_name})"
-        if role == "coh_l_dual":
-            return f"dual({l_name})"
-        if role == "coh_k_dual":
-            return f"dual({k_name})"
-        if role == "hom_ef":
-            return f"hom({e_name},{f_name})"
-        if role == "hom_el":
-            return f"hom({e_name},{l_name})"
-        if role == "hom_lf":
-            return f"hom({l_name},{f_name})"
-        if role == "hom_kl":
-            return f"hom({k_name},{l_name})"
-        raise ValueError(f"unknown table role {role!r}")
-
-    return {role: surface_table(surface, key_for(role)) for role in variant_keys}
+    """Cohomology table for each formula table role, given the bundle
+    names selected for E, F, K, L."""
+    names = {"E": e_name, "F": f_name, "K": k_name, "L": l_name}
+    return {
+        role: surface_table(surface, _table_key(*role_bundles(role, names)))
+        for role in variant_keys
+    }
 
 
 def variant_chis(
@@ -259,41 +250,27 @@ def variant_chis(
     l_name: str = "O",
 ) -> dict[str, int]:
     """Euler characteristic for each formula table role, from the lattice."""
-    classes = {
-        "coh_o": surface.bundle("O"),
-        "coh_f": surface.bundle(f_name),
-        "coh_l": surface.bundle(l_name),
-        "coh_e_dual": -surface.bundle(e_name),
-        "coh_l_dual": -surface.bundle(l_name),
-        "coh_k_dual": -surface.bundle(k_name),
-        "hom_ef": surface.bundle(f_name) - surface.bundle(e_name),
-        "hom_el": surface.bundle(l_name) - surface.bundle(e_name),
-        "hom_lf": surface.bundle(f_name) - surface.bundle(l_name),
-        "hom_kl": surface.bundle(l_name) - surface.bundle(k_name),
+    names = {"E": e_name, "F": f_name, "K": k_name, "L": l_name}
+    for name in names.values():
+        surface.bundle(name)  # every selected bundle must exist, used or not
+    return {
+        role: rr_chi(surface, _hom_class(surface, *role_bundles(role, names)))
+        for role in roles
     }
-    out = {}
-    for role in roles:
-        if role not in classes:
-            raise ValueError(f"unknown table role {role!r}")
-        out[role] = rr_chi(surface, classes[role])
-    return out
 
 
 def curve_chis(curve: CurveData, e_name: str = "O", f_name: str = "O") -> dict[str, int]:
     """The four Euler characteristics the curve pairing formula needs."""
-    src = curve.bundle(e_name)
-    tgt = curve.bundle(f_name)
+    names = {"E": e_name, "F": f_name}
+
+    def chi(role: str) -> int:
+        return _curve_hom_chi(curve, *role_bundles(role, names))
+
     return {
-        "chi_ef": curve_chi(
-            curve,
-            CurveBundle(
-                src.rank * tgt.rank,
-                src.rank * tgt.degree - tgt.rank * src.degree,
-            ),
-        ),
-        "chi_e_dual": curve_chi(curve, CurveBundle(src.rank, -src.degree)),
-        "chi_f": curve_chi(curve, tgt),
-        "chi_oc": curve_chi(curve, CurveBundle(1, 0)),
+        "chi_ef": chi("hom_ef"),
+        "chi_e_dual": chi("coh_e_dual"),
+        "chi_f": chi("coh_f"),
+        "chi_oc": chi("coh_o"),
     }
 
 
@@ -365,7 +342,7 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
     )
     for key, table in cohomology.items():
         try:
-            cls = _surface_key_class(surface, key)
+            cls = _hom_class(surface, *_key_bundles(key))
         except ConfigError as exc:
             raise ConfigError(f"surface.cohomology[{key!r}]: {exc}") from None
         expected = rr_chi(surface, cls)
@@ -375,22 +352,6 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
                 f"but Riemann-Roch gives {expected}"
             )
     return surface
-
-
-def _curve_key_chi(curve: CurveData, key: str) -> int:
-    m = _DUAL_KEY.match(key)
-    if m:
-        b = curve.bundle(m.group("name").strip())
-        return curve_chi(curve, CurveBundle(b.rank, -b.degree))
-    m = _HOM_KEY.match(key)
-    if m:
-        src = curve.bundle(m.group("src").strip())
-        tgt = curve.bundle(m.group("tgt").strip())
-        # chi(Hom(E,F)) on a curve by Riemann-Roch for E^dual (x) F
-        rank = src.rank * tgt.rank
-        degree = src.rank * tgt.degree - tgt.rank * src.degree
-        return curve_chi(curve, CurveBundle(rank, degree))
-    return curve_chi(curve, curve.bundle(key))
 
 
 def curve_from_json(data: Mapping[str, object]) -> CurveData:
@@ -420,7 +381,7 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
         cohomology[key] = GradedDim.from_json(table)
     curve = CurveData(genus=genus, bundles=bundles, cohomology=cohomology)
     for key, table in cohomology.items():
-        expected = _curve_key_chi(curve, key)
+        expected = _curve_hom_chi(curve, *_key_bundles(key))
         if table.euler() != expected:
             raise ConfigError(
                 f"curve.cohomology[{key!r}] has euler {table.euler()} "

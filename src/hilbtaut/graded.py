@@ -66,9 +66,6 @@ class GradedDim:
         """Sorted (degree, dimension) pairs."""
         return sorted(self._dims.items())
 
-    def degrees(self) -> list[int]:
-        return sorted(self._dims)
-
     def total_dim(self) -> int:
         return sum(self._dims.values())
 
@@ -109,7 +106,9 @@ class GradedDim:
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "GradedDim":
         try:
-            return cls({int(d): int(m) for d, m in data.items()})
+            if any(isinstance(m, bool) for m in data.values()):
+                raise TypeError("dimensions must be int, not bool")
+            return cls({int(d): m for d, m in data.items()})
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad graded dimension table {data!r}: {exc}") from None
 

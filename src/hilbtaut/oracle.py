@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence, Set
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graded import ZERO, GradedDim
@@ -82,34 +82,6 @@ def _cycle_trace(length: int, space: GradedDim, sign_flags: int) -> dict[int, in
         sign = -1 if (d * (length - 1)) % 2 else 1
         out[length * d] = flag_sign * sign * m
     return out
-
-
-def graded_trace(
-    perm: Perm,
-    slots: Sequence[tuple[GradedDim, Set[str]]],
-) -> dict[int, int]:
-    """Trace of a slot permutation on a tensor product of graded spaces.
-
-    ``slots[i]`` is the space sitting in slot i together with the set of
-    sign characters twisting it.  The permutation must preserve the
-    partition of slots into blocks of equal (space, flags); a cycle that
-    mixes blocks has no well-defined Koszul trace here and is rejected.
-    Returns the trace as a degree -> coefficient map.
-    """
-    if len(perm) != len(slots):
-        raise ValueError(f"permutation on {len(perm)} points but {len(slots)} slots")
-    total = {0: 1}
-    for cyc in cycles_of(perm):
-        first = slots[cyc[0]]
-        for i in cyc[1:]:
-            if slots[i] != first:
-                raise ValueError(
-                    f"cycle {cyc} crosses blocks: slot {cyc[0]} and slot {i} "
-                    "carry different (space, flags)"
-                )
-        space, flags = first
-        total = _poly_mul(total, _cycle_trace(len(cyc), space, len(flags)))
-    return total
 
 
 def _block_product(

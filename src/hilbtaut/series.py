@@ -294,28 +294,3 @@ class TruncSeries:
                 break
             out = out + power * Fraction(1, factorial(m))
         return out
-
-    def log(self) -> "TruncSeries":
-        """Logarithm; requires constant term 1."""
-        if self.constant_term() != 1:
-            raise SeriesDomainError(
-                f"log needs constant term 1, got {self.constant_term()}"
-            )
-        one = TruncSeries.const(1, dict(zip(VARIABLES, self.orders)))
-        x = self - one
-        out = TruncSeries.zero(dict(zip(VARIABLES, self.orders)))
-        power = one
-        for m in range(1, x._total_degree_bound() + 1):
-            power = power * x
-            if not power:
-                break
-            sign = 1 if m % 2 == 1 else -1
-            out = out + power * Fraction(sign, m)
-        return out
-
-
-def geometric_inverse(chi: int, variable: str, orders: Mapping[str, int]) -> TruncSeries:
-    """(1 - variable)^(-chi), the basic one-variable building block."""
-    one = TruncSeries.const(1, orders)
-    x = TruncSeries.variable(variable, orders)
-    return (one - x).int_pow(-chi)

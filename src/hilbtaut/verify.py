@@ -46,7 +46,7 @@ def _verdict(suite: str, seed: int | None, bounds: dict, checks: list[dict]) -> 
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -215,6 +215,10 @@ def suite_whom_oracle(
 ) -> dict:
     """Closed Hom-space formula against full symmetric group averaging,
     plus the source/target swap symmetry, on random table families."""
+    if nmax > oracle.AVERAGING_BOUND:
+        raise oracle.SizeBoundError(
+            f"nmax={nmax} exceeds averaging bound {oracle.AVERAGING_BOUND}"
+        )
     tasks = [(seed, index, nmax) for index in range(count)]
     results = parallel_map(_whom_family_task, tasks, workers)
     bad = next((r for r in results if r is not None), None)
@@ -401,6 +405,8 @@ def suite_orbits(
     """Orbit decomposition of subset pairs against the closed count,
     the stabilizer order formula, and the reference representatives."""
     del workers
+    if nmax > oracle.ENUM_BOUND:
+        raise oracle.SizeBoundError(f"nmax={nmax} exceeds enumeration bound {oracle.ENUM_BOUND}")
     bad_count = bad_stab = bad_member = None
     transcript = []
     for n in range(1, nmax + 1):

@@ -162,6 +162,43 @@ def test_table_usage_errors(capsys):
     assert code == 2
 
 
+def test_table_rejects_unknown_bundle_even_when_unused(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "cohF", "--surface", "k3.json",
+        "--n", "1", "--E", "nope",
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "unknown bundle 'nope'" in err
+
+
+def test_table_rejects_non_integer_table_dimensions(capsys, tmp_path):
+    profile = {
+        "surface": {
+            "chi_O": 2, "picard_rank": 1, "gram": [[4]], "canonical": [0],
+            "bundles": {"H": [1]}, "cohomology": {"H": {"0": 4.9}},
+        }
+    }
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(profile))
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "cohF", "--surface", str(path), "--n", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_are_rejected(capsys, command, workers):
+    args = {
+        "table": ["--formula", "cohF", "--surface", "k3.json", "--n", "1"],
+        "verify": ["--suite", "orbits", "--nmax", "2"],
+    }[command]
+    code, out, err = run_cli(capsys, command, *args, "--workers", workers)
+    assert code == 2 and out == ""
+    assert err == f"error: --workers must be at least 1, got {workers}\n"
+
+
 def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
     real = cli.formulas.bichar_closed
 
@@ -221,6 +258,15 @@ def test_verify_rejects_inapplicable_knobs(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "--suite", "orbits", "--count", "9")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "suite, nmax", [("whom_oracle", "9"), ("orbits", "13")]
+)
+def test_verify_size_bound_is_a_usage_error(capsys, suite, nmax):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "bound" in err
 
 
 def test_verify_deterministic_across_worker_counts(capsys, tmp_path):
@@ -343,3 +389,11 @@ def test_run_stops_at_first_failing_job(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert "orbits" not in out
+
+
+def test_run_rejects_a_nested_run_job(capsys, tmp_path):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps({"jobs": [{"command": "run", "config": str(path)}]}))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: jobs[0]: a job cannot itself be 'run'\n"

@@ -11,7 +11,6 @@ from hilbtaut.graded import UNIT, ZERO, GradedDim, lambda_scalar, s_scalar
 from hilbtaut.formulas import (
     VARIANTS,
     BicharInput,
-    InvariantReport,
     MissingTableError,
     Rank3Check,
     WHomInput,
@@ -270,11 +269,6 @@ def test_tensor_euler_series_matches_closed_form():
             assert tensor_euler_from_series(series, n, k) == closed
 
 
-def test_tensor_euler_series_accepts_a_callable():
-    series = tensor_euler_series(lambda p: 2, 2, 2, n_max=3, k_max=3)
-    assert tensor_euler_from_series(series, 2, 1) == 6
-
-
 def test_tensor_euler_rejects_short_tables():
     # the closed form reads chi_flp[p] for p = 0..k, the series for p = 0..n_max
     with pytest.raises(ValueError):
@@ -348,20 +342,3 @@ def test_rank3_naive_is_lambda_square():
         check = rank3_check(chi_o, 7)
         assert check.naive == lambda_scalar(2, chi_o)
         assert check.value == check.naive - 7
-
-
-# -- reports -------------------------------------------------------------------------
-
-
-def test_report_requires_consistent_euler():
-    graded = GradedDim({0: 1, 1: 2})
-    report = InvariantReport(formula_id="cohF", inputs={}, euler=-1, graded=graded)
-    assert report.euler == -1
-    with pytest.raises(ValueError):
-        InvariantReport(formula_id="cohF", inputs={}, euler=0, graded=graded)
-
-
-def test_report_allows_euler_only():
-    report = InvariantReport(formula_id="cohF", inputs={"n": 1}, euler=4)
-    assert report.graded is None
-    assert report.cross_checks == ()

@@ -109,12 +109,6 @@ def test_chi_tensor_powers_from_lattice():
     assert chi_tensor_powers(K3, h, o, 2) == [4, 4, 4]
 
 
-def test_chi_tensor_powers_passthrough_list():
-    assert chi_tensor_powers(K3, [9, 8, 7], LineBundleClass((0,)), 1) == [9, 8]
-    with pytest.raises(ConfigError):
-        chi_tensor_powers(K3, [9], LineBundleClass((0,)), 3)
-
-
 def test_curve_chi():
     rational = CurveData(genus=0)
     elliptic = CurveData(genus=1)
@@ -236,6 +230,18 @@ def test_surface_rejects_euler_mismatch_with_lattice():
     data = good_surface_json()
     data["cohomology"]["H"] = {"0": 5}
     with pytest.raises(ConfigError):
+        surface_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "key, table",
+    [("H", {"0": 4.9}), ("H", {"0": "4"}), ("O", {"0": True, "2": 1})],
+)
+def test_surface_rejects_non_integer_dimensions(key, table):
+    # each table would pass the Riemann-Roch check if coerced with int()
+    data = good_surface_json()
+    data["cohomology"][key] = table
+    with pytest.raises(ConfigError, match="must be int"):
         surface_from_json(data)
 
 

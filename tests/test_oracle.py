@@ -19,7 +19,6 @@ from hilbtaut.oracle import (
     IndexPair,
     SizeBoundError,
     cycles_of,
-    graded_trace,
     invariant_dim,
     oracle_sym_power,
     oracle_wedge_power,
@@ -46,31 +45,6 @@ def test_cycle_counts_partition_n():
     for n in range(1, 6):
         for perm in permutations(range(n)):
             assert sum(len(c) for c in cycles_of(perm)) == n
-
-
-# -- graded traces ------------------------------------------------------------
-
-
-def test_identity_trace_is_total_dimension():
-    space = GradedDim({0: 2, 1: 3})
-    trace = graded_trace((0, 1), [(space, frozenset()), (space, frozenset())])
-    # identity acting on V x V contributes dim in each degree pair
-    assert sum(trace.values()) == 25
-
-
-def test_trace_of_swap_on_odd_line_picks_up_a_sign():
-    odd = GradedDim({1: 1})
-    swap = (1, 0)
-    trace = graded_trace(swap, [(odd, frozenset()), (odd, frozenset())])
-    # the swap on an odd-degree line squares the grading and flips the sign
-    assert trace == {2: -1}
-
-
-def test_trace_requires_cycles_within_equal_slots():
-    a = GradedDim({0: 1})
-    b = GradedDim({1: 1})
-    with pytest.raises(ValueError):
-        graded_trace((1, 0), [(a, frozenset()), (b, frozenset())])
 
 
 # -- invariant dimensions by group averaging ----------------------------------

@@ -14,7 +14,6 @@ from hilbtaut.series import (
     OrderMismatchError,
     SeriesDomainError,
     TruncSeries,
-    geometric_inverse,
 )
 
 ORDERS = {"Q": 5}
@@ -151,14 +150,7 @@ def test_int_pow_unit_constants_stay_silent():
         (-1 + TruncSeries.variable("Q", ORDERS)).int_pow(-2)
 
 
-def test_geometric_inverse_helper():
-    assert geometric_inverse(1, "Q", ORDERS) == geom()
-    # chi = -1 gives the polynomial 1 - Q
-    lin = geometric_inverse(-1, "Q", ORDERS)
-    assert [lin.coeff(Q=k) for k in range(5)] == [1, -1, 0, 0, 0]
-
-
-# -- exp and log --------------------------------------------------------------
+# -- exp ----------------------------------------------------------------------
 
 
 def test_exp_requires_zero_constant():
@@ -167,26 +159,12 @@ def test_exp_requires_zero_constant():
         one.exp()
 
 
-def test_log_requires_unit_constant():
-    q = TruncSeries.variable("Q", ORDERS)
-    with pytest.raises(SeriesDomainError):
-        q.log()
-
-
 def test_exp_of_harmonic_sum_is_geometric():
     q = TruncSeries.variable("Q", ORDERS)
     arg = TruncSeries.zero(ORDERS)
     for r in range(1, 5):
         arg = arg + Fraction(1, r) * q.int_pow(r)
     assert arg.exp() == geom()
-
-
-def test_exp_log_round_trip():
-    q = TruncSeries.variable("Q", ORDERS)
-    series = 1 + q + 3 * q.int_pow(2)
-    assert series.log().exp() == series
-    arg = 2 * q - q.int_pow(3)
-    assert arg.exp().log() == arg
 
 
 def test_exp_is_multiplicative():

@@ -26,6 +26,27 @@ def test_parallel_map_preserves_order():
     assert parallel_map(abs, items, 3) == [abs(i) for i in items]
 
 
+def test_parallel_map_caps_the_pool_at_the_item_count(monkeypatch):
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", StubPool)
+    assert parallel_map(abs, [-1, 2, -3], 64) == [1, 2, 3]
+    assert sizes == [3]
+
+
 def test_random_space_is_seed_deterministic():
     a = random_space(random.Random(5))
     b = random_space(random.Random(5))
