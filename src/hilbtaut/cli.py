@@ -127,6 +127,7 @@ def _variant_row(
     k: int | None,
     l: int | None,
     names: dict[str, str],
+    n_top: int,
 ) -> dict:
     surface = config.surface
     if surface is None:
@@ -144,7 +145,9 @@ def _variant_row(
     e = k if e_spec == "k" else e_spec
     f = l if f_spec == "l" else (k if f_spec == "k" else f_spec)
     euler = formulas.bichar_closed(BicharInput(n, e, f, *slot_chis))
-    series = _bichar_series_cached(slot_chis, n)
+    # one expansion per job: truncating at the job's largest n leaves
+    # every lower coefficient unchanged
+    series = _bichar_series_cached(slot_chis, n_top)
     series_value = formulas.bichar_from_series(series, n, e, f)
     cross_checks: list[tuple[str, bool]] = []
     notes: list[str] = []
@@ -238,14 +241,14 @@ def _rank3_row(config: geometry.Config) -> dict:
 
 
 def _table_row(payload: tuple) -> dict:
-    path, formula, n, k, l, e_name, f_name, k_name, l_name = payload
+    path, formula, n, k, l, e_name, f_name, k_name, l_name, n_top = payload
     config = _profile(path)
     names = {"E": e_name, "F": f_name, "K": k_name, "L": l_name}
     if formula == "rank3_check":
         return _rank3_row(config)
     if formula == "curve_bichar":
         return _curve_row(config, n, names)
-    return _variant_row(config, formula, n, k, l, names)
+    return _variant_row(config, formula, n, k, l, names, n_top)
 
 
 def _table_payloads(job: JobSpec) -> list[tuple]:
@@ -282,8 +285,9 @@ def _table_payloads(job: JobSpec) -> list[tuple]:
                 for l in ls:
                     cells.append((n, k, l))
     path = str(geometry.resolve_profile(job.profile))
+    n_top = job.n_range[1] if job.n_range is not None else None
     return [
-        (path, job.formula_id, n, k, l, job.e_name, job.f_name, job.k_name, job.l_name)
+        (path, job.formula_id, n, k, l, job.e_name, job.f_name, job.k_name, job.l_name, n_top)
         for n, k, l in cells
     ]
 

@@ -257,26 +257,23 @@ def bichar_series(
     [chi_kl (vuQ)^r - chi_k_dual (vQ)^r - chi_l (uQ)^r + chi_o Q^r] / r,
     truncated past Q^n_max.  Up to the sign (-1)^(k+l), the coefficient
     of v^k u^l Q^n is bichar_closed at (n, k, l).
+
+    The argument's coefficients are written down monomial by monomial
+    (exponents ordered Q, u, v, t) and ``TruncSeries.exp`` expands it by
+    the recurrence d F_d = sum_j j G_j F_{d-j} on total-degree parts.
+    Neither step uses the product form of ``bichar_product``, so the two
+    stay independent checks of each other.
     """
-    orders = _bichar_orders(n_max)
-    arg = TruncSeries.zero(orders)
-    if n_max >= 1:
-        q = TruncSeries.variable("Q", orders)
-        u = TruncSeries.variable("u", orders)
-        v = TruncSeries.variable("v", orders)
-        vuq, vq, uq = v * u * q, v * q, u * q
-        rpow_vuq = rpow_vq = rpow_uq = rpow_q = TruncSeries.const(1, orders)
-        for r in range(1, n_max + 1):
-            rpow_vuq, rpow_vq = rpow_vuq * vuq, rpow_vq * vq
-            rpow_uq, rpow_q = rpow_uq * uq, rpow_q * q
-            term = (
-                chi_kl * rpow_vuq
-                - chi_k_dual * rpow_vq
-                - chi_l * rpow_uq
-                + chi_o * rpow_q
-            )
-            arg = arg + term * Fraction(1, r)
-    return arg.exp()
+    coeffs: dict[tuple[int, int, int, int], Fraction] = {}
+    for r in range(1, n_max + 1):
+        for exps, chi in (
+            ((r, r, r, 0), chi_kl),
+            ((r, 0, r, 0), -chi_k_dual),
+            ((r, r, 0, 0), -chi_l),
+            ((r, 0, 0, 0), chi_o),
+        ):
+            coeffs[exps] = Fraction(chi, r)
+    return TruncSeries(_bichar_orders(n_max), coeffs).exp()
 
 
 def bichar_product(

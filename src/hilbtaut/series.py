@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial
 
 VARIABLES = ("Q", "u", "v", "t")
 
@@ -280,17 +279,44 @@ class TruncSeries:
         return out
 
     def exp(self) -> "TruncSeries":
-        """Exponential; requires zero constant term."""
+        """Exponential; requires zero constant term.
+
+        With G = self and F = exp(G), write G_j and F_d for the parts of
+        total degree j and d.  The Euler operator (sum of x dx over the
+        variables) multiplies degree-d parts by d and is a derivation,
+        so E(F) = E(G) F gives the recurrence
+
+            d F_d = sum_{j=1..d} j G_j F_{d-j},   F_0 = 1,
+
+        computed here on coefficient dicts.  Truncation is by a monomial
+        ideal, which the Euler operator preserves, so dropping every
+        exponent past its order at each step is exact.
+        """
         if self.constant_term() != 0:
             raise SeriesDomainError(
                 f"exp needs zero constant term, got {self.constant_term()}"
             )
-        one = TruncSeries.const(1, dict(zip(VARIABLES, self.orders)))
-        out = one
-        power = one
-        for m in range(1, self._total_degree_bound() + 1):
-            power = power * self
-            if not power:
-                break
-            out = out + power * Fraction(1, factorial(m))
-        return out
+        orders = self.orders
+        top = self._total_degree_bound()
+        # j G_j for every degree j, as (exponents, coefficient) pairs
+        weighted: list[list[tuple[Exponents, Fraction]]] = [[] for _ in range(top + 1)]
+        for exps, coeff in self._coeffs.items():
+            degree = sum(exps)
+            weighted[degree].append((exps, degree * coeff))
+        parts: list[dict[Exponents, Fraction]] = [{(0, 0, 0, 0): Fraction(1)}]
+        for d in range(1, top + 1):
+            part: dict[Exponents, Fraction] = {}
+            for j in range(1, d + 1):
+                for e1, c1 in weighted[j]:
+                    for e2, c2 in parts[d - j].items():
+                        exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                        if (
+                            exps[0] >= orders[0]
+                            or exps[1] >= orders[1]
+                            or exps[2] >= orders[2]
+                            or exps[3] >= orders[3]
+                        ):
+                            continue
+                        part[exps] = part.get(exps, 0) + c1 * c2
+            parts.append({e: c / d for e, c in part.items() if c})
+        return self._raw({e: c for part in parts for e, c in part.items()})

@@ -215,6 +215,26 @@ def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
     cli._bichar_series_cached.cache_clear()
 
 
+@pytest.mark.parametrize("n_range", ["1..5", "3..5"])
+def test_table_expands_the_bichar_series_once_per_job(capsys, monkeypatch, n_range):
+    real = cli.formulas.bichar_series
+    calls = []
+
+    def counting(*chis, n_max):
+        calls.append(n_max)
+        return real(*chis, n_max=n_max)
+
+    monkeypatch.setattr(cli.formulas, "bichar_series", counting)
+    cli._bichar_series_cached.cache_clear()
+    code, _, _ = run_cli(
+        capsys, "table", "--formula", "ExtEwedge", "--surface", "k3.json",
+        "--E", "H", "--L", "H", "--n", n_range, "--k", "0..n",
+    )
+    cli._bichar_series_cached.cache_clear()
+    assert code == 0
+    assert calls == [5]
+
+
 def test_table_out_writes_file(capsys, tmp_path):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(

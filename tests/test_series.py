@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import warnings
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hilbtaut.series import (
     NonUnitWarning,
     OrderMismatchError,
     SeriesDomainError,
+    VARIABLES,
     TruncSeries,
 )
 
@@ -165,6 +167,34 @@ def test_exp_of_harmonic_sum_is_geometric():
     for r in range(1, 5):
         arg = arg + Fraction(1, r) * q.int_pow(r)
     assert arg.exp() == geom()
+
+
+def reference_exp(g):
+    """exp as the power sum of G^m / m!, stopping once G^m truncates to 0."""
+    out = power = TruncSeries.const(1, dict(zip(VARIABLES, g.orders)))
+    m = 0
+    while power:
+        m += 1
+        power = power * g * Fraction(1, m)
+        out = out + power
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exp_recurrence_matches_power_sum(seed):
+    rng = random.Random(seed)
+    orders = {
+        "Q": rng.randint(2, 4), "u": rng.randint(2, 3), "v": rng.randint(1, 3), "t": rng.randint(1, 2),
+    }
+    top = tuple(orders[name] for name in VARIABLES)
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.randrange(o) for o in top)
+        coeffs[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    coeffs[(0, 0, 0, 0)] = 0
+    coeffs[(0, 1, 0, 0)] = Fraction(rng.randint(1, 5), rng.randint(1, 3))  # bare u: Q-degree 0
+    g = TruncSeries(orders, coeffs)
+    assert g.exp() == reference_exp(g)
 
 
 def test_exp_is_multiplicative():
