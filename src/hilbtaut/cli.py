@@ -23,6 +23,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from . import formulas, geometry, oracle, verify
 from .formulas import BicharInput, MissingTableError
@@ -463,7 +464,11 @@ def run_jobs(config_path: str) -> int:
                 argv.extend(("--curve", str(resolved)))
             elif not wants_curve and config.surface is not None:
                 argv.extend(("--surface", str(resolved)))
-        code = main(argv)
+        try:
+            args = _build_parser(_JobArgumentParser).parse_args(argv)
+        except UsageError as exc:
+            raise UsageError(f"jobs[{index}]: {exc}") from None
+        code = _run_args(args)
         if code != 0:
             return code
     return 0
@@ -472,8 +477,22 @@ def run_jobs(config_path: str) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _JobArgumentParser(argparse.ArgumentParser):
+    """Parser for ``run`` config jobs: an error raises instead of exiting.
+
+    ``exit_on_error=False`` would not do, because argparse still exits
+    on unrecognized and on missing required arguments.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
+def _build_parser(
+    parser_class: type[argparse.ArgumentParser] = argparse.ArgumentParser,
+) -> argparse.ArgumentParser:
+    # subparsers are built with the same class as their parent
+    parser = parser_class(
         prog="hilbtaut",
         description="Invariant tables and verification for tautological sheaves "
         "on Hilbert schemes of points.",
@@ -555,6 +574,8 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
             workers=args.workers,
         )
     if args.command == "verify":
+        if args.count is not None and args.count < 1:
+            raise UsageError(f"--count must be at least 1, got {args.count}")
         return JobSpec(
             command="verify",
             suite=args.suite,
@@ -586,18 +607,21 @@ def _exact_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _run_args(args: argparse.Namespace) -> int:
+    if args.command == "run":
+        return run_jobs(args.config)
+    job = _job_from_args(args)
+    if job.command == "table":
+        return run_table(job)
+    if job.command == "verify":
+        return run_verify(job)
+    return run_series(job)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return run_jobs(args.config)
-        job = _job_from_args(args)
-        if job.command == "table":
-            return run_table(job)
-        if job.command == "verify":
-            return run_verify(job)
-        return run_series(job)
+        return _run_args(args)
     except (UsageError, ConfigError, MissingTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

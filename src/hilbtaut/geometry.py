@@ -283,6 +283,19 @@ def _as_int(value: object, where: str) -> int:
     return value
 
 
+def _cohomology_tables(raw: object, section: str) -> dict[str, GradedDim]:
+    """Parse a profile's cohomology map; ``section`` prefixes error messages."""
+    cohomology: dict[str, GradedDim] = {}
+    for key, table in (raw or {}).items():
+        if not isinstance(table, Mapping):
+            raise ConfigError(f"{section}.cohomology[{key!r}] must be a degree->dim map")
+        try:
+            cohomology[key] = GradedDim.from_json(table)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.cohomology[{key!r}]: {exc}") from None
+    return cohomology
+
+
 def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
     known = {"chi_O", "picard_rank", "gram", "canonical", "bundles", "cohomology", "chi_Omega"}
     unknown = set(data) - known
@@ -318,14 +331,7 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
             raise ConfigError(f"surface.bundles[{name!r}] must have length {rank}")
         bundles[name] = LineBundleClass(tuple(_as_int(x, f"surface.bundles[{name!r}]") for x in vec))
 
-    cohomology: dict[str, GradedDim] = {}
-    for key, table in (data.get("cohomology") or {}).items():
-        if not isinstance(table, Mapping):
-            raise ConfigError(f"surface.cohomology[{key!r}] must be a degree->dim map")
-        try:
-            cohomology[key] = GradedDim.from_json(table)
-        except ValueError as exc:
-            raise ConfigError(f"surface.cohomology[{key!r}]: {exc}") from None
+    cohomology = _cohomology_tables(data.get("cohomology"), "surface")
 
     chi_omega = data.get("chi_Omega")
     if chi_omega is not None:
@@ -374,11 +380,7 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
             _as_int(spec["rank"], f"curve.bundles[{name!r}].rank"),
             _as_int(spec["degree"], f"curve.bundles[{name!r}].degree"),
         )
-    cohomology: dict[str, GradedDim] = {}
-    for key, table in (data.get("cohomology") or {}).items():
-        if not isinstance(table, Mapping):
-            raise ConfigError(f"curve.cohomology[{key!r}] must be a degree->dim map")
-        cohomology[key] = GradedDim.from_json(table)
+    cohomology = _cohomology_tables(data.get("cohomology"), "curve")
     curve = CurveData(genus=genus, bundles=bundles, cohomology=cohomology)
     for key, table in cohomology.items():
         expected = _curve_hom_chi(curve, *_key_bundles(key))

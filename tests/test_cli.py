@@ -271,6 +271,15 @@ def test_verify_json_verdict(capsys):
     assert all(isinstance(c["pass"], bool) for c in verdict["checks"])
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_verify_count_below_one_is_a_usage_error(capsys, count):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "whom_oracle", "--count", count, "--nmax", "2"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --count must be at least 1, got {count}\n"
+
+
 def test_verify_rejects_inapplicable_knobs(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--suite", "graded_powers", "--nmax", "3"
@@ -417,3 +426,24 @@ def test_run_rejects_a_nested_run_job(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2 and out == ""
     assert err == "error: jobs[0]: a job cannot itself be 'run'\n"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"command": "verify", "suite": "orbits", "nmaxx": 3},
+            "error: jobs[0]: unrecognized arguments: --nmaxx 3\n",
+        ),
+        (
+            {"command": "verify"},
+            "error: jobs[0]: the following arguments are required: --suite\n",
+        ),
+    ],
+)
+def test_run_names_the_job_an_argument_error_comes_from(capsys, tmp_path, entry, message):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps({"jobs": [entry]}))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == message

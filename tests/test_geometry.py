@@ -272,6 +272,11 @@ def test_curve_rejects_unknown_fields():
         curve_from_json({"genus": 0, "gram": [[1]]})
 
 
+def test_curve_bad_dimension_names_its_cohomology_key():
+    with pytest.raises(ConfigError, match=r"^curve\.cohomology\['O'\]: .*must be int"):
+        curve_from_json({"genus": 0, "cohomology": {"O": {"0": 1.5}}})
+
+
 def test_curve_rejects_euler_mismatch():
     with pytest.raises(ConfigError):
         curve_from_json({"genus": 0, "cohomology": {"O": {"0": 2}}})
