@@ -42,6 +42,7 @@ CSV_HEADER = ["formula_id", "n", "k", "l", "euler", "graded", "cross_checks"]
 MUST_AGREE_CHECKS = {
     "bichar_closed",
     "bichar_series",
+    "curve_series",
     "equals_chi_ef",
     "quadratic_simplification",
 }
@@ -121,6 +122,11 @@ def _bichar_series_cached(chis: tuple[int, int, int, int], n_max: int) -> TruncS
     return formulas.bichar_series(*chis, n_max=n_max)
 
 
+@functools.lru_cache(maxsize=None)
+def _curve_series_cached(chis: tuple[int, int, int, int], n_max: int) -> TruncSeries:
+    return formulas.curve_series(*chis, n_max=n_max)
+
+
 def _variant_row(
     config: geometry.Config,
     formula: str,
@@ -188,7 +194,7 @@ def _variant_row(
     }
 
 
-def _curve_row(config: geometry.Config, n: int, names: dict[str, str]) -> dict:
+def _curve_row(config: geometry.Config, n: int, names: dict[str, str], n_top: int) -> dict:
     curve = config.curve
     if curve is None:
         raise ConfigError("formula 'curve_bichar' needs a curve profile")
@@ -200,6 +206,10 @@ def _curve_row(config: geometry.Config, n: int, names: dict[str, str]) -> dict:
     if n == 2:
         expected = -curve.genus * chis["chi_ef"] + chis["chi_e_dual"] * chis["chi_f"]
         cross_checks.append(["quadratic_simplification", value == expected])
+    series = _curve_series_cached(
+        (chis["chi_ef"], chis["chi_e_dual"], chis["chi_f"], chis["chi_oc"]), n_top
+    )
+    cross_checks.append(["curve_series", series.coeff(Q=n) == value])
     return {
         "formula_id": "curve_bichar",
         "n": n,
@@ -248,7 +258,7 @@ def _table_row(payload: tuple) -> dict:
     if formula == "rank3_check":
         return _rank3_row(config)
     if formula == "curve_bichar":
-        return _curve_row(config, n, names)
+        return _curve_row(config, n, names, n_top)
     return _variant_row(config, formula, n, k, l, names, n_top)
 
 

@@ -424,6 +424,23 @@ def curve_bichar(n: int, chi_ef: int, chi_e_dual: int, chi_f: int, chi_oc: int) 
     return chi_ef * first + chi_e_dual * chi_f * second
 
 
+def curve_series(
+    chi_ef: int, chi_e_dual: int, chi_f: int, chi_oc: int, n_max: int
+) -> TruncSeries:
+    """Generating function of ``curve_bichar`` in Q, truncated past Q^n_max:
+
+        Q (chi_ef + chi_e_dual chi_f Q) (1+Q)^(chi_oc - 1).
+
+    The alternating sums in ``curve_bichar`` are the coefficients of
+    (1+Q)^chi_oc / (1+Q), so the coefficient of Q^n is curve_bichar at n.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
+    orders = {"Q": n_max + 1}
+    q = TruncSeries.variable("Q", orders)
+    return q * (chi_ef + chi_e_dual * chi_f * q) * (1 + q).int_pow(chi_oc - 1)
+
+
 class Rank3Check(NamedTuple):
     """Determinant-bundle Euler value on the Hilbert square vs the naive guess."""
 

@@ -235,6 +235,27 @@ def test_table_expands_the_bichar_series_once_per_job(capsys, monkeypatch, n_ran
     assert calls == [5]
 
 
+def test_curve_table_expands_its_series_once_and_must_agree(capsys, monkeypatch):
+    real = cli.formulas.curve_series
+    calls = []
+
+    def off_by_one(*chis, n_max):
+        calls.append(n_max)
+        q = cli.TruncSeries.variable("Q", {"Q": n_max + 1})
+        return real(*chis, n_max=n_max) + q * q
+
+    monkeypatch.setattr(cli.formulas, "curve_series", off_by_one)
+    cli._curve_series_cached.cache_clear()
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "curve_bichar", "--curve", "genus0_curve.json",
+        "--n", "2..4",
+    )
+    cli._curve_series_cached.cache_clear()
+    assert calls == [4]
+    assert code == 1 and out == ""
+    assert "cross-check curve_series failed" in err
+
+
 def test_table_out_writes_file(capsys, tmp_path):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(

@@ -19,6 +19,7 @@ from hilbtaut.formulas import (
     bichar_product,
     bichar_series,
     curve_bichar,
+    curve_series,
     negative_index_suppressed,
     rank3_check,
     required_tables,
@@ -324,6 +325,16 @@ def test_curve_frozen_small_table():
     # genus 0, all bundles trivial: chi(O_C) = 1
     values = [curve_bichar(n, 1, 1, 1, 1) for n in (1, 2, 3, 4)]
     assert values == [1, 1, 0, 0]
+
+
+@settings(max_examples=60)
+@given(chis=st.tuples(*[st.integers(min_value=-5, max_value=5)] * 4))
+def test_curve_series_coefficients_are_curve_bichar(chis):
+    series = curve_series(*chis, n_max=9)
+    assert [series.coeff(Q=n) for n in range(1, 10)] == [
+        curve_bichar(n, *chis) for n in range(1, 10)
+    ]
+    assert series.coeff() == 0
 
 
 def test_curve_rejects_bad_n():
