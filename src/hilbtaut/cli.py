@@ -491,8 +491,13 @@ class _JobArgumentParser(argparse.ArgumentParser):
     """Parser for ``run`` config jobs: an error raises instead of exiting.
 
     ``exit_on_error=False`` would not do, because argparse still exits
-    on unrecognized and on missing required arguments.
+    on unrecognized and on missing required arguments.  A job key must
+    spell out its flag: no abbreviations, and no ``help`` that would
+    print usage and end the run.
     """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)

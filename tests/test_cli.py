@@ -460,6 +460,14 @@ def test_run_rejects_a_nested_run_job(capsys, tmp_path):
             {"command": "verify"},
             "error: jobs[0]: the following arguments are required: --suite\n",
         ),
+        (
+            {"command": "verify", "suite": "orbits", "nma": 3},
+            "error: jobs[0]: unrecognized arguments: --nma 3\n",
+        ),
+        (
+            {"command": "verify", "suite": "orbits", "help": 1},
+            "error: jobs[0]: unrecognized arguments: --help 1\n",
+        ),
     ],
 )
 def test_run_names_the_job_an_argument_error_comes_from(capsys, tmp_path, entry, message):
