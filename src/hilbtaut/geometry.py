@@ -46,9 +46,6 @@ class LineBundleClass:
         self._check(other)
         return LineBundleClass(tuple(a - b for a, b in zip(self.vector, other.vector)))
 
-    def __neg__(self) -> "LineBundleClass":
-        return LineBundleClass(tuple(-a for a in self.vector))
-
     def scale(self, factor: int) -> "LineBundleClass":
         return LineBundleClass(tuple(factor * a for a in self.vector))
 
@@ -126,11 +123,6 @@ def rr_chi(surface: SurfaceData, line: LineBundleClass) -> int:
     if rem:
         raise NonIntegralError("non-integral Riemann-Roch; check gram/canonical")
     return surface.chi_o + quot
-
-
-def chi_pair(surface: SurfaceData, src: LineBundleClass, tgt: LineBundleClass) -> int:
-    """Euler characteristic of the graded Hom between two line bundles."""
-    return rr_chi(surface, tgt - src)
 
 
 def chi_tensor_powers(

@@ -73,14 +73,6 @@ class GradedDim:
         """Alternating sum of dimensions, sum((-1)^d * dim_d)."""
         return sum(m if d % 2 == 0 else -m for d, m in self._dims.items())
 
-    def dual(self) -> "GradedDim":
-        """Linear dual: degree d becomes degree -d."""
-        return GradedDim({-d: m for d, m in self._dims.items()})
-
-    def shift(self, amount: int) -> "GradedDim":
-        """Shift every degree up by ``amount``."""
-        return GradedDim({d + amount: m for d, m in self._dims.items()})
-
     def __add__(self, other: "GradedDim") -> "GradedDim":
         """Direct sum: dimensions add degreewise."""
         if not isinstance(other, GradedDim):

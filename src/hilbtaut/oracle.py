@@ -224,7 +224,6 @@ class Orbit:
     representative: IndexPair
     size: int
     stabilizer_order: int
-    stabilizer_generators: tuple[Perm, ...]
 
 
 @dataclass(frozen=True)
@@ -235,24 +234,13 @@ class OrbitDecomposition:
     orbits: tuple[Orbit, ...]
 
 
-def _block_transpositions(n: int, blocks: Sequence[Sequence[int]]) -> tuple[Perm, ...]:
-    gens = []
-    for block in blocks:
-        for a, b in zip(block, block[1:]):
-            perm = list(range(n))
-            perm[a], perm[b] = perm[b], perm[a]
-            gens.append(tuple(perm))
-    return tuple(gens)
-
-
 def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
     """Split all (e, f)-subset pairs into symmetric group orbits.
 
     Orbits are found by explicit closure under two group generators, not
     by any classification.  Each orbit records its minimal pair in the
-    (first_mask, second_mask) order, its size, the stabilizer order of
-    the representative by orbit-stabilizer, and transpositions
-    generating that stabilizer blockwise.
+    (first_mask, second_mask) order, its size and the stabilizer order
+    of the representative by orbit-stabilizer.
     """
     if not 0 <= e <= n or not 0 <= f <= n:
         raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
@@ -292,21 +280,7 @@ def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
             raise ConsistencyError(
                 f"orbit size {size} does not divide group order {order}"
             )
-        common = pair.first_mask & pair.second_mask
-        blocks = [
-            _mask_indices(common),
-            _mask_indices(pair.first_mask & ~common),
-            _mask_indices(pair.second_mask & ~common),
-            _mask_indices(((1 << n) - 1) & ~(pair.first_mask | pair.second_mask)),
-        ]
-        orbits.append(
-            Orbit(
-                representative=pair,
-                size=size,
-                stabilizer_order=quot,
-                stabilizer_generators=_block_transpositions(n, blocks),
-            )
-        )
+        orbits.append(Orbit(representative=pair, size=size, stabilizer_order=quot))
 
     if sum(o.size for o in orbits) != len(pairs):
         raise ConsistencyError("orbit sizes do not add up to the number of pairs")

@@ -230,9 +230,6 @@ class TruncSeries:
         # total degree >= 1, and total degree is capped by the sum below
         return sum(o - 1 for o in self.orders)
 
-    def __pow__(self, exponent: int) -> "TruncSeries":
-        return self.int_pow(exponent)
-
     def int_pow(self, exponent: int) -> "TruncSeries":
         """Integer power; negative exponents invert the truncated series.
 

@@ -388,12 +388,11 @@ def expected_orbit_profile(n: int, e: int, f: int) -> dict[int, int]:
     return out
 
 
-def standard_pair(n: int, e: int, f: int, i: int) -> oracle.IndexPair:
+def standard_pair(e: int, f: int, i: int) -> oracle.IndexPair:
     """The reference pair with overlap i: the first e points against the
     first i points joined with the f - i points after position e."""
     first = range(e)
     second = list(range(i)) + list(range(e, e + f - i))
-    del n
     return oracle.IndexPair.from_indices(first, second)
 
 
@@ -445,7 +444,7 @@ def suite_orbits(
                             "computed": seen[i].stabilizer_order,
                             "expected": stab,
                         }
-                    pair = standard_pair(n, e, f, i)
+                    pair = standard_pair(e, f, i)
                     if pair.overlap() != i or (
                         len(pair.first_indices()) != e or len(pair.second_indices()) != f
                     ):

@@ -57,16 +57,6 @@ def test_unit_and_zero():
     assert ZERO.euler() == 0
 
 
-def test_dual_negates_degrees():
-    space = GradedDim({0: 1, 2: 3})
-    assert dict(space.dual().items()) == {0: 1, -2: 3}
-
-
-def test_shift_translates_degrees():
-    space = GradedDim({0: 1, 2: 3})
-    assert dict(space.shift(5).items()) == {5: 1, 7: 3}
-
-
 def test_add_is_direct_sum():
     a = GradedDim({0: 1, 1: 2})
     b = GradedDim({1: 3, 4: 1})

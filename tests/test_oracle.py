@@ -131,13 +131,6 @@ def test_representatives_are_minimal_and_distinct():
         assert smallest == orbit
 
 
-def test_stabilizer_generators_fix_the_representative():
-    for orbit in orbit_decomposition(5, 2, 1).orbits:
-        rep = orbit.representative
-        for gen in orbit.stabilizer_generators:
-            assert rep.apply(gen) == rep
-
-
 def test_enumeration_bound_enforced():
     with pytest.raises(SizeBoundError):
         orbit_decomposition(ENUM_BOUND + 1, 1, 1)

@@ -101,7 +101,7 @@ def test_expected_orbit_profile_matches_enumeration():
 def test_standard_pair_hits_every_overlap():
     n, e, f = 6, 3, 2
     for i in range(max(0, e + f - n), min(e, f) + 1):
-        pair = standard_pair(n, e, f, i)
+        pair = standard_pair(e, f, i)
         assert len(pair.first_indices()) == e
         assert len(pair.second_indices()) == f
         assert pair.overlap() == i
