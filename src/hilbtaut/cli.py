@@ -21,14 +21,13 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from pathlib import Path
 from typing import NoReturn
 
 from . import formulas, geometry, oracle, verify
 from .formulas import BicharInput, MissingTableError
 from .geometry import ConfigError
-from .series import TruncSeries
 
 DEFAULT_SEED = verify.DEFAULT_SEED
 
@@ -49,31 +48,6 @@ MUST_AGREE_CHECKS = {
 
 class UsageError(ValueError):
     """Bad command line input; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One unit of CLI work, assembled from flags or a config job entry."""
-
-    command: str
-    formula_id: str | None = None
-    profile: str | None = None
-    n_range: tuple[int, int] | None = None
-    k_range: tuple[int, int | None] | None = None
-    l_range: tuple[int, int | None] | None = None
-    e_name: str = "O"
-    f_name: str = "O"
-    k_name: str = "O"
-    l_name: str = "O"
-    out: str | None = None
-    format: str = "csv"
-    seed: int = DEFAULT_SEED
-    suite: str | None = None
-    nmax: int | None = None
-    count: int | None = None
-    workers: int = 1
-    n_max: int = 6
-    k_max: int | None = None
 
 
 def parse_range(text: str, flag: str, allow_n: bool = False) -> tuple[int, int | None]:
@@ -111,120 +85,125 @@ def _expand(bound: tuple[int, int | None], n: int) -> list[int]:
 
 # -- table ---------------------------------------------------------------
 
+#: the letters whose bundles a table job selects with --E/--F/--K/--L
+BUNDLE_LETTERS = ("E", "F", "K", "L")
 
-@functools.lru_cache(maxsize=None)
-def _profile(path: str) -> geometry.Config:
-    return geometry.load_config(path)
-
-
-@functools.lru_cache(maxsize=None)
-def _bichar_series_cached(chis: tuple[int, int, int, int], n_max: int) -> TruncSeries:
-    return formulas.bichar_series(*chis, n_max=n_max)
+#: a table job as workers receive it: (profile path, formula id,
+#: ((letter, bundle name), ...), largest n or None)
+JobKey = tuple[str, str, tuple[tuple[str, str], ...], int | None]
 
 
 @functools.lru_cache(maxsize=None)
-def _curve_series_cached(chis: tuple[int, int, int, int], n_max: int) -> TruncSeries:
-    return formulas.curve_series(*chis, n_max=n_max)
+def _resolve_job(key: JobKey) -> Callable[[int | None, int | None, int | None], dict]:
+    """Resolve everything the rows of one table job share, once per process.
+
+    Loads the profile, looks up the role Euler characteristics, the
+    cohomology tables (or the reason the rows are euler-only) and the
+    generating function expanded at the job's largest n, and returns
+    the function that computes the row at (n, k, l) from them.
+    """
+    path, formula, name_pairs, n_top = key
+    config = geometry.load_config(path)
+    names = dict(name_pairs)
+    if formula == "rank3_check":
+        row = _rank3_row(config)
+        return lambda n, k, l: row
+    if formula == "curve_bichar":
+        return _curve_job(config, names, n_top)
+    return _variant_job(config, formula, names, n_top)
 
 
-def _variant_row(
-    config: geometry.Config,
-    formula: str,
-    n: int,
-    k: int | None,
-    l: int | None,
-    names: dict[str, str],
-    n_top: int,
-) -> dict:
+def _variant_job(
+    config: geometry.Config, formula: str, names: dict[str, str], n_top: int
+) -> Callable[[int, int | None, int | None], dict]:
     surface = config.surface
     if surface is None:
         raise ConfigError(f"formula {formula!r} needs a surface profile")
     e_spec, f_spec, roles = formulas.variant_signature(formula)
-    chis = geometry.variant_chis(
-        surface,
-        roles,
-        e_name=names["E"],
-        f_name=names["F"],
-        k_name=names["K"],
-        l_name=names["L"],
-    )
+    chis = geometry.variant_chis(surface, roles, names)
     slot_chis = tuple(chis[r] for r in roles)
-    e = k if e_spec == "k" else e_spec
-    f = l if f_spec == "l" else (k if f_spec == "k" else f_spec)
-    euler = formulas.bichar_closed(BicharInput(n, e, f, *slot_chis))
     # one expansion per job: truncating at the job's largest n leaves
     # every lower coefficient unchanged
-    series = _bichar_series_cached(slot_chis, n_top)
-    series_value = formulas.bichar_from_series(series, n, e, f)
-    cross_checks: list[tuple[str, bool]] = []
-    notes: list[str] = []
-
-    graded = None
+    series = formulas.bichar_series(*slot_chis, n_max=n_top)
+    job_notes = []
     try:
-        tables = geometry.variant_tables(
-            surface,
-            formulas.required_tables(formula),
-            e_name=names["E"],
-            f_name=names["F"],
-            k_name=names["K"],
-            l_name=names["L"],
-        )
-        graded = formulas.taut_formula(formula, n, k=k or 0, l=l or 0, tables=tables)
-        cross_checks.append(("bichar_closed", graded.euler() == euler))
+        tables = geometry.variant_tables(surface, formulas.required_tables(formula), names)
     except ConfigError as exc:
-        notes.append(f"euler only: {exc}")
-    cross_checks.append(("bichar_series", series_value == euler))
-    if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
-        notes.append("vanishing symmetric power of negative index suppressed (k = n)")
-
+        tables = None
+        job_notes.append(f"euler only: {exc}")
     used = sorted({b for role in roles for b in formulas.TABLE_ROLES[role] if b})
-    return {
-        "formula_id": formula,
-        "n": n,
-        "k": k,
-        "l": l,
-        "euler": euler,
-        "graded": graded.to_json() if graded is not None else None,
-        "cross_checks": [[name, ok] for name, ok in cross_checks],
-        "inputs": {
-            "bundles": {b: names[b] for b in used},
-            "chis": {role: chis[role] for role in sorted(set(roles))},
-        },
-        "notes": notes,
+    inputs = {
+        "bundles": {b: names[b] for b in used},
+        "chis": {role: chis[role] for role in sorted(set(roles))},
     }
 
+    def row(n: int, k: int | None, l: int | None) -> dict:
+        e = k if e_spec == "k" else e_spec
+        f = l if f_spec == "l" else (k if f_spec == "k" else f_spec)
+        euler = formulas.bichar_closed(BicharInput(n, e, f, *slot_chis))
+        graded = None
+        cross_checks = []
+        if tables is not None:
+            graded = formulas.taut_formula(formula, n, k=k or 0, l=l or 0, tables=tables)
+            cross_checks.append(["bichar_closed", graded.euler() == euler])
+        series_value = formulas.bichar_from_series(series, n, e, f)
+        cross_checks.append(["bichar_series", series_value == euler])
+        notes = list(job_notes)
+        if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
+            notes.append("vanishing symmetric power of negative index suppressed (k = n)")
+        return {
+            "formula_id": formula,
+            "n": n,
+            "k": k,
+            "l": l,
+            "euler": euler,
+            "graded": graded.to_json() if graded is not None else None,
+            "cross_checks": cross_checks,
+            "inputs": inputs,
+            "notes": notes,
+        }
 
-def _curve_row(config: geometry.Config, n: int, names: dict[str, str], n_top: int) -> dict:
+    return row
+
+
+def _curve_job(
+    config: geometry.Config, names: dict[str, str], n_top: int
+) -> Callable[[int, None, None], dict]:
     curve = config.curve
     if curve is None:
         raise ConfigError("formula 'curve_bichar' needs a curve profile")
-    chis = geometry.curve_chis(curve, names["E"], names["F"])
-    value = formulas.curve_bichar(n, **chis)
-    cross_checks: list[list] = []
-    if n == 1:
-        cross_checks.append(["equals_chi_ef", value == chis["chi_ef"]])
-    if n == 2:
-        expected = -curve.genus * chis["chi_ef"] + chis["chi_e_dual"] * chis["chi_f"]
-        cross_checks.append(["quadratic_simplification", value == expected])
-    series = _curve_series_cached(
-        (chis["chi_ef"], chis["chi_e_dual"], chis["chi_f"], chis["chi_oc"]), n_top
+    chis = geometry.curve_chis(curve, names)
+    series = formulas.curve_series(
+        chis["chi_ef"], chis["chi_e_dual"], chis["chi_f"], chis["chi_oc"], n_max=n_top
     )
-    cross_checks.append(["curve_series", series.coeff(Q=n) == value])
-    return {
-        "formula_id": "curve_bichar",
-        "n": n,
-        "k": None,
-        "l": None,
-        "euler": value,
-        "graded": None,
-        "cross_checks": cross_checks,
-        "inputs": {
-            "bundles": {"E": names["E"], "F": names["F"]},
-            "chis": chis,
-            "genus": curve.genus,
-        },
-        "notes": [],
+    inputs = {
+        "bundles": {"E": names["E"], "F": names["F"]},
+        "chis": chis,
+        "genus": curve.genus,
     }
+
+    def row(n: int, k: None, l: None) -> dict:
+        value = formulas.curve_bichar(n, **chis)
+        cross_checks: list[list] = []
+        if n == 1:
+            cross_checks.append(["equals_chi_ef", value == chis["chi_ef"]])
+        if n == 2:
+            expected = -curve.genus * chis["chi_ef"] + chis["chi_e_dual"] * chis["chi_f"]
+            cross_checks.append(["quadratic_simplification", value == expected])
+        cross_checks.append(["curve_series", series.coeff(Q=n) == value])
+        return {
+            "formula_id": "curve_bichar",
+            "n": n,
+            "k": None,
+            "l": None,
+            "euler": value,
+            "graded": None,
+            "cross_checks": cross_checks,
+            "inputs": inputs,
+            "notes": [],
+        }
+
+    return row
 
 
 def _rank3_row(config: geometry.Config) -> dict:
@@ -251,56 +230,47 @@ def _rank3_row(config: geometry.Config) -> dict:
     }
 
 
-def _table_row(payload: tuple) -> dict:
-    path, formula, n, k, l, e_name, f_name, k_name, l_name, n_top = payload
-    config = _profile(path)
-    names = {"E": e_name, "F": f_name, "K": k_name, "L": l_name}
+def _table_row(payload: tuple[JobKey, int | None, int | None, int | None]) -> dict:
+    key, n, k, l = payload
+    return _resolve_job(key)(n, k, l)
+
+
+def _table_cells(
+    formula: str,
+    n_range: tuple[int, int] | None,
+    k_range: tuple[int, int | None] | None,
+    l_range: tuple[int, int | None] | None,
+) -> list[tuple[int | None, int | None, int | None]]:
     if formula == "rank3_check":
-        return _rank3_row(config)
-    if formula == "curve_bichar":
-        return _curve_row(config, n, names, n_top)
-    return _variant_row(config, formula, n, k, l, names, n_top)
-
-
-def _table_payloads(job: JobSpec) -> list[tuple]:
-    if job.formula_id == "rank3_check":
-        if job.n_range is not None or job.k_range is not None or job.l_range is not None:
+        if n_range is not None or k_range is not None or l_range is not None:
             raise UsageError("rank3_check takes no --n/--k/--l ranges")
-        cells: list[tuple[int | None, int | None, int | None]] = [(None, None, None)]
+        return [(None, None, None)]
+    if n_range is None:
+        raise UsageError(f"--n is required for {formula}")
+    if formula == "curve_bichar":
+        if k_range is not None or l_range is not None:
+            raise UsageError("curve_bichar takes no --k/--l ranges")
+        if n_range[0] < 1:
+            raise UsageError("curve_bichar needs n >= 1")
+        uses_k = uses_l = False
     else:
-        if job.n_range is None:
-            raise UsageError(f"--n is required for {job.formula_id}")
-        if job.formula_id == "curve_bichar":
-            if job.k_range is not None or job.l_range is not None:
-                raise UsageError("curve_bichar takes no --k/--l ranges")
-            if job.n_range[0] < 1:
-                raise UsageError("curve_bichar needs n >= 1")
-            uses_k = uses_l = False
-        else:
-            e_spec, f_spec, _ = formulas.variant_signature(job.formula_id)
-            uses_k = "k" in (e_spec, f_spec)
-            uses_l = "l" in (e_spec, f_spec)
-            if job.k_range is not None and not uses_k:
-                raise UsageError(f"{job.formula_id} takes no --k range")
-            if job.l_range is not None and not uses_l:
-                raise UsageError(f"{job.formula_id} takes no --l range")
-            if job.n_range[0] < 1:
-                raise UsageError(f"{job.formula_id} needs n >= 1")
-        cells = []
-        k_range = job.k_range or (0, None)
-        l_range = job.l_range or (0, None)
-        for n in range(job.n_range[0], job.n_range[1] + 1):
-            ks = _expand(k_range, n) if uses_k else [None]
-            ls = _expand(l_range, n) if uses_l else [None]
-            for k in ks:
-                for l in ls:
-                    cells.append((n, k, l))
-    path = str(geometry.resolve_profile(job.profile))
-    n_top = job.n_range[1] if job.n_range is not None else None
-    return [
-        (path, job.formula_id, n, k, l, job.e_name, job.f_name, job.k_name, job.l_name, n_top)
-        for n, k, l in cells
-    ]
+        e_spec, f_spec, _ = formulas.variant_signature(formula)
+        uses_k = "k" in (e_spec, f_spec)
+        uses_l = "l" in (e_spec, f_spec)
+        if k_range is not None and not uses_k:
+            raise UsageError(f"{formula} takes no --k range")
+        if l_range is not None and not uses_l:
+            raise UsageError(f"{formula} takes no --l range")
+        if n_range[0] < 1:
+            raise UsageError(f"{formula} needs n >= 1")
+    cells = []
+    for n in range(n_range[0], n_range[1] + 1):
+        ks = _expand(k_range or (0, None), n) if uses_k else [None]
+        ls = _expand(l_range or (0, None), n) if uses_l else [None]
+        for k in ks:
+            for l in ls:
+                cells.append((n, k, l))
+    return cells
 
 
 def _row_sort_key(row: dict) -> tuple:
@@ -342,11 +312,11 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def rows_to_json(job: JobSpec, rows: list[dict]) -> str:
+def rows_to_json(formula: str, profile: str, rows: list[dict]) -> str:
     document = {
         "command": "table",
-        "formula_id": job.formula_id,
-        "profile": job.profile,
+        "formula_id": formula,
+        "profile": profile,
         "rows": rows,
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -359,9 +329,32 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def run_table(job: JobSpec) -> int:
-    payloads = _table_payloads(job)
-    rows = verify.parallel_map(_table_row, payloads, job.workers)
+def _at_least_one(value: int | None, flag: str) -> None:
+    if value is not None and value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
+def run_table(args: argparse.Namespace) -> int:
+    _at_least_one(args.workers, "--workers")
+    if args.surface and args.curve:
+        raise UsageError("pass either --surface or --curve, not both")
+    profile = args.surface or args.curve
+    if profile is None:
+        raise UsageError("a --surface or --curve profile is required")
+    n_range = None if args.n is None else _exact_range(args.n, "--n")
+    k_range = None if args.k is None else parse_range(args.k, "--k", allow_n=True)
+    l_range = None if args.l is None else parse_range(args.l, "--l", allow_n=True)
+    cells = _table_cells(args.formula, n_range, k_range, l_range)
+    key = (
+        str(geometry.resolve_profile(profile)),
+        args.formula,
+        tuple((b, getattr(args, b)) for b in BUNDLE_LETTERS),
+        n_range[1] if n_range is not None else None,
+    )
+    # resolved here, so bad input fails even when no cell is in range, and
+    # forked workers inherit the resolved job
+    _resolve_job(key)
+    rows = verify.parallel_map(_table_row, [(key, *cell) for cell in cells], args.workers)
     rows.sort(key=_row_sort_key)
     for row in rows:
         for name, ok in row["cross_checks"]:
@@ -371,79 +364,78 @@ def run_table(job: JobSpec) -> int:
                     f"(formula={row['formula_id']}, n={row['n']}, "
                     f"k={row['k']}, l={row['l']})"
                 )
-    text = rows_to_csv(rows) if job.format == "csv" else rows_to_json(job, rows)
-    _emit(text, job.out)
+    if args.format == "csv":
+        text = rows_to_csv(rows)
+    else:
+        text = rows_to_json(args.formula, profile, rows)
+    _emit(text, args.out)
     return 0
 
 
 # -- verify ---------------------------------------------------------------
 
 
-def run_verify(job: JobSpec) -> int:
-    kwargs: dict = {"seed": job.seed, "workers": job.workers}
-    if job.nmax is not None:
-        if job.suite == "graded_powers":
+def run_verify(args: argparse.Namespace) -> int:
+    _at_least_one(args.workers, "--workers")
+    _at_least_one(args.count, "--count")
+    _at_least_one(args.nmax, "--nmax")
+    kwargs: dict = {"seed": args.seed, "workers": args.workers}
+    if args.nmax is not None:
+        if args.suite == "graded_powers":
             raise UsageError("graded_powers has no --nmax bound (its domain is fixed)")
-        kwargs["nmax"] = job.nmax
-    if job.count is not None:
-        if job.suite == "orbits":
+        kwargs["nmax"] = args.nmax
+    if args.count is not None:
+        if args.suite == "orbits":
             raise UsageError("orbits has no --count (it is exhaustive)")
-        kwargs["count"] = job.count
-    verdict = verify.run_suite(job.suite, **kwargs)
+        kwargs["count"] = args.count
+    verdict = verify.run_suite(args.suite, **kwargs)
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-    _emit(text, job.out)
+    _emit(text, args.out)
     return 0 if verdict["pass"] else 1
 
 
 # -- series ---------------------------------------------------------------
 
 
-def run_series(job: JobSpec) -> int:
-    config = _profile(str(geometry.resolve_profile(job.profile)))
-    surface = config.surface
+def run_series(args: argparse.Namespace) -> int:
+    surface = geometry.load_config(geometry.resolve_profile(args.surface)).surface
     if surface is None:
         raise ConfigError("series formulas need a surface profile")
-    k_max = job.k_max if job.k_max is not None else job.n_max
-    if job.formula_id == "bichar":
+    n_max = args.n_max
+    if args.formula == "bichar":
+        names = {"K": args.K, "L": args.L}
         roles = formulas.variant_signature("Extwedgewedge")[2]
-        chis = geometry.variant_chis(
-            surface, roles, k_name=job.k_name, l_name=job.l_name
-        )
-        series = formulas.bichar_series(*(chis[r] for r in roles), n_max=job.n_max)
-        inputs: dict = {
-            "bundles": {"K": job.k_name, "L": job.l_name},
-            "chis": chis,
-            "n_max": job.n_max,
-        }
-    elif job.formula_id == "tensor_euler":
+        chis = geometry.variant_chis(surface, roles, names)
+        series = formulas.bichar_series(*(chis[r] for r in roles), n_max=n_max)
+        inputs: dict = {"bundles": names, "chis": chis, "n_max": n_max}
+    else:  # tensor_euler
+        k_max = args.k_max if args.k_max is not None else n_max
         chi_flp = geometry.chi_tensor_powers(
-            surface, surface.bundle(job.f_name), surface.bundle(job.l_name), job.n_max
+            surface, surface.bundle(args.F), surface.bundle(args.L), n_max
         )
-        chi_l = geometry.rr_chi(surface, surface.bundle(job.l_name))
+        chi_l = geometry.rr_chi(surface, surface.bundle(args.L))
         series = formulas.tensor_euler_series(
-            chi_flp, chi_l, surface.chi_o, n_max=job.n_max, k_max=k_max
+            chi_flp, chi_l, surface.chi_o, n_max=n_max, k_max=k_max
         )
         inputs = {
-            "bundles": {"F": job.f_name, "L": job.l_name},
+            "bundles": {"F": args.F, "L": args.L},
             "chi_flp": chi_flp,
             "chi_l": chi_l,
             "chi_o": surface.chi_o,
-            "n_max": job.n_max,
+            "n_max": n_max,
             "k_max": k_max,
         }
-    else:
-        raise UsageError(f"unknown series formula {job.formula_id!r}")
-    if job.format == "json":
+    if args.format == "json":
         document = {
             "command": "series",
-            "formula_id": job.formula_id,
+            "formula_id": args.formula,
             "inputs": inputs,
             "series": series.to_jsonable(),
         }
         text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     else:
-        text = f"{job.formula_id}: {series}\n"
-    _emit(text, job.out)
+        text = f"{args.formula}: {series}\n"
+    _emit(text, args.out)
     return 0
 
 
@@ -531,10 +523,10 @@ def _build_parser(
     t.add_argument("--n", metavar="RANGE")
     t.add_argument("--k", metavar="RANGE")
     t.add_argument("--l", metavar="RANGE")
-    t.add_argument("--E", dest="e_name", default="O", metavar="BUNDLE")
-    t.add_argument("--F", dest="f_name", default="O", metavar="BUNDLE")
-    t.add_argument("--K", dest="k_name", default="O", metavar="BUNDLE")
-    t.add_argument("--L", dest="l_name", default="O", metavar="BUNDLE")
+    t.add_argument("--E", default="O", metavar="BUNDLE")
+    t.add_argument("--F", default="O", metavar="BUNDLE")
+    t.add_argument("--K", default="O", metavar="BUNDLE")
+    t.add_argument("--L", default="O", metavar="BUNDLE")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--out", metavar="PATH")
     t.add_argument("--workers", type=int, default=1)
@@ -552,9 +544,9 @@ def _build_parser(
     s.add_argument("--surface", required=True, metavar="PROFILE")
     s.add_argument("--n-max", dest="n_max", type=int, default=6)
     s.add_argument("--k-max", dest="k_max", type=int, default=None)
-    s.add_argument("--F", dest="f_name", default="O", metavar="BUNDLE")
-    s.add_argument("--K", dest="k_name", default="O", metavar="BUNDLE")
-    s.add_argument("--L", dest="l_name", default="O", metavar="BUNDLE")
+    s.add_argument("--F", default="O", metavar="BUNDLE")
+    s.add_argument("--K", default="O", metavar="BUNDLE")
+    s.add_argument("--L", default="O", metavar="BUNDLE")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.add_argument("--out", metavar="PATH")
 
@@ -562,58 +554,6 @@ def _build_parser(
     r.add_argument("--config", required=True, metavar="PATH")
 
     return parser
-
-
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    if args.command in ("table", "verify") and args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    if args.command == "table":
-        if args.surface and args.curve:
-            raise UsageError("pass either --surface or --curve, not both")
-        profile = args.surface or args.curve
-        if profile is None:
-            raise UsageError("a --surface or --curve profile is required")
-        return JobSpec(
-            command="table",
-            formula_id=args.formula,
-            profile=profile,
-            n_range=None if args.n is None else _exact_range(args.n, "--n"),
-            k_range=None if args.k is None else parse_range(args.k, "--k", allow_n=True),
-            l_range=None if args.l is None else parse_range(args.l, "--l", allow_n=True),
-            e_name=args.e_name,
-            f_name=args.f_name,
-            k_name=args.k_name,
-            l_name=args.l_name,
-            out=args.out,
-            format=args.format,
-            workers=args.workers,
-        )
-    if args.command == "verify":
-        if args.count is not None and args.count < 1:
-            raise UsageError(f"--count must be at least 1, got {args.count}")
-        return JobSpec(
-            command="verify",
-            suite=args.suite,
-            seed=args.seed,
-            nmax=args.nmax,
-            count=args.count,
-            workers=args.workers,
-            out=args.out,
-        )
-    if args.command == "series":
-        return JobSpec(
-            command="series",
-            formula_id=args.formula,
-            profile=args.surface,
-            n_max=args.n_max,
-            k_max=args.k_max,
-            f_name=args.f_name,
-            k_name=args.k_name,
-            l_name=args.l_name,
-            format=args.format,
-            out=args.out,
-        )
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 def _exact_range(text: str, flag: str) -> tuple[int, int]:
@@ -625,12 +565,11 @@ def _exact_range(text: str, flag: str) -> tuple[int, int]:
 def _run_args(args: argparse.Namespace) -> int:
     if args.command == "run":
         return run_jobs(args.config)
-    job = _job_from_args(args)
-    if job.command == "table":
-        return run_table(job)
-    if job.command == "verify":
-        return run_verify(job)
-    return run_series(job)
+    if args.command == "table":
+        return run_table(args)
+    if args.command == "verify":
+        return run_verify(args)
+    return run_series(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -215,17 +215,10 @@ def surface_table(surface: SurfaceData, key: str) -> GradedDim:
 
 
 def variant_tables(
-    surface: SurfaceData,
-    variant_keys: Sequence[str],
-    *,
-    e_name: str = "O",
-    f_name: str = "O",
-    k_name: str = "O",
-    l_name: str = "O",
+    surface: SurfaceData, variant_keys: Sequence[str], names: Mapping[str, str]
 ) -> dict[str, GradedDim]:
-    """Cohomology table for each formula table role, given the bundle
-    names selected for E, F, K, L."""
-    names = {"E": e_name, "F": f_name, "K": k_name, "L": l_name}
+    """Cohomology table for each formula table role, given the map from
+    the bundle letters E, F, K, L to profile bundle names."""
     return {
         role: surface_table(surface, _table_key(*role_bundles(role, names)))
         for role in variant_keys
@@ -233,16 +226,9 @@ def variant_tables(
 
 
 def variant_chis(
-    surface: SurfaceData,
-    roles: Sequence[str],
-    *,
-    e_name: str = "O",
-    f_name: str = "O",
-    k_name: str = "O",
-    l_name: str = "O",
+    surface: SurfaceData, roles: Sequence[str], names: Mapping[str, str]
 ) -> dict[str, int]:
     """Euler characteristic for each formula table role, from the lattice."""
-    names = {"E": e_name, "F": f_name, "K": k_name, "L": l_name}
     for name in names.values():
         surface.bundle(name)  # every selected bundle must exist, used or not
     return {
@@ -251,9 +237,9 @@ def variant_chis(
     }
 
 
-def curve_chis(curve: CurveData, e_name: str = "O", f_name: str = "O") -> dict[str, int]:
-    """The four Euler characteristics the curve pairing formula needs."""
-    names = {"E": e_name, "F": f_name}
+def curve_chis(curve: CurveData, names: Mapping[str, str]) -> dict[str, int]:
+    """The four Euler characteristics the curve pairing formula needs,
+    given the bundle names selected for E and F."""
 
     def chi(role: str) -> int:
         return _curve_hom_chi(curve, *role_bundles(role, names))

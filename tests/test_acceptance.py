@@ -81,18 +81,12 @@ def test_criterion_4_variant_coherence_on_the_k3_fixture():
     surface = load_config(packaged_profile("k3.json")).surface
     cells = 0
     bad: list[tuple] = []
-    for names in ({"e": "O", "f": "O", "k": "O", "l": "O"},
-                  {"e": "H", "f": "H", "k": "H", "l": "H"}):
+    for names in ({"E": "O", "F": "O", "K": "O", "L": "O"},
+                  {"E": "H", "F": "H", "K": "H", "L": "H"}):
         for variant in VARIANTS:
             e_spec, f_spec, roles = variant_signature(variant)
-            tables = variant_tables(
-                surface, roles, e_name=names["e"], f_name=names["f"],
-                k_name=names["k"], l_name=names["l"],
-            )
-            chis = variant_chis(
-                surface, roles, e_name=names["e"], f_name=names["f"],
-                k_name=names["k"], l_name=names["l"],
-            )
+            tables = variant_tables(surface, roles, names)
+            chis = variant_chis(surface, roles, names)
             for n in range(1, 7):
                 ks = range(n + 1) if "k" in (e_spec, f_spec) else (0,)
                 ls = range(n + 1) if "l" in (e_spec, f_spec) else (0,)

@@ -9,6 +9,7 @@ import pytest
 from hilbtaut import cli
 from hilbtaut.cli import CSV_HEADER, UsageError, main, parse_range
 from hilbtaut.formulas import BicharInput
+from hilbtaut.series import TruncSeries
 
 
 # -- range parsing ---------------------------------------------------------------
@@ -171,6 +172,16 @@ def test_table_rejects_unknown_bundle_even_when_unused(capsys):
     assert err.count("\n") == 1 and "unknown bundle 'nope'" in err
 
 
+def test_table_rejects_unknown_bundle_when_no_cell_is_in_range(capsys):
+    # k starts above every n, so the job has no rows; the bundle is still checked
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "cohwedge", "--surface", "k3.json",
+        "--L", "nosuch", "--n", "1..3", "--k", "5..n",
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "unknown bundle 'nosuch'" in err
+
+
 def test_table_rejects_non_integer_table_dimensions(capsys, tmp_path):
     profile = {
         "surface": {
@@ -206,13 +217,11 @@ def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
         return real(inp) + 1
 
     monkeypatch.setattr(cli.formulas, "bichar_closed", lying)
-    cli._bichar_series_cached.cache_clear()
     code, _, err = run_cli(
         capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1"
     )
     assert code == 1
     assert "consistency failure" in err
-    cli._bichar_series_cached.cache_clear()
 
 
 @pytest.mark.parametrize("n_range", ["1..5", "3..5"])
@@ -225,14 +234,35 @@ def test_table_expands_the_bichar_series_once_per_job(capsys, monkeypatch, n_ran
         return real(*chis, n_max=n_max)
 
     monkeypatch.setattr(cli.formulas, "bichar_series", counting)
-    cli._bichar_series_cached.cache_clear()
+    cli._resolve_job.cache_clear()
     code, _, _ = run_cli(
         capsys, "table", "--formula", "ExtEwedge", "--surface", "k3.json",
         "--E", "H", "--L", "H", "--n", n_range, "--k", "0..n",
     )
-    cli._bichar_series_cached.cache_clear()
+    cli._resolve_job.cache_clear()
     assert code == 0
     assert calls == [5]
+
+
+def test_table_resolves_chis_and_tables_once_per_job(capsys, monkeypatch):
+    calls = []
+    for name in ("variant_chis", "variant_tables"):
+        real = getattr(cli.geometry, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli.geometry, name, counting)
+    cli._resolve_job.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "table", "--formula", "Extwedgewedge", "--surface", "k3.json",
+        "--K", "H", "--n", "1..3", "--k", "0..n", "--l", "0..n", "--workers", "1",
+    )
+    cli._resolve_job.cache_clear()
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 4 + 9 + 16
+    assert sorted(calls) == ["variant_chis", "variant_tables"]
 
 
 def test_curve_table_expands_its_series_once_and_must_agree(capsys, monkeypatch):
@@ -241,16 +271,16 @@ def test_curve_table_expands_its_series_once_and_must_agree(capsys, monkeypatch)
 
     def off_by_one(*chis, n_max):
         calls.append(n_max)
-        q = cli.TruncSeries.variable("Q", {"Q": n_max + 1})
+        q = TruncSeries.variable("Q", {"Q": n_max + 1})
         return real(*chis, n_max=n_max) + q * q
 
     monkeypatch.setattr(cli.formulas, "curve_series", off_by_one)
-    cli._curve_series_cached.cache_clear()
+    cli._resolve_job.cache_clear()
     code, out, err = run_cli(
         capsys, "table", "--formula", "curve_bichar", "--curve", "genus0_curve.json",
         "--n", "2..4",
     )
-    cli._curve_series_cached.cache_clear()
+    cli._resolve_job.cache_clear()
     assert calls == [4]
     assert code == 1 and out == ""
     assert "cross-check curve_series failed" in err

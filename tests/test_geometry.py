@@ -109,7 +109,7 @@ def test_curve_chi():
 
 def test_curve_chis_roles():
     curve = CurveData(genus=0, bundles={"P": CurveBundle(1, 1)})
-    chis = curve_chis(curve, e_name="P", f_name="P")
+    chis = curve_chis(curve, {"E": "P", "F": "P"})
     assert chis == {"chi_ef": 1, "chi_e_dual": 0, "chi_f": 2, "chi_oc": 1}
 
 
@@ -153,7 +153,7 @@ def test_tables_are_never_synthesized_from_duality():
 
 def test_variant_tables_resolves_role_names():
     tables = variant_tables(
-        K3, ("hom_ef", "coh_e_dual", "coh_f", "coh_o"), e_name="H", f_name="H"
+        K3, ("hom_ef", "coh_e_dual", "coh_f", "coh_o"), {"E": "H", "F": "H"}
     )
     assert dict(tables["hom_ef"].items()) == {0: 1, 2: 1}
     assert dict(tables["coh_e_dual"].items()) == {2: 4}
@@ -163,15 +163,15 @@ def test_variant_tables_resolves_role_names():
 
 def test_variant_chis_from_lattice_only():
     chis = variant_chis(
-        K3, ("hom_kl", "coh_k_dual", "coh_l", "coh_o"), k_name="H", l_name="H"
+        K3, ("hom_kl", "coh_k_dual", "coh_l", "coh_o"), {"K": "H", "L": "H"}
     )
     assert chis == {"hom_kl": 2, "coh_k_dual": 4, "coh_l": 4, "coh_o": 2}
 
 
 def test_variant_chis_consistent_with_tables():
     roles = ("hom_ef", "coh_e_dual", "coh_f", "coh_o")
-    tables = variant_tables(K3, roles, e_name="H", f_name="H")
-    chis = variant_chis(K3, roles, e_name="H", f_name="H")
+    tables = variant_tables(K3, roles, {"E": "H", "F": "H"})
+    chis = variant_chis(K3, roles, {"E": "H", "F": "H"})
     for role in roles:
         assert tables[role].euler() == chis[role]
 
