@@ -261,10 +261,18 @@ def _as_int(value: object, where: str) -> int:
     return value
 
 
-def _cohomology_tables(raw: object, section: str) -> dict[str, GradedDim]:
+def _object_field(data: Mapping[str, object], field: str, section: str) -> Mapping:
+    """An optional profile field that must be a JSON object when present."""
+    raw = data.get(field, {})
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{section}.{field} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _cohomology_tables(data: Mapping[str, object], section: str) -> dict[str, GradedDim]:
     """Parse a profile's cohomology map; ``section`` prefixes error messages."""
     cohomology: dict[str, GradedDim] = {}
-    for key, table in (raw or {}).items():
+    for key, table in _object_field(data, "cohomology", section).items():
         if not isinstance(table, Mapping):
             raise ConfigError(f"{section}.cohomology[{key!r}] must be a degree->dim map")
         try:
@@ -304,12 +312,12 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
     canonical = tuple(_as_int(x, "surface.canonical") for x in canonical_raw)
 
     bundles: dict[str, LineBundleClass] = {}
-    for name, vec in (data.get("bundles") or {}).items():
+    for name, vec in _object_field(data, "bundles", "surface").items():
         if not isinstance(vec, list) or len(vec) != rank:
             raise ConfigError(f"surface.bundles[{name!r}] must have length {rank}")
         bundles[name] = LineBundleClass(tuple(_as_int(x, f"surface.bundles[{name!r}]") for x in vec))
 
-    cohomology = _cohomology_tables(data.get("cohomology"), "surface")
+    cohomology = _cohomology_tables(data, "surface")
 
     chi_omega = data.get("chi_Omega")
     if chi_omega is not None:
@@ -349,7 +357,7 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
     if genus < 0:
         raise ConfigError(f"curve.genus must be non-negative, got {genus}")
     bundles: dict[str, CurveBundle] = {}
-    for name, spec in (data.get("bundles") or {}).items():
+    for name, spec in _object_field(data, "bundles", "curve").items():
         if not isinstance(spec, Mapping) or set(spec) != {"rank", "degree"}:
             raise ConfigError(
                 f"curve.bundles[{name!r}] must be {{\"rank\": ..., \"degree\": ...}}"
@@ -358,7 +366,7 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
             _as_int(spec["rank"], f"curve.bundles[{name!r}].rank"),
             _as_int(spec["degree"], f"curve.bundles[{name!r}].degree"),
         )
-    cohomology = _cohomology_tables(data.get("cohomology"), "curve")
+    cohomology = _cohomology_tables(data, "curve")
     curve = CurveData(genus=genus, bundles=bundles, cohomology=cohomology)
     for key, table in cohomology.items():
         expected = _curve_hom_chi(curve, *_key_bundles(key))

@@ -88,6 +88,8 @@ class TruncSeries:
     def variable(cls, name: str, orders: Mapping[str, int]) -> "TruncSeries":
         if name not in VARIABLES:
             raise ValueError(f"unknown variable {name!r}; allowed: {VARIABLES}")
+        if orders.get(name, 1) == 1:
+            return cls(orders)  # x = 0 modulo x^1
         exps = tuple(1 if n == name else 0 for n in VARIABLES)
         return cls(orders, {exps: Fraction(1)})
 

@@ -198,6 +198,27 @@ def test_table_rejects_non_integer_table_dimensions(capsys, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "section, field", [("surface", "bundles"), ("surface", "cohomology"),
+                       ("curve", "bundles"), ("curve", "cohomology")]
+)
+def test_table_rejects_a_profile_section_that_is_not_an_object(
+    capsys, tmp_path, section, field
+):
+    base = {
+        "surface": {"chi_O": 2, "picard_rank": 1, "gram": [[4]], "canonical": [0]},
+        "curve": {"genus": 0},
+    }[section]
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({section: {**base, field: [1]}}))
+    formula = "cohF" if section == "surface" else "curve_bichar"
+    code, out, err = run_cli(
+        capsys, "table", "--formula", formula, f"--{section}", str(path), "--n", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {section}.{field} must be a JSON object, got [1]\n"
+
+
 @pytest.mark.parametrize("command", ["table", "verify"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_are_rejected(capsys, command, workers):
@@ -331,6 +352,15 @@ def test_verify_count_below_one_is_a_usage_error(capsys, count):
     assert err == f"error: --count must be at least 1, got {count}\n"
 
 
+@pytest.mark.parametrize(
+    "suite, nmax", [("appendix", "0"), ("whom_oracle", "-1"), ("orbits", "-3")]
+)
+def test_verify_nmax_below_one_is_a_usage_error(capsys, suite, nmax):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert err == f"error: --nmax must be at least 1, got {nmax}\n"
+
+
 def test_verify_rejects_inapplicable_knobs(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--suite", "graded_powers", "--nmax", "3"
@@ -395,6 +425,17 @@ def test_series_json_output(capsys):
     assert data["command"] == "series"
     assert data["formula_id"] == "tensor_euler"
     assert data["series"]["orders"]["Q"] == 3
+
+
+def test_series_at_n_max_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, "series", "--formula", "tensor_euler", "--surface", "k3.json", "--n-max", "0"
+    )
+    assert code == 0 and out == "tensor_euler: 0\n"
+    code, out, _ = run_cli(
+        capsys, "series", "--formula", "bichar", "--surface", "k3.json", "--n-max", "0"
+    )
+    assert code == 0 and out == "bichar: 1\n"
 
 
 def test_series_coefficient_matches_table_euler(capsys):

@@ -60,6 +60,12 @@ def test_unused_variables_default_to_order_one():
     assert q.coeff(Q=1, u=0) == 1
 
 
+def test_variable_at_order_one_is_zero():
+    # x = 0 modulo x^1, so a variable truncated away is the zero series
+    assert TruncSeries.variable("u", {"Q": 3}) == TruncSeries.zero({"Q": 3})
+    assert TruncSeries.variable("Q", {"Q": 1, "u": 2}) == TruncSeries.zero({"u": 2})
+
+
 def test_unknown_variable_name_rejected():
     with pytest.raises(ValueError):
         TruncSeries.const(1, {"x": 3})
