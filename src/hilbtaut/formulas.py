@@ -259,18 +259,18 @@ def bichar_series(
     of v^k u^l Q^n is bichar_closed at (n, k, l).
 
     The argument's coefficients are written down monomial by monomial
-    (exponents ordered Q, u, v, t) and ``TruncSeries.exp`` expands it by
+    (exponents ordered Q, u, v) and ``TruncSeries.exp`` expands it by
     the recurrence d F_d = sum_j j G_j F_{d-j} on total-degree parts.
     Neither step uses the product form of ``bichar_product``, so the two
     stay independent checks of each other.
     """
-    coeffs: dict[tuple[int, int, int, int], Fraction] = {}
+    coeffs: dict[tuple[int, int, int], Fraction] = {}
     for r in range(1, n_max + 1):
         for exps, chi in (
-            ((r, r, r, 0), chi_kl),
-            ((r, 0, r, 0), -chi_k_dual),
-            ((r, r, 0, 0), -chi_l),
-            ((r, 0, 0, 0), chi_o),
+            ((r, r, r), chi_kl),
+            ((r, 0, r), -chi_k_dual),
+            ((r, r, 0), -chi_l),
+            ((r, 0, 0), chi_o),
         ):
             coeffs[exps] = Fraction(chi, r)
     return TruncSeries(_bichar_orders(n_max), coeffs).exp()

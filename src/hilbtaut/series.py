@@ -1,4 +1,4 @@
-"""Truncated power series in the fixed variable set Q, u, v, t.
+"""Truncated power series in the fixed variable set Q, u, v.
 
 Coefficients are exact rationals.  Every series carries one truncation
 order per variable; exponents greater than or equal to the order are
@@ -13,9 +13,9 @@ import warnings
 from collections.abc import Mapping
 from fractions import Fraction
 
-VARIABLES = ("Q", "u", "v", "t")
+VARIABLES = ("Q", "u", "v")
 
-Exponents = tuple[int, int, int, int]
+Exponents = tuple[int, int, int]
 
 
 class OrderMismatchError(ValueError):
@@ -30,7 +30,7 @@ class NonUnitWarning(UserWarning):
     """Inversion of a series whose constant term is not 1 or -1."""
 
 
-def _normalize_orders(orders: Mapping[str, int]) -> tuple[int, int, int, int]:
+def _normalize_orders(orders: Mapping[str, int]) -> tuple[int, int, int]:
     unknown = set(orders) - set(VARIABLES)
     if unknown:
         raise ValueError(f"unknown series variables {sorted(unknown)}; allowed: {VARIABLES}")
@@ -60,7 +60,7 @@ class TruncSeries:
         object.__setattr__(self, "orders", _normalize_orders(orders))
         store: dict[Exponents, Fraction] = {}
         for exps, value in (coeffs or {}).items():
-            if len(exps) != 4 or any(e < 0 for e in exps):
+            if len(exps) != 3 or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r}")
             if any(e >= o for e, o in zip(exps, self.orders)):
                 raise ValueError(
@@ -82,7 +82,7 @@ class TruncSeries:
 
     @classmethod
     def const(cls, value: Fraction | int, orders: Mapping[str, int]) -> "TruncSeries":
-        return cls(orders, {(0, 0, 0, 0): Fraction(value)})
+        return cls(orders, {(0, 0, 0): Fraction(value)})
 
     @classmethod
     def variable(cls, name: str, orders: Mapping[str, int]) -> "TruncSeries":
@@ -119,7 +119,7 @@ class TruncSeries:
         return sorted(self._coeffs.items())
 
     def constant_term(self) -> Fraction:
-        return self._coeffs.get((0, 0, 0, 0), Fraction(0))
+        return self._coeffs.get((0, 0, 0), Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -212,7 +212,7 @@ class TruncSeries:
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in rhs._coeffs.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 if any(e >= o for e, o in zip(exps, orders)):
                     continue
                 out[exps] = out.get(exps, Fraction(0)) + c1 * c2
@@ -302,18 +302,17 @@ class TruncSeries:
         for exps, coeff in self._coeffs.items():
             degree = sum(exps)
             weighted[degree].append((exps, degree * coeff))
-        parts: list[dict[Exponents, Fraction]] = [{(0, 0, 0, 0): Fraction(1)}]
+        parts: list[dict[Exponents, Fraction]] = [{(0, 0, 0): Fraction(1)}]
         for d in range(1, top + 1):
             part: dict[Exponents, Fraction] = {}
             for j in range(1, d + 1):
                 for e1, c1 in weighted[j]:
                     for e2, c2 in parts[d - j].items():
-                        exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                        exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                         if (
                             exps[0] >= orders[0]
                             or exps[1] >= orders[1]
                             or exps[2] >= orders[2]
-                            or exps[3] >= orders[3]
                         ):
                             continue
                         part[exps] = part.get(exps, 0) + c1 * c2
