@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys
@@ -88,23 +87,18 @@ def _expand(bound: tuple[int, int | None], n: int) -> list[int]:
 #: the letters whose bundles a table job selects with --E/--F/--K/--L
 BUNDLE_LETTERS = ("E", "F", "K", "L")
 
-#: a table job as workers receive it: (profile path, formula id,
-#: ((letter, bundle name), ...), largest n or None)
-JobKey = tuple[str, str, tuple[tuple[str, str], ...], int | None]
 
-
-@functools.lru_cache(maxsize=None)
-def _resolve_job(key: JobKey) -> Callable[[int | None, int | None, int | None], dict]:
-    """Resolve everything the rows of one table job share, once per process.
+def _resolve_job(
+    path: Path, formula: str, names: dict[str, str], n_top: int | None
+) -> Callable[[int | None, int | None, int | None], dict]:
+    """Resolve everything the rows of one table job share.
 
     Loads the profile, looks up the role Euler characteristics, the
     cohomology tables (or the reason the rows are euler-only) and the
     generating function expanded at the job's largest n, and returns
     the function that computes the row at (n, k, l) from them.
     """
-    path, formula, name_pairs, n_top = key
     config = geometry.load_config(path)
-    names = dict(name_pairs)
     if formula == "rank3_check":
         row = _rank3_row(config)
         return lambda n, k, l: row
@@ -230,11 +224,6 @@ def _rank3_row(config: geometry.Config) -> dict:
     }
 
 
-def _table_row(payload: tuple[JobKey, int | None, int | None, int | None]) -> dict:
-    key, n, k, l = payload
-    return _resolve_job(key)(n, k, l)
-
-
 def _table_cells(
     formula: str,
     n_range: tuple[int, int] | None,
@@ -271,16 +260,6 @@ def _table_cells(
             for l in ls:
                 cells.append((n, k, l))
     return cells
-
-
-def _row_sort_key(row: dict) -> tuple:
-    blank = -1
-    return (
-        row["formula_id"],
-        row["n"] if row["n"] is not None else blank,
-        row["k"] if row["k"] is not None else blank,
-        row["l"] if row["l"] is not None else blank,
-    )
 
 
 def _render_graded(graded: dict | None) -> str:
@@ -345,17 +324,14 @@ def run_table(args: argparse.Namespace) -> int:
     k_range = None if args.k is None else parse_range(args.k, "--k", allow_n=True)
     l_range = None if args.l is None else parse_range(args.l, "--l", allow_n=True)
     cells = _table_cells(args.formula, n_range, k_range, l_range)
-    key = (
-        str(geometry.resolve_profile(profile)),
+    # resolved before any cell, so bad input fails even when no cell is in range
+    row_at = _resolve_job(
+        geometry.resolve_profile(profile),
         args.formula,
-        tuple((b, getattr(args, b)) for b in BUNDLE_LETTERS),
+        {b: getattr(args, b) for b in BUNDLE_LETTERS},
         n_range[1] if n_range is not None else None,
     )
-    # resolved here, so bad input fails even when no cell is in range, and
-    # forked workers inherit the resolved job
-    _resolve_job(key)
-    rows = verify.parallel_map(_table_row, [(key, *cell) for cell in cells], args.workers)
-    rows.sort(key=_row_sort_key)
+    rows = [row_at(*cell) for cell in cells]
     for row in rows:
         for name, ok in row["cross_checks"]:
             if not ok and name in MUST_AGREE_CHECKS:

@@ -255,12 +255,10 @@ def test_table_expands_the_bichar_series_once_per_job(capsys, monkeypatch, n_ran
         return real(*chis, n_max=n_max)
 
     monkeypatch.setattr(cli.formulas, "bichar_series", counting)
-    cli._resolve_job.cache_clear()
     code, _, _ = run_cli(
         capsys, "table", "--formula", "ExtEwedge", "--surface", "k3.json",
         "--E", "H", "--L", "H", "--n", n_range, "--k", "0..n",
     )
-    cli._resolve_job.cache_clear()
     assert code == 0
     assert calls == [5]
 
@@ -275,12 +273,10 @@ def test_table_resolves_chis_and_tables_once_per_job(capsys, monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(cli.geometry, name, counting)
-    cli._resolve_job.cache_clear()
     code, out, _ = run_cli(
         capsys, "table", "--formula", "Extwedgewedge", "--surface", "k3.json",
         "--K", "H", "--n", "1..3", "--k", "0..n", "--l", "0..n", "--workers", "1",
     )
-    cli._resolve_job.cache_clear()
     assert code == 0
     assert len(out.splitlines()) == 1 + 4 + 9 + 16
     assert sorted(calls) == ["variant_chis", "variant_tables"]
@@ -296,12 +292,10 @@ def test_curve_table_expands_its_series_once_and_must_agree(capsys, monkeypatch)
         return real(*chis, n_max=n_max) + q * q
 
     monkeypatch.setattr(cli.formulas, "curve_series", off_by_one)
-    cli._resolve_job.cache_clear()
     code, out, err = run_cli(
         capsys, "table", "--formula", "curve_bichar", "--curve", "genus0_curve.json",
         "--n", "2..4",
     )
-    cli._resolve_job.cache_clear()
     assert calls == [4]
     assert code == 1 and out == ""
     assert "cross-check curve_series failed" in err
@@ -326,6 +320,19 @@ def test_table_deterministic_across_worker_counts(capsys, tmp_path):
     assert main(args + ["--workers", "2", "--out", str(two)]) == 0
     capsys.readouterr()
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_table_starts_no_process_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("table started a process pool")
+
+    args = ["table", "--formula", "Extwedgewedge", "--surface", "k3.json",
+            "--n", "1..3", "--k", "0..n", "--l", "0..n"]
+    _, expected, _ = run_cli(capsys, *args, "--workers", "1")
+    monkeypatch.setattr("hilbtaut.verify.ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, *args, "--workers", "3")
+    assert code == 0 and err == ""
+    assert out == expected
 
 
 # -- verify command -----------------------------------------------------------------
