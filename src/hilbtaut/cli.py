@@ -305,16 +305,19 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
-def _at_least_one(value: int | None, flag: str) -> None:
-    if value is not None and value < 1:
-        raise UsageError(f"{flag} must be at least 1, got {value}")
+def _at_least(value: int | None, floor: int, flag: str) -> None:
+    if value is not None and value < floor:
+        raise UsageError(f"{flag} must be at least {floor}, got {value}")
 
 
 def run_table(args: argparse.Namespace) -> int:
-    _at_least_one(args.workers, "--workers")
+    _at_least(args.workers, 1, "--workers")
     if args.surface and args.curve:
         raise UsageError("pass either --surface or --curve, not both")
     profile = args.surface or args.curve
@@ -352,9 +355,9 @@ def run_table(args: argparse.Namespace) -> int:
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    _at_least_one(args.workers, "--workers")
-    _at_least_one(args.count, "--count")
-    _at_least_one(args.nmax, "--nmax")
+    _at_least(args.workers, 1, "--workers")
+    _at_least(args.count, 1, "--count")
+    _at_least(args.nmax, 1, "--nmax")
     kwargs: dict = {"seed": args.seed, "workers": args.workers}
     if args.nmax is not None:
         if args.suite == "graded_powers":
@@ -374,9 +377,15 @@ def run_verify(args: argparse.Namespace) -> int:
 
 
 def run_series(args: argparse.Namespace) -> int:
+    _at_least(args.n_max, 0, "--n-max")
+    if args.formula == "bichar" and args.k_max is not None:
+        raise UsageError("bichar takes no --k-max")
+    _at_least(args.k_max, 0, "--k-max")
     surface = geometry.load_config(geometry.resolve_profile(args.surface)).surface
     if surface is None:
         raise ConfigError("series formulas need a surface profile")
+    for name in (args.F, args.K, args.L):
+        surface.bundle(name)  # every selected bundle must exist, used or not
     n_max = args.n_max
     if args.formula == "bichar":
         names = {"K": args.K, "L": args.L}

@@ -457,6 +457,60 @@ def test_series_coefficient_matches_table_euler(capsys):
     assert terms["Q^2 u^1 v^1"] == 20
 
 
+@pytest.mark.parametrize(
+    "formula, flag", [("bichar", "--n-max"), ("tensor_euler", "--n-max"), ("tensor_euler", "--k-max")]
+)
+def test_series_negative_size_names_the_flag(capsys, formula, flag):
+    code, out, err = run_cli(
+        capsys, "series", "--formula", formula, "--surface", "k3.json", flag, "-1"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be at least 0, got -1\n"
+
+
+def test_series_bichar_rejects_k_max(capsys):
+    code, out, err = run_cli(
+        capsys, "series", "--formula", "bichar", "--surface", "k3.json",
+        "--n-max", "2", "--k-max", "5",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: bichar takes no --k-max\n"
+
+
+@pytest.mark.parametrize("formula, letter", [("bichar", "--F"), ("tensor_euler", "--K")])
+def test_series_rejects_unknown_bundle_even_when_unused(capsys, formula, letter):
+    code, out, err = run_cli(
+        capsys, "series", "--formula", formula, "--surface", "k3.json",
+        "--n-max", "2", letter, "nosuch",
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "unknown bundle 'nosuch'" in err
+
+
+# -- --out ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--formula", "cohF", "--surface", "k3.json", "--n", "1"],
+        ["verify", "--suite", "orbits", "--nmax", "2"],
+        ["series", "--formula", "bichar", "--surface", "k3.json", "--n-max", "1"],
+    ],
+    ids=["table", "verify", "series"],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/x", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing_directory", "directory"],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target, reason):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
 # -- run command --------------------------------------------------------------------
 
 
