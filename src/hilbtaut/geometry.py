@@ -408,10 +408,10 @@ def resolve_profile(spec: str) -> Path:
         ) from None
 
 
-def _nested_section(value: object, field: str, parse: Callable):
+def _nested_section(value: object, field: str, parse: Callable, chain: tuple[Path, ...]):
     """A config section is either an inline object or a profile reference."""
     if isinstance(value, str):
-        loaded = load_config(resolve_profile(value))
+        loaded = load_config(resolve_profile(value), referenced_from=chain)
         part = getattr(loaded, field)
         if part is None:
             raise ConfigError(f"profile {value!r} does not define a {field}")
@@ -421,15 +421,27 @@ def _nested_section(value: object, field: str, parse: Callable):
     return parse(value)
 
 
-def load_config(path: str | Path) -> Config:
-    """Load a JSON profile: {"surface": ..., "curve": ..., "jobs": [...]}."""
+def load_config(path: str | Path, referenced_from: tuple[Path, ...] = ()) -> Config:
+    """Load a JSON profile: {"surface": ..., "curve": ..., "jobs": [...]}.
+
+    ``referenced_from`` lists the profiles whose references led here; a
+    profile that is already on that chain is a reference cycle.
+    """
     path = Path(path)
+    chain = (*referenced_from, path.resolve())
+    if chain[-1] in referenced_from:
+        cycle = " -> ".join(str(p) for p in chain[referenced_from.index(chain[-1]):])
+        raise ConfigError(f"config {path} references itself: {cycle}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to parse") from None
     if not isinstance(data, Mapping):
         raise ConfigError(f"config {path} must be a JSON object")
     known = {"surface", "curve", "jobs"}
@@ -438,9 +450,9 @@ def load_config(path: str | Path) -> Config:
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
     surface = curve = None
     if "surface" in data:
-        surface = _nested_section(data["surface"], "surface", surface_from_json)
+        surface = _nested_section(data["surface"], "surface", surface_from_json, chain)
     if "curve" in data:
-        curve = _nested_section(data["curve"], "curve", curve_from_json)
+        curve = _nested_section(data["curve"], "curve", curve_from_json, chain)
     jobs = data.get("jobs", [])
     if not isinstance(jobs, list) or not all(isinstance(j, Mapping) for j in jobs):
         raise ConfigError("config field 'jobs' must be a list of objects")

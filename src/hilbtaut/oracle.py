@@ -3,15 +3,17 @@
 Everything here is deliberately naive: dimensions of invariants are
 computed by averaging graded traces over the full symmetric group, and
 symmetric/exterior powers by enumerating monomial bases.  The closed
-formulas elsewhere in the package must reproduce these numbers exactly;
-the only concessions to speed are hard size bounds and memoization by
-conjugacy class, which cannot change any value.
+formulas elsewhere in the package must reproduce these numbers exactly.
+The group average is a class sum: one trace per cycle type, weighted by
+the number of permutations of that type.  Beyond that the only
+concessions to speed are hard size bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -39,35 +41,29 @@ class ConsistencyError(RuntimeError):
 Perm = tuple[int, ...]
 
 
-def cycles_of(perm: Perm) -> list[tuple[int, ...]]:
-    """Cycle decomposition; each cycle starts at its smallest element."""
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        pos = perm[start]
-        while pos != start:
-            cyc.append(pos)
-            seen[pos] = True
-            pos = perm[pos]
-        out.append(tuple(cyc))
-    return out
+def cycle_types(n: int) -> list[tuple[int, ...]]:
+    """The partitions of n, largest part first: the cycle types of S_n."""
+
+    def parts(rest: int, largest: int):
+        if rest == 0:
+            yield ()
+        for part in range(min(rest, largest), 0, -1):
+            for tail in parts(rest - part, part):
+                yield (part,) + tail
+
+    return list(parts(n, n))
 
 
-def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            key = d1 + d2
-            val = out.get(key, 0) + c1 * c2
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
+def class_size(lengths: Sequence[int]) -> int:
+    """Number of permutations with these cycle lengths, n!/z.
+
+    z is the centralizer order, the product of l^m * m! over the
+    distinct lengths l occurring m times.
+    """
+    z = 1
+    for length, mult in Counter(lengths).items():
+        z *= length**mult * math.factorial(mult)
+    return math.factorial(sum(lengths)) // z
 
 
 def _cycle_trace(length: int, space: GradedDim, sign_flags: int) -> dict[int, int]:
@@ -81,24 +77,6 @@ def _cycle_trace(length: int, space: GradedDim, sign_flags: int) -> dict[int, in
     for d, m in space.items():
         sign = -1 if (d * (length - 1)) % 2 else 1
         out[length * d] = flag_sign * sign * m
-    return out
-
-
-def _block_product(
-    lengths: Sequence[int],
-    members: int,
-    first: int,
-    second: int,
-    traces: dict[tuple[int, str], dict[int, int]],
-) -> dict[int, int]:
-    out = {0: 1}
-    for idx in range(members):
-        bit = 1 << idx
-        if first & bit:
-            block = "common" if second & bit else "first"
-        else:
-            block = "second" if second & bit else "rest"
-        out = _poly_mul(out, traces[(lengths[idx], block)])
     return out
 
 
@@ -120,7 +98,9 @@ def invariant_dim(
     other, and the remaining points carry ``space_rest``.  The dimension
     of the invariants is the average over the symmetric group of the
     graded traces on fixed pairs; a fixed pair is one whose subsets are
-    unions of cycles.
+    unions of cycles.  The trace depends only on the cycle type, so the
+    average is a sum over the partitions of n, each weighted by its
+    class size n!/z and divided by n! at the end.
 
     Averaging must produce non-negative integers degreewise; anything
     else raises ConsistencyError.
@@ -130,36 +110,38 @@ def invariant_dim(
     if n > AVERAGING_BOUND:
         raise SizeBoundError(f"n={n} exceeds averaging bound {AVERAGING_BOUND}")
 
-    base_traces: dict[tuple[int, str], dict[int, int]] = {}
-    for length in range(1, n + 1):
-        base_traces[(length, "common")] = _cycle_trace(length, space_common, 0)
-        base_traces[(length, "first")] = _cycle_trace(length, space_first, 1)
-        base_traces[(length, "second")] = _cycle_trace(length, space_second, 1)
-        base_traces[(length, "rest")] = _cycle_trace(length, space_rest, 0)
-
-    def fixed_pair_sum(lengths: tuple[int, ...]) -> dict[int, int]:
-        members = len(lengths)
-        first_masks: dict[int, list[int]] = {}
-        for mask in range(1 << members):
-            size = sum(lengths[i] for i in range(members) if mask & (1 << i))
-            first_masks.setdefault(size, []).append(mask)
-        total: dict[int, int] = {}
-        for first in first_masks.get(e, ()):
-            for second in first_masks.get(f, ()):
-                term = _block_product(lengths, members, first, second, base_traces)
-                for d, c in term.items():
-                    total[d] = total.get(d, 0) + c
-        return total
+    # the four ways a cycle can sit: in neither subset, in I only, in J
+    # only, in both; each as (|I| added, |J| added, graded trace)
+    placements = {
+        length: (
+            (0, 0, _cycle_trace(length, space_rest, 0)),
+            (length, 0, _cycle_trace(length, space_first, 1)),
+            (0, length, _cycle_trace(length, space_second, 1)),
+            (length, length, _cycle_trace(length, space_common, 0)),
+        )
+        for length in range(1, n + 1)
+    }
 
     order = math.factorial(n)
     accumulated: dict[int, int] = {}
-    by_type: dict[tuple[int, ...], dict[int, int]] = {}
-    for perm in itertools.permutations(range(n)):
-        lengths = tuple(sorted(len(c) for c in cycles_of(perm)))
-        if lengths not in by_type:
-            by_type[lengths] = fixed_pair_sum(lengths)
-        for d, c in by_type[lengths].items():
-            accumulated[d] = accumulated.get(d, 0) + c
+    for lengths in cycle_types(n):
+        # trace sum over the fixed pairs of one permutation of this type,
+        # keyed (|I|, |J|, degree); a subset already too large is dropped
+        product = {(0, 0, 0): 1}
+        for length in lengths:
+            grown: dict[tuple[int, int, int], int] = {}
+            for (i, j, d), c in product.items():
+                for di, dj, trace in placements[length]:
+                    if i + di > e or j + dj > f:
+                        continue
+                    for td, tc in trace.items():
+                        key = (i + di, j + dj, d + td)
+                        grown[key] = grown.get(key, 0) + c * tc
+            product = grown
+        weight = class_size(lengths)
+        for (i, j, d), c in product.items():
+            if i == e and j == f:
+                accumulated[d] = accumulated.get(d, 0) + weight * c
 
     dims: dict[int, int] = {}
     for d, c in sorted(accumulated.items()):

@@ -21,8 +21,6 @@ from .series import TruncSeries
 
 DEFAULT_SEED = 1729
 
-SUITES = ("appendix", "whom_oracle", "tensor_euler", "graded_powers", "orbits")
-
 
 def _check(name: str, counterexample: object | None, extra: dict | None = None) -> dict:
     entry = {"name": name, "pass": counterexample is None}
@@ -479,14 +477,17 @@ def _orbit_of(n: int, pair: oracle.IndexPair) -> oracle.IndexPair:
     return best
 
 
+_RUNNERS = {
+    "appendix": suite_appendix,
+    "whom_oracle": suite_whom_oracle,
+    "tensor_euler": suite_tensor_euler,
+    "graded_powers": suite_graded_powers,
+    "orbits": suite_orbits,
+}
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, **kwargs) -> dict:
-    runners = {
-        "appendix": suite_appendix,
-        "whom_oracle": suite_whom_oracle,
-        "tensor_euler": suite_tensor_euler,
-        "graded_powers": suite_graded_powers,
-        "orbits": suite_orbits,
-    }
-    if name not in runners:
+    if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return runners[name](**kwargs)
+    return _RUNNERS[name](**kwargs)

@@ -219,6 +219,36 @@ def test_table_rejects_a_profile_section_that_is_not_an_object(
     assert err == f"error: {section}.{field} must be a JSON object, got [1]\n"
 
 
+@pytest.mark.parametrize(
+    "files, fragment",
+    [
+        ({"profile.json": b'{"surface": "profile.json"}'}, "references itself"),
+        (
+            {
+                "profile.json": b'{"surface": "other.json"}',
+                "other.json": b'{"surface": "profile.json"}',
+            },
+            "references itself",
+        ),
+        ({"profile.json": b"[" * 100_000}, "nests too deeply"),
+        ({"profile.json": b'{"surface": "\xff"}'}, "is not UTF-8"),
+    ],
+    ids=["self_reference", "reference_cycle", "deep_nesting", "not_utf8"],
+)
+def test_table_rejects_an_unloadable_profile_naming_the_file(
+    capsys, tmp_path, monkeypatch, files, fragment
+):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "cohF", "--surface", "profile.json", "--n", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: config profile.json ")
+    assert fragment in err
+
+
 @pytest.mark.parametrize("command", ["table", "verify"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_are_rejected(capsys, command, workers):

@@ -4,6 +4,7 @@ and basis enumeration of graded powers."""
 from __future__ import annotations
 
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -18,7 +19,9 @@ from hilbtaut.oracle import (
     POWER_EXPONENT_BOUND,
     IndexPair,
     SizeBoundError,
-    cycles_of,
+    _cycle_trace,
+    class_size,
+    cycle_types,
     invariant_dim,
     oracle_sym_power,
     oracle_wedge_power,
@@ -29,22 +32,26 @@ EVEN_LINE = GradedDim({0: 1})
 K3_POINT = GradedDim({0: 1, 2: 1})
 
 
-# -- cycle structure ----------------------------------------------------------
+# -- cycle types and class sizes ----------------------------------------------
 
 
-def test_cycles_of_identity():
-    assert sorted(len(c) for c in cycles_of((0, 1, 2))) == [1, 1, 1]
+def test_cycle_types_are_the_partitions_of_n():
+    assert [len(cycle_types(n)) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    assert cycle_types(0) == [()]
+    assert cycle_types(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    for n in range(9):
+        assert all(sum(lengths) == n for lengths in cycle_types(n))
 
 
-def test_cycles_of_transposition_and_cycle():
-    assert sorted(len(c) for c in cycles_of((1, 0, 2))) == [1, 2]
-    assert sorted(len(c) for c in cycles_of((1, 2, 0))) == [3]
+def test_class_sizes_sum_to_the_group_order():
+    for n in range(9):
+        assert sum(class_size(lengths) for lengths in cycle_types(n)) == math.factorial(n)
 
 
-def test_cycle_counts_partition_n():
-    for n in range(1, 6):
-        for perm in permutations(range(n)):
-            assert sum(len(c) for c in cycles_of(perm)) == n
+def test_class_sizes_count_permutations_by_cycle_type():
+    # S_4: 6 four-cycles, 8 three-cycles, 3 double transpositions,
+    # 6 transpositions, the identity
+    assert [class_size(lengths) for lengths in cycle_types(4)] == [6, 8, 3, 6, 1]
 
 
 # -- invariant dimensions by group averaging ----------------------------------
@@ -83,6 +90,76 @@ def test_frozen_two_point_hom_invariants():
 def test_frozen_four_point_trivial_tables():
     got = invariant_dim(4, 2, 2, EVEN_LINE, EVEN_LINE, EVEN_LINE, EVEN_LINE)
     assert dict(got.items()) == {0: 2}
+
+
+def _cycles(perm):
+    seen, out = set(), []
+    for start in range(len(perm)):
+        if start not in seen:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            out.append(cycle)
+    return out
+
+
+def _poly_mul(a, b):
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+    return out
+
+
+def reference_invariant_dims(n, common, first, second, rest):
+    """Every (e, f) at once, as the plain average over all n! permutations.
+
+    For each permutation, each cycle goes into neither subset, I only, J
+    only or both; the fixed pair's trace is the product of the cycle
+    traces.  No cycle type or class size is used.
+    """
+    sums = {}
+    for perm in permutations(range(n)):
+        cycles = _cycles(perm)
+        for pick_i in range(1 << len(cycles)):
+            for pick_j in range(1 << len(cycles)):
+                e = f = 0
+                term = {0: 1}
+                for idx, cycle in enumerate(cycles):
+                    in_i, in_j = pick_i >> idx & 1, pick_j >> idx & 1
+                    e += in_i * len(cycle)
+                    f += in_j * len(cycle)
+                    space = [[rest, second], [first, common]][in_i][in_j]
+                    term = _poly_mul(term, _cycle_trace(len(cycle), space, in_i ^ in_j))
+                total = sums.setdefault((e, f), {})
+                for d, c in term.items():
+                    total[d] = total.get(d, 0) + c
+    order = math.factorial(n)
+    out = {}
+    for key, total in sums.items():
+        assert all(c % order == 0 for c in total.values())
+        out[key] = GradedDim({d: c // order for d, c in total.items() if c})
+    return out
+
+
+REFERENCE_FAMILIES = [(n, seed) for n in range(6) for seed in range(4)] + [(6, 0)]
+
+
+@pytest.mark.parametrize("n, seed", REFERENCE_FAMILIES)
+def test_class_sum_matches_the_average_over_every_permutation(n, seed):
+    rng = random.Random(1000 * n + seed)
+    spaces = []
+    for _ in range(4):
+        dims = {}
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(-1, 3)
+            dims[d] = dims.get(d, 0) + 1
+        spaces.append(GradedDim(dims))
+    expected = reference_invariant_dims(n, *spaces)
+    for e in range(n + 1):
+        for f in range(n + 1):
+            assert invariant_dim(n, e, f, *spaces) == expected[(e, f)], (e, f)
 
 
 def test_averaging_bound_enforced():
