@@ -22,10 +22,6 @@ def _tree() -> ast.Module:
     return ast.parse(Path(hilbtaut.oracle.__file__).read_text())
 
 
-def _module_parts(name: str | None) -> set[str]:
-    return set((name or "").split("."))
-
-
 def test_oracle_imports_neither_formulas_nor_series():
     imported: list[str] = []
     for node in ast.walk(_tree()):
@@ -36,7 +32,7 @@ def test_oracle_imports_neither_formulas_nor_series():
                 imported.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
-    assert not [m for m in imported if _module_parts(m) & FORBIDDEN_MODULES]
+    assert not [m for m in imported if set(m.split(".")) & FORBIDDEN_MODULES]
 
 
 def test_oracle_never_names_the_closed_powers():
