@@ -435,6 +435,12 @@ def run_jobs(config_path: str) -> int:
     for index, entry in enumerate(config.jobs):
         if "command" not in entry:
             raise ConfigError(f"jobs[{index}] is missing field 'command'")
+        for key, value in entry.items():
+            if isinstance(value, bool) or not isinstance(value, (str, int)):
+                raise ConfigError(
+                    f"jobs[{index}]: {key!r} must be a string or an integer, "
+                    f"got {json.dumps(value)}"
+                )
         command = str(entry["command"])
         if command == "run":
             raise ConfigError(f"jobs[{index}]: a job cannot itself be 'run'")

@@ -100,6 +100,9 @@ class GradedDim:
         try:
             if any(isinstance(m, bool) for m in data.values()):
                 raise TypeError("dimensions must be int, not bool")
+            for d in data:
+                if str(int(d)) != d:
+                    raise ValueError(f"degree {d!r} is not written as a plain integer")
             return cls({int(d): m for d, m in data.items()})
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad graded dimension table {data!r}: {exc}") from None

@@ -1,19 +1,20 @@
 """Brute-force cross-checks for the closed formulas.
 
 Everything here is deliberately naive: dimensions of invariants are
-computed by averaging graded traces over the full symmetric group, and
-symmetric/exterior powers by enumerating monomial bases.  The closed
-formulas elsewhere in the package must reproduce these numbers exactly.
-The group average is a class sum: one trace per cycle type, weighted by
-the number of permutations of that type.  Beyond that the only
-concessions to speed are hard size bounds.
+averages of graded traces over the full symmetric group, and
+symmetric/exterior powers come from enumerating monomial bases.  The
+closed formulas elsewhere in the package must reproduce these numbers
+exactly.  The group averages for all n up to a bound come from one
+integer recurrence, the cycle-index exponential formula (Macdonald,
+*Symmetric Functions and Hall Polynomials*, §I.2), fed only by the
+trace of a single cycle; beyond that the only concessions to speed are
+hard size bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -41,31 +42,6 @@ class ConsistencyError(RuntimeError):
 Perm = tuple[int, ...]
 
 
-def cycle_types(n: int) -> list[tuple[int, ...]]:
-    """The partitions of n, largest part first: the cycle types of S_n."""
-
-    def parts(rest: int, largest: int):
-        if rest == 0:
-            yield ()
-        for part in range(min(rest, largest), 0, -1):
-            for tail in parts(rest - part, part):
-                yield (part,) + tail
-
-    return list(parts(n, n))
-
-
-def class_size(lengths: Sequence[int]) -> int:
-    """Number of permutations with these cycle lengths, n!/z.
-
-    z is the centralizer order, the product of l^m * m! over the
-    distinct lengths l occurring m times.
-    """
-    z = 1
-    for length, mult in Counter(lengths).items():
-        z *= length**mult * math.factorial(mult)
-    return math.factorial(sum(lengths)) // z
-
-
 def _cycle_trace(length: int, space: GradedDim, sign_flags: int) -> dict[int, int]:
     # Trace of a single length-l cycle acting on the l-th tensor power of
     # a graded space.  Only the diagonal vectors w x w x ... x w survive;
@@ -81,79 +57,72 @@ def _cycle_trace(length: int, space: GradedDim, sign_flags: int) -> dict[int, in
 
 
 def invariant_dim(
-    n: int,
-    e: int,
-    f: int,
+    n_max: int,
     space_common: GradedDim,
     space_first: GradedDim,
     space_second: GradedDim,
     space_rest: GradedDim,
-) -> GradedDim:
-    """Graded invariants of the sign-twisted slot representation.
+) -> dict[tuple[int, int, int], GradedDim]:
+    """Graded invariants of the sign-twisted slot representation, keyed
+    (n, e, f) for every 0 <= e, f <= n <= n_max, zero spaces included.
 
     Slots are indexed by pairs (I, J) of subsets of n points with
     |I| = e, |J| = f.  Points in both subsets carry ``space_common``,
     points only in I carry ``space_first`` twisted by one sign
     character, points only in J carry ``space_second`` twisted by the
     other, and the remaining points carry ``space_rest``.  The dimension
-    of the invariants is the average over the symmetric group of the
-    graded traces on fixed pairs; a fixed pair is one whose subsets are
-    unions of cycles.  The trace depends only on the cycle type, so the
-    average is a sum over the partitions of n, each weighted by its
-    class size n!/z and divided by n! at the end.
+    of the invariants is the average over S_n of the graded traces on
+    fixed pairs; a fixed pair is one whose subsets are unions of cycles,
+    so each cycle sits in neither subset, in I only, in J only or in both.
 
-    Averaging must produce non-negative integers degreewise; anything
-    else raises ConsistencyError.
+    With T_r the trace of one r-cycle summed over those four placements
+    and F_n the average over S_n, both keyed (|I|, |J|, degree), the
+    cycle-index exponential formula reads n F_n = sum_{r=1..n} T_r F_{n-r}
+    with F_0 = 1, all in integers.  Each division by n must leave a
+    non-negative integer; anything else raises ConsistencyError.
     """
-    if not 0 <= e <= n or not 0 <= f <= n:
-        raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
-    if n > AVERAGING_BOUND:
-        raise SizeBoundError(f"n={n} exceeds averaging bound {AVERAGING_BOUND}")
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    if n_max > AVERAGING_BOUND:
+        raise SizeBoundError(f"n_max={n_max} exceeds averaging bound {AVERAGING_BOUND}")
 
-    # the four ways a cycle can sit: in neither subset, in I only, in J
-    # only, in both; each as (|I| added, |J| added, graded trace)
-    placements = {
-        length: (
-            (0, 0, _cycle_trace(length, space_rest, 0)),
-            (length, 0, _cycle_trace(length, space_first, 1)),
-            (0, length, _cycle_trace(length, space_second, 1)),
-            (length, length, _cycle_trace(length, space_common, 0)),
-        )
-        for length in range(1, n + 1)
-    }
-
-    order = math.factorial(n)
-    accumulated: dict[int, int] = {}
-    for lengths in cycle_types(n):
-        # trace sum over the fixed pairs of one permutation of this type,
-        # keyed (|I|, |J|, degree); a subset already too large is dropped
-        product = {(0, 0, 0): 1}
-        for length in lengths:
-            grown: dict[tuple[int, int, int], int] = {}
-            for (i, j, d), c in product.items():
-                for di, dj, trace in placements[length]:
-                    if i + di > e or j + dj > f:
-                        continue
-                    for td, tc in trace.items():
-                        key = (i + di, j + dj, d + td)
-                        grown[key] = grown.get(key, 0) + c * tc
-            product = grown
-        weight = class_size(lengths)
-        for (i, j, d), c in product.items():
-            if i == e and j == f:
-                accumulated[d] = accumulated.get(d, 0) + weight * c
-
-    dims: dict[int, int] = {}
-    for d, c in sorted(accumulated.items()):
-        quot, rem = divmod(c, order)
-        if rem != 0 or quot < 0:
-            raise ConsistencyError(
-                f"group averaging gave {c}/{order} in degree {d}; "
-                "the trace sum must be a non-negative multiple of n!"
+    cycle_traces: list[dict[tuple[int, int, int], int]] = [{}]
+    averages: list[dict[tuple[int, int, int], int]] = [{(0, 0, 0): 1}]
+    for n in range(1, n_max + 1):
+        # T_n over the placements (|I| added, |J| added, space, sign flags)
+        cycle_traces.append({
+            (di, dj, d): c
+            for di, dj, space, sign_flags in (
+                (0, 0, space_rest, 0), (n, 0, space_first, 1),
+                (0, n, space_second, 1), (n, n, space_common, 0),
             )
-        if quot:
-            dims[d] = quot
-    return GradedDim(dims)
+            for d, c in _cycle_trace(n, space, sign_flags).items()
+        })
+        total: dict[tuple[int, int, int], int] = {}
+        for r in range(1, n + 1):
+            for (i, j, d), c in cycle_traces[r].items():
+                for (i2, j2, d2), c2 in averages[n - r].items():
+                    key = (i + i2, j + j2, d + d2)
+                    total[key] = total.get(key, 0) + c * c2
+        average: dict[tuple[int, int, int], int] = {}
+        for (i, j, d), c in total.items():
+            quot, rem = divmod(c, n)
+            if rem != 0 or quot < 0:
+                raise ConsistencyError(
+                    f"group averaging gave {c}/{n} at n={n}, e={i}, f={j}, degree {d}; "
+                    "the trace sum must be a non-negative multiple of n"
+                )
+            if quot:
+                average[i, j, d] = quot
+        averages.append(average)
+
+    dims: dict[tuple[int, int, int], dict[int, int]] = {
+        (n, e, f): {} for n in range(n_max + 1) for e in range(n + 1) for f in range(n + 1)
+    }
+    for n, average in enumerate(averages):
+        for (e, f, d), c in average.items():
+            dims[n, e, f][d] = c
+    return {key: GradedDim(table) for key, table in dims.items()}
 
 
 # -- orbit structure of pairs of subsets -------------------------------
@@ -168,13 +137,7 @@ class IndexPair:
 
     @classmethod
     def from_indices(cls, first: Sequence[int], second: Sequence[int]) -> "IndexPair":
-        fm = 0
-        for i in first:
-            fm |= 1 << i
-        sm = 0
-        for i in second:
-            sm |= 1 << i
-        return cls(fm, sm)
+        return cls(sum(1 << i for i in set(first)), sum(1 << i for i in set(second)))
 
     def first_indices(self) -> tuple[int, ...]:
         return _mask_indices(self.first_mask)
@@ -194,11 +157,7 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
 
 
 def _apply_mask(perm: Perm, mask: int) -> int:
-    out = 0
-    for i in range(mask.bit_length()):
-        if mask & (1 << i):
-            out |= 1 << perm[i]
-    return out
+    return sum(1 << perm[i] for i in _mask_indices(mask))
 
 
 @dataclass(frozen=True)
@@ -219,29 +178,32 @@ class OrbitDecomposition:
 def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
     """Split all (e, f)-subset pairs into symmetric group orbits.
 
-    Orbits are found by explicit closure under two group generators, not
-    by any classification.  Each orbit records its minimal pair in the
-    (first_mask, second_mask) order, its size and the stabilizer order
-    of the representative by orbit-stabilizer.
+    Orbits are found by explicit closure under two group generators, the
+    rotation of all n points and the swap of points 0 and 1, acting on
+    plain (first_mask, second_mask) pairs; no classification is used.
+    Each orbit records its minimal pair in that order, its size and the
+    stabilizer order of the representative by orbit-stabilizer.
     """
     if not 0 <= e <= n or not 0 <= f <= n:
         raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
     if n > ENUM_BOUND:
         raise SizeBoundError(f"n={n} exceeds enumeration bound {ENUM_BOUND}")
 
-    generators: list[Perm] = []
-    if n >= 2:
-        swap = list(range(n))
-        swap[0], swap[1] = 1, 0
-        generators.append(tuple(swap))
-        generators.append(tuple(list(range(1, n)) + [0]))
+    full = (1 << n) - 1
 
+    def rotate(mask: int) -> int:  # point i goes to i + 1 mod n
+        return (mask << 1 | mask >> (n - 1)) & full
+
+    def swap(mask: int) -> int:  # points 0 and 1 trade places
+        return mask ^ 3 if (mask ^ mask >> 1) & 1 else mask
+
+    generators = (rotate, swap) if n >= 2 else ()
     first_masks = [sum(1 << i for i in comb) for comb in itertools.combinations(range(n), e)]
     second_masks = [sum(1 << i for i in comb) for comb in itertools.combinations(range(n), f)]
-    pairs = sorted(IndexPair(fm, sm) for fm in first_masks for sm in second_masks)
+    pairs = sorted((fm, sm) for fm in first_masks for sm in second_masks)
 
     order = math.factorial(n)
-    seen: set[IndexPair] = set()
+    seen: set[tuple[int, int]] = set()
     orbits: list[Orbit] = []
     for pair in pairs:
         if pair in seen:
@@ -249,9 +211,9 @@ def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
         frontier = [pair]
         members = {pair}
         while frontier:
-            current = frontier.pop()
-            for gen in generators:
-                nxt = current.apply(gen)
+            fm, sm = frontier.pop()
+            for move in generators:
+                nxt = (move(fm), move(sm))
                 if nxt not in members:
                     members.add(nxt)
                     frontier.append(nxt)
@@ -259,10 +221,8 @@ def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
         size = len(members)
         quot, rem = divmod(order, size)
         if rem != 0:
-            raise ConsistencyError(
-                f"orbit size {size} does not divide group order {order}"
-            )
-        orbits.append(Orbit(representative=pair, size=size, stabilizer_order=quot))
+            raise ConsistencyError(f"orbit size {size} does not divide group order {order}")
+        orbits.append(Orbit(representative=IndexPair(*pair), size=size, stabilizer_order=quot))
 
     if sum(o.size for o in orbits) != len(pairs):
         raise ConsistencyError("orbit sizes do not add up to the number of pairs")

@@ -168,6 +168,7 @@ def _whom_family_task(task: tuple[int, int, int]) -> dict | None:
     seed, index, nmax = task
     spaces = _family_spaces(seed, index)
     common, first, second, rest = spaces
+    averages = oracle.invariant_dim(nmax, *spaces)
     for n in range(1, nmax + 1):
         for e in range(n + 1):
             for f in range(n + 1):
@@ -176,7 +177,7 @@ def _whom_family_task(task: tuple[int, int, int]) -> dict | None:
                     coh_f=second, coh_o=rest,
                 )
                 closed = formulas.w_hom(inp)
-                averaged = oracle.invariant_dim(n, e, f, common, first, second, rest)
+                averaged = averages[n, e, f]
                 if closed != averaged:
                     return {
                         "family": index,

@@ -6,10 +6,12 @@ import json
 
 import pytest
 
-from hilbtaut import cli
+from hilbtaut import cli, formulas, oracle, verify
 from hilbtaut.cli import CSV_HEADER, UsageError, main, parse_range
 from hilbtaut.formulas import BicharInput
+from hilbtaut.graded import GradedDim
 from hilbtaut.series import TruncSeries
+from hilbtaut.verify import DEFAULT_SEED
 
 
 # -- range parsing ---------------------------------------------------------------
@@ -196,6 +198,24 @@ def test_table_rejects_non_integer_table_dimensions(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_table_rejects_a_degree_key_that_is_not_a_plain_integer(capsys, tmp_path):
+    profile = {
+        "surface": {
+            "chi_O": 2, "picard_rank": 1, "gram": [[4]], "canonical": [0],
+            "bundles": {"H": [1]}, "cohomology": {"H": {"0": 3, "00": 1}},
+        }
+    }
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(profile))
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "cohF", "--surface", str(path), "--F", "H", "--n", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: surface.cohomology['H']: ")
+    assert "degree '00' is not written as a plain integer" in err
 
 
 @pytest.mark.parametrize(
@@ -426,6 +446,50 @@ def test_verify_deterministic_across_worker_counts(capsys, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+def test_whom_oracle_averages_each_family_once(capsys, monkeypatch):
+    calls = []
+    averaging = oracle.invariant_dim
+
+    def counted(*args):
+        calls.append(args[0])
+        return averaging(*args)
+
+    monkeypatch.setattr(oracle, "invariant_dim", counted)
+    code, _, _ = run_cli(
+        capsys, "verify", "--suite", "whom_oracle", "--count", "3", "--nmax", "4"
+    )
+    assert code == 0
+    assert calls == [4, 4, 4]
+
+
+def test_whom_oracle_names_the_family_and_cell_a_wrong_formula_gives(capsys, monkeypatch):
+    family, n, e, f = 1, 3, 2, 1
+    common, first, second, rest = verify._family_spaces(DEFAULT_SEED, family)
+    assert first != second  # so the swap check never meets the altered cell
+    closed_form = formulas.w_hom
+
+    def altered(inp):
+        value = closed_form(inp)
+        if (inp.n, inp.e, inp.f) == (n, e, f) and (
+            inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o
+        ) == (common, first, second, rest):
+            return value + GradedDim({0: 1})
+        return value
+
+    monkeypatch.setattr(verify.formulas, "w_hom", altered)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "whom_oracle", "--count", "3", "--nmax", "4"
+    )
+    assert code == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["swap_symmetry"]["pass"] is True
+    check = checks["matches_group_averaging"]
+    assert check["pass"] is False
+    bad = check["counterexample"]
+    assert (bad["family"], bad["n"], bad["e"], bad["f"]) == (family, n, e, f)
+    assert bad["averaged"] != bad["closed"]
+
+
 def test_verify_seed_changes_random_content(capsys):
     code_a, out_a, _ = run_cli(
         capsys, "verify", "--suite", "whom_oracle", "--nmax", "2", "--count", "3"
@@ -638,3 +702,21 @@ def test_run_names_the_job_an_argument_error_comes_from(capsys, tmp_path, entry,
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2 and out == ""
     assert err == message
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(None, "null"), (True, "true"), (1.5, "1.5"), ([3], "[3]"), ({"a": 1}, '{"a": 1}')],
+)
+def test_run_rejects_a_job_value_that_is_not_a_string_or_an_integer(
+    capsys, tmp_path, monkeypatch, value, shown
+):
+    # "out": null used to write a file named None and exit 0
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "jobs.json"
+    entry = {"command": "verify", "suite": "orbits", "nmax": 2, "out": value}
+    path.write_text(json.dumps({"jobs": [entry]}))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: jobs[0]: 'out' must be a string or an integer, got {shown}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.json"]

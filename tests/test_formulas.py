@@ -86,7 +86,7 @@ def test_w_hom_four_points_trivial_tables():
     # Value fixed by the group-averaging oracle: the i = 0 summand dies
     # because the exterior square of a one-dimensional even space is zero.
     assert dict(w_hom(inp).items()) == {0: 2}
-    assert w_hom(inp) == invariant_dim(4, 2, 2, line, line, line, line)
+    assert w_hom(inp) == invariant_dim(4, line, line, line, line)[4, 2, 2]
 
 
 def test_w_hom_agrees_with_group_averaging_on_mixed_tables():
@@ -99,7 +99,7 @@ def test_w_hom_agrees_with_group_averaging_on_mixed_tables():
             for f in range(n + 1):
                 inp = WHomInput(n=n, e=e, f=f, hom_ef=hom, coh_e_dual=dual,
                                 coh_f=tgt, coh_o=point)
-                assert w_hom(inp) == invariant_dim(n, e, f, hom, dual, tgt, point)
+                assert w_hom(inp) == invariant_dim(n, hom, dual, tgt, point)[n, e, f]
 
 
 def test_w_hom_input_validation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,16 @@ def test_immutable_and_hashable():
 def test_json_round_trip():
     space = GradedDim({-2: 1, 0: 4, 5: 2})
     assert GradedDim.from_json(space.to_json()) == space
+
+
+@pytest.mark.parametrize(
+    "table, key",
+    [({"1": 1, "01": 2}, "01"), ({"1_0": 1}, "1_0"), ({" 2 ": 1}, " 2 "), ({"+1": 1}, "+1")],
+)
+def test_json_rejects_a_degree_not_written_as_a_plain_integer(table, key):
+    # each of these once loaded silently: "01" overwrote "1", "1_0" read as 10
+    with pytest.raises(ValueError, match=re.escape(f"degree {key!r} is not written as a plain")):
+        GradedDim.from_json(table)
 
 
 @given(a=small_spaces, b=small_spaces)

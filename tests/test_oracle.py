@@ -17,11 +17,10 @@ from hilbtaut.oracle import (
     ENUM_BOUND,
     POWER_DIM_BOUND,
     POWER_EXPONENT_BOUND,
+    ConsistencyError,
     IndexPair,
     SizeBoundError,
     _cycle_trace,
-    class_size,
-    cycle_types,
     invariant_dim,
     oracle_sym_power,
     oracle_wedge_power,
@@ -32,63 +31,41 @@ EVEN_LINE = GradedDim({0: 1})
 K3_POINT = GradedDim({0: 1, 2: 1})
 
 
-# -- cycle types and class sizes ----------------------------------------------
-
-
-def test_cycle_types_are_the_partitions_of_n():
-    assert [len(cycle_types(n)) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
-    assert cycle_types(0) == [()]
-    assert cycle_types(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    for n in range(9):
-        assert all(sum(lengths) == n for lengths in cycle_types(n))
-
-
-def test_class_sizes_sum_to_the_group_order():
-    for n in range(9):
-        assert sum(class_size(lengths) for lengths in cycle_types(n)) == math.factorial(n)
-
-
-def test_class_sizes_count_permutations_by_cycle_type():
-    # S_4: 6 four-cycles, 8 three-cycles, 3 double transpositions,
-    # 6 transpositions, the identity
-    assert [class_size(lengths) for lengths in cycle_types(4)] == [6, 8, 3, 6, 1]
-
-
 # -- invariant dimensions by group averaging ----------------------------------
 
 
 def test_invariants_for_one_point_are_the_whole_space():
     space = GradedDim({0: 2, 1: 1})
-    assert invariant_dim(1, 1, 1, space, ZERO, ZERO, ZERO) == space
+    assert invariant_dim(1, space, ZERO, ZERO, ZERO)[1, 1, 1] == space
 
 
 def test_invariants_of_two_even_lines():
     # Sym^2 of a trivial line is again a line.
-    assert invariant_dim(2, 0, 0, ZERO, ZERO, ZERO, EVEN_LINE) == UNIT
+    assert invariant_dim(2, ZERO, ZERO, ZERO, EVEN_LINE)[2, 0, 0] == UNIT
 
 
 def test_invariants_match_symmetric_square_of_k3_point():
-    got = invariant_dim(2, 0, 0, ZERO, ZERO, ZERO, K3_POINT)
+    got = invariant_dim(2, ZERO, ZERO, ZERO, K3_POINT)[2, 0, 0]
     assert dict(got.items()) == {0: 1, 2: 1, 4: 1}
 
 
 def test_sign_twist_turns_symmetric_into_exterior():
     # With the sign character on the first-only block the invariants of
     # two even lines form the exterior square, which vanishes.
-    assert invariant_dim(2, 2, 0, ZERO, EVEN_LINE, ZERO, ZERO) == ZERO
+    assert invariant_dim(2, ZERO, EVEN_LINE, ZERO, ZERO)[2, 2, 0] == ZERO
     two = GradedDim({0: 2})
-    got = invariant_dim(2, 2, 0, ZERO, two, ZERO, ZERO)
+    got = invariant_dim(2, ZERO, two, ZERO, ZERO)[2, 2, 0]
     assert dict(got.items()) == {0: 1}
 
 
 def test_frozen_two_point_hom_invariants():
     hom = K3_POINT
-    got = invariant_dim(2, 1, 1, hom, K3_POINT, K3_POINT, K3_POINT)
+    got = invariant_dim(2, hom, K3_POINT, K3_POINT, K3_POINT)[2, 1, 1]
     assert dict(got.items()) == {0: 2, 2: 4, 4: 2}
 
 
 def test_frozen_four_point_trivial_tables():
-    got = invariant_dim(4, 2, 2, EVEN_LINE, EVEN_LINE, EVEN_LINE, EVEN_LINE)
+    got = invariant_dim(4, EVEN_LINE, EVEN_LINE, EVEN_LINE, EVEN_LINE)[4, 2, 2]
     assert dict(got.items()) == {0: 2}
 
 
@@ -148,6 +125,8 @@ REFERENCE_FAMILIES = [(n, seed) for n in range(6) for seed in range(4)] + [(6, 0
 
 @pytest.mark.parametrize("n, seed", REFERENCE_FAMILIES)
 def test_class_sum_matches_the_average_over_every_permutation(n, seed):
+    # the recurrence sums over every cycle type at once; it must agree
+    # with the plain average at every (n', e, f) with n' <= n
     rng = random.Random(1000 * n + seed)
     spaces = []
     for _ in range(4):
@@ -156,20 +135,47 @@ def test_class_sum_matches_the_average_over_every_permutation(n, seed):
             d = rng.randint(-1, 3)
             dims[d] = dims.get(d, 0) + 1
         spaces.append(GradedDim(dims))
-    expected = reference_invariant_dims(n, *spaces)
-    for e in range(n + 1):
-        for f in range(n + 1):
-            assert invariant_dim(n, e, f, *spaces) == expected[(e, f)], (e, f)
+    got = invariant_dim(n, *spaces)
+    expected = {}
+    for smaller in range(n + 1):
+        reference = reference_invariant_dims(smaller, *spaces)
+        for e in range(smaller + 1):
+            for f in range(smaller + 1):
+                expected[smaller, e, f] = reference.get((e, f), ZERO)
+    assert got == expected
+
+
+def test_every_n_e_f_up_to_n_max_is_returned_zero_spaces_included():
+    got = invariant_dim(3, ZERO, EVEN_LINE, ZERO, EVEN_LINE)
+    assert sorted(got) == [
+        (n, e, f) for n in range(4) for e in range(n + 1) for f in range(n + 1)
+    ]
+    assert got[0, 0, 0] == UNIT
+    assert got[2, 2, 0] == ZERO  # the exterior square of an even line
+    assert got[3, 0, 3] == ZERO  # the second space is zero
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        # 2 F_2 = T_1 F_1 + T_2 = 2 * 2 + 1 is odd
+        lambda length, space, sign_flags: {0: 2 if length == 1 else 1},
+        # F_1 = T_1 is negative
+        lambda length, space, sign_flags: {0: -1},
+    ],
+    ids=["remainder", "negative"],
+)
+def test_a_division_that_is_not_a_dimension_is_a_consistency_error(monkeypatch, trace):
+    monkeypatch.setattr("hilbtaut.oracle._cycle_trace", trace)
+    with pytest.raises(ConsistencyError):
+        invariant_dim(2, ZERO, ZERO, ZERO, EVEN_LINE)
 
 
 def test_averaging_bound_enforced():
     with pytest.raises(SizeBoundError):
-        invariant_dim(AVERAGING_BOUND + 1, 0, 0, ZERO, ZERO, ZERO, EVEN_LINE)
-
-
-def test_subset_sizes_validated():
-    with pytest.raises(ValueError):
-        invariant_dim(2, 3, 0, ZERO, EVEN_LINE, ZERO, EVEN_LINE)
+        invariant_dim(AVERAGING_BOUND + 1, ZERO, ZERO, ZERO, EVEN_LINE)
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        invariant_dim(-1, ZERO, ZERO, ZERO, EVEN_LINE)
 
 
 # -- orbit decomposition -------------------------------------------------------

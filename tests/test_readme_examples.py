@@ -1,4 +1,4 @@
-"""Every ``hilbtaut table`` and ``hilbtaut series`` example in README runs.
+"""Every ``hilbtaut table``, ``series`` and ``verify`` example in README runs.
 
 The command lines come from README's fenced ``sh`` blocks, with lines
 continued by a trailing backslash joined, so a flag change that breaks a
@@ -22,7 +22,7 @@ def _examples() -> list[str]:
     commands = []
     for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
-            if line.startswith(("hilbtaut table ", "hilbtaut series ")):
+            if line.startswith(("hilbtaut table ", "hilbtaut series ", "hilbtaut verify ")):
                 commands.append(" ".join(line.split()))
     return commands
 
@@ -31,6 +31,12 @@ def test_readme_has_table_and_series_examples():
     commands = _examples()
     assert any(c.startswith("hilbtaut table ") for c in commands)
     assert any(c.startswith("hilbtaut series ") for c in commands)
+
+
+def test_readme_has_verify_examples_for_both_oracles():
+    commands = _examples()
+    assert any(c.startswith("hilbtaut verify --suite whom_oracle") for c in commands)
+    assert any(c.startswith("hilbtaut verify --suite orbits") for c in commands)
 
 
 @pytest.mark.parametrize("command", _examples())
