@@ -7,8 +7,10 @@ import random
 
 import pytest
 
-from hilbtaut import verify
-from hilbtaut.oracle import orbit_decomposition
+from hilbtaut import formulas, verify
+from hilbtaut.graded import GradedDim
+from hilbtaut.oracle import POWER_EXPONENT_BOUND, orbit_decomposition
+from hilbtaut.series import TruncSeries
 from hilbtaut.verify import (
     DEFAULT_SEED,
     SUITES,
@@ -123,3 +125,151 @@ def test_workers_do_not_change_verdicts():
     a = run_suite("tensor_euler", seed=5, nmax=3, count=3, workers=1)
     b = run_suite("tensor_euler", seed=5, nmax=3, count=3, workers=3)
     assert a == b
+
+
+# -- failure paths: each check names its first counterexample ---------------
+
+
+def failing(verdict, name):
+    """The counterexample of check ``name``, which must have failed."""
+    check = next(c for c in verdict["checks"] if c["name"] == name)
+    assert verdict["pass"] is False and check["pass"] is False
+    return check["counterexample"]
+
+
+def test_exp_harmonic_check_names_the_first_wrong_power(monkeypatch):
+    exp = TruncSeries.exp
+
+    def altered(self):
+        value = exp(self)
+        if self.orders == (11, 1, 1):  # the harmonic series, Q up to k_max = 10
+            value = value + TruncSeries({"Q": 11}, {(3, 0, 0): 1})
+        return value
+
+    monkeypatch.setattr(verify.TruncSeries, "exp", altered)
+    bad = failing(run_suite("appendix", nmax=2, count=1), "exp_harmonic_is_geometric")
+    assert bad == {"Q_power": 3}
+
+
+@pytest.mark.parametrize(
+    "rule, name, cell",
+    [
+        ("lambda_scalar", "binomial_coeffs_are_lambda", (2, -1)),
+        ("s_scalar", "inverse_coeffs_are_s", (3, 2)),
+    ],
+)
+def test_scalar_rule_checks_name_the_first_wrong_coefficient(monkeypatch, rule, name, cell):
+    scalar = getattr(verify, rule)
+    monkeypatch.setattr(verify, rule, lambda k, chi: scalar(k, chi) + ((k, chi) == cell))
+    bad = failing(run_suite("appendix", nmax=2, count=1), name)
+    assert bad == {"chi": cell[1], "k": cell[0]}
+
+
+def test_three_way_check_names_the_first_wrong_quadruple_and_cell(monkeypatch):
+    product = verify.formulas.bichar_product
+
+    def altered(*chis, n_max):
+        orders = {"Q": n_max + 1, "u": n_max + 1, "v": n_max + 1}
+        return product(*chis, n_max=n_max) + TruncSeries(orders, {(2, 1, 1): 1})
+
+    monkeypatch.setattr(verify.formulas, "bichar_product", altered)
+    bad = failing(run_suite("appendix", nmax=3, count=2), "three_way_agreement")
+    rng = random.Random(DEFAULT_SEED)
+    chis = [rng.randint(-6, 6) for _ in range(4)]
+    closed = formulas.bichar_closed(formulas.BicharInput(2, 1, 1, *chis))
+    assert bad == {
+        "chis": chis, "n": 2, "k": 1, "l": 1,
+        "closed": closed, "exp_form": closed, "product_form": closed + 1,
+    }
+
+
+def test_swap_check_names_the_family_and_cell_of_an_asymmetric_formula(monkeypatch):
+    family, n, e, f = 1, 3, 2, 1
+    common, first, second, rest = verify._family_spaces(DEFAULT_SEED, family)
+    assert first != second
+    closed_form = formulas.w_hom
+
+    def altered(inp):
+        value = closed_form(inp)
+        if (inp.n, inp.e, inp.f) == (n, f, e) and (
+            inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o
+        ) == (common, second, first, rest):
+            return value + GradedDim({0: 1})
+        return value
+
+    monkeypatch.setattr(verify.formulas, "w_hom", altered)
+    verdict = run_suite("whom_oracle", nmax=4, count=3)
+    assert next(c for c in verdict["checks"] if c["name"] == "matches_group_averaging")["pass"]
+    bad = failing(verdict, "swap_symmetry")
+    assert (bad["family"], bad["n"], bad["e"], bad["f"]) == (family, n, e, f)
+    assert bad["tables"] == [s.to_json() for s in (common, first, second, rest)]
+
+
+def test_tensor_check_names_the_first_input_and_cell_that_disagree(monkeypatch):
+    terms = verify.formulas.tensor_euler_terms
+
+    def altered(n, k, *chis):
+        return terms(n, k, *chis) + ([(0, [1])] if (n, k) == (2, 1) else [])
+
+    monkeypatch.setattr(verify.formulas, "tensor_euler_terms", altered)
+    bad = failing(run_suite("tensor_euler", nmax=3, count=1), "closed_terms_series_agree")
+    assert (bad["input"], bad["n"], bad["k"]) == ("k3.json:O,O", 2, 1)
+    assert bad["terms_sum"] == bad["closed"] + 1 == bad["series_coeff"] + 1
+
+
+def test_basis_check_names_the_first_wrong_power(monkeypatch):
+    wedge = verify.oracle.oracle_wedge_power
+    cell = (2, GradedDim({1: 2}))
+
+    def altered(k, space):
+        return wedge(k, space) + GradedDim({0: int((k, space) == cell)})
+
+    monkeypatch.setattr(verify.oracle, "oracle_wedge_power", altered)
+    bad = failing(run_suite("graded_powers", count=1), "matches_basis_enumeration")
+    assert bad == {"space": {"1": 2}, "k": 2, "power": "wedge"}
+
+
+def test_euler_check_names_the_first_wrong_draw(monkeypatch):
+    scalar = verify.lambda_scalar
+    monkeypatch.setattr(verify, "lambda_scalar", lambda k, chi: scalar(k, chi) + 1)
+    bad = failing(run_suite("graded_powers", count=3), "euler_compatibility")
+    rng = random.Random(DEFAULT_SEED)
+    space = random_space(rng, max_total=6, degrees=range(-3, 5))
+    k = rng.randint(0, POWER_EXPONENT_BOUND)
+    assert bad == {"index": 0, "space": space.to_json(), "k": k, "power": "wedge"}
+
+
+@pytest.mark.parametrize(
+    "profile, name, expected",
+    [
+        ({1: 2}, "orbit_count", {"computed": 2, "expected": 1}),
+        (
+            {1: 2, 2: 1},
+            "orbit_count",
+            {"computed_overlaps": [0, 1], "expected_overlaps": [1, 2]},
+        ),
+        ({0: 1, 1: 3}, "stabilizer_orders", {"i": 1, "computed": 2, "expected": 3}),
+    ],
+    ids=["count", "overlaps", "stabilizer"],
+)
+def test_orbit_checks_name_the_first_wrong_cell(monkeypatch, profile, name, expected):
+    assert expected_orbit_profile(3, 1, 1) == {0: 1, 1: 2}
+    monkeypatch.setattr(
+        verify,
+        "expected_orbit_profile",
+        lambda n, e, f: profile if (n, e, f) == (3, 1, 1) else expected_orbit_profile(n, e, f),
+    )
+    bad = failing(run_suite("orbits", nmax=4), name)
+    assert bad == {"n": 3, "e": 1, "f": 1, **expected}
+
+
+def test_reference_pair_check_names_the_first_pair_off_its_orbit(monkeypatch):
+    orbit_of = verify._orbit_of
+    stray = standard_pair(1, 1, 0)
+
+    def altered(n, pair):
+        return standard_pair(1, 1, 1) if (n, pair) == (3, stray) else orbit_of(n, pair)
+
+    monkeypatch.setattr(verify, "_orbit_of", altered)
+    bad = failing(run_suite("orbits", nmax=4), "reference_pairs_covered")
+    assert bad == {"n": 3, "e": 1, "f": 1, "i": 0, "pair": [[0], [1]]}
