@@ -2,8 +2,12 @@
 
 Each suite returns a plain verdict dict: the suite name, the seed and
 bounds it ran at, one entry per check with a pass flag, and the first
-(minimal) counterexample when a check fails.  The CLI prints these as
-JSON; the acceptance tests assert on them directly.
+(minimal) counterexample when a check fails.  A check is a function that
+returns its first counterexample dict, or None, by early return;
+``_first`` picks the first one a sweep finds.  So a passing run builds
+no counterexample, and a failing check never hides another: each check
+carries its own.  The CLI prints these as JSON; the acceptance tests
+assert on them directly.
 """
 
 from __future__ import annotations
@@ -20,6 +24,16 @@ from .graded import GradedDim, lambda_scalar, s_scalar, sym_power, wedge_power
 from .series import TruncSeries
 
 DEFAULT_SEED = 1729
+
+# Integer range of the appendix's χ's, and its highest Q power for the
+# scalar rules.
+CHI_RANGE = (-6, 6)
+K_MAX = 10
+
+
+def _first(results: Iterable[dict | None]) -> dict | None:
+    """The first counterexample among ``results``, or None."""
+    return next((r for r in results if r is not None), None)
 
 
 def _check(name: str, counterexample: object | None, extra: dict | None = None) -> dict:
@@ -62,97 +76,75 @@ def random_space(
 # -- appendix: generating function identities ---------------------------
 
 
+def _harmonic_mismatch() -> dict | None:
+    """First Q power where exp(sum_r Q^r / r) and 1/(1 - Q) differ."""
+    orders = {"Q": K_MAX + 1}
+    harmonic = TruncSeries(orders, {(r, 0, 0): Fraction(1, r) for r in range(1, K_MAX + 1)})
+    exponentiated = harmonic.exp()
+    geometric = (TruncSeries.const(1, orders) - TruncSeries.variable("Q", orders)).int_pow(-1)
+    for j in range(K_MAX + 1):
+        if exponentiated.coeff(Q=j) != geometric.coeff(Q=j):
+            return {"Q_power": j}
+    return None
+
+
+def _scalar_rule_mismatch(rule: Callable[[int, int], int], sign: int, chi: int) -> dict | None:
+    """First k where the Q^k coefficient of (1 + sign·Q)^(sign·chi) is
+    not rule(k, chi)."""
+    orders = {"Q": K_MAX + 1}
+    base = TruncSeries.const(1, orders) + sign * TruncSeries.variable("Q", orders)
+    series = base.int_pow(sign * chi)
+    for k in range(K_MAX + 1):
+        if series.coeff(Q=k) != rule(k, chi):
+            return {"chi": chi, "k": k}
+    return None
+
+
+def _three_way_mismatch(quad: tuple[int, int, int, int], nmax: int) -> dict | None:
+    """First (n, k, l) where closed sum, exp form and product form differ."""
+    exp_form = formulas.bichar_series(*quad, n_max=nmax)
+    product_form = formulas.bichar_product(*quad, n_max=nmax)
+    for n in range(nmax + 1):
+        for k in range(n + 1):
+            for l in range(n + 1):
+                closed = formulas.bichar_closed(formulas.BicharInput(n, k, l, *quad))
+                from_exp = formulas.bichar_from_series(exp_form, n, k, l)
+                from_product = formulas.bichar_from_series(product_form, n, k, l)
+                if not closed == from_exp == from_product:
+                    return {
+                        "chis": list(quad), "n": n, "k": k, "l": l,
+                        "closed": closed, "exp_form": from_exp, "product_form": from_product,
+                    }
+    return None
+
+
 def suite_appendix(
-    seed: int = DEFAULT_SEED,
-    nmax: int = 6,
-    count: int = 50,
-    chi_range: tuple[int, int] = (-6, 6),
-    k_max: int = 10,
-    workers: int = 1,
+    seed: int = DEFAULT_SEED, nmax: int = 6, count: int = 50, workers: int = 1
 ) -> dict:
     """Series-side identities: the scalar coefficient rules and the
     three-way agreement of closed sum, exp form and product form."""
     del workers  # cheap enough sequentially; kept for a uniform call shape
-    checks = []
-
-    orders = {"Q": k_max + 1}
-    one = TruncSeries.const(1, orders)
-    q = TruncSeries.variable("Q", orders)
-
-    harmonic = TruncSeries.zero(orders)
-    qpow = one
-    for r in range(1, k_max + 1):
-        qpow = qpow * q
-        harmonic = harmonic + qpow * Fraction(1, r)
-    exponentiated = harmonic.exp()
-    geometric = (one - q).int_pow(-1)
-    bad = None
-    if exponentiated != geometric:
-        for j in range(k_max + 1):
-            if exponentiated.coeff(Q=j) != geometric.coeff(Q=j):
-                bad = {"Q_power": j}
-                break
-    checks.append(_check("exp_harmonic_is_geometric", bad))
-
-    lo, hi = chi_range
-    bad = None
-    for chi in range(lo, hi + 1):
-        binomial = (one + q).int_pow(chi)
-        for k in range(k_max + 1):
-            if binomial.coeff(Q=k) != lambda_scalar(k, chi):
-                bad = {"chi": chi, "k": k}
-                break
-        if bad:
-            break
-    checks.append(_check("binomial_coeffs_are_lambda", bad))
-
-    bad = None
-    for chi in range(lo, hi + 1):
-        inverse = (one - q).int_pow(-chi)
-        for k in range(k_max + 1):
-            if inverse.coeff(Q=k) != s_scalar(k, chi):
-                bad = {"chi": chi, "k": k}
-                break
-        if bad:
-            break
-    checks.append(_check("inverse_coeffs_are_s", bad))
-
+    lo, hi = CHI_RANGE
     rng = random.Random(seed)
-    quadruples = [
-        tuple(rng.randint(lo, hi) for _ in range(4)) for _ in range(count)
+    quadruples = [tuple(rng.randint(lo, hi) for _ in range(4)) for _ in range(count)]
+    chis = range(lo, hi + 1)
+    checks = [
+        _check("exp_harmonic_is_geometric", _harmonic_mismatch()),
+        _check(
+            "binomial_coeffs_are_lambda",
+            _first(_scalar_rule_mismatch(lambda_scalar, 1, chi) for chi in chis),
+        ),
+        _check(
+            "inverse_coeffs_are_s",
+            _first(_scalar_rule_mismatch(s_scalar, -1, chi) for chi in chis),
+        ),
+        _check(
+            "three_way_agreement",
+            _first(_three_way_mismatch(quad, nmax) for quad in quadruples),
+            {"quadruples": len(quadruples)},
+        ),
     ]
-    bad = None
-    for quad in quadruples:
-        if bad:
-            break
-        exp_form = formulas.bichar_series(*quad, n_max=nmax)
-        product_form = formulas.bichar_product(*quad, n_max=nmax)
-        for n in range(nmax + 1):
-            if bad:
-                break
-            for k in range(n + 1):
-                for l in range(n + 1):
-                    closed = formulas.bichar_closed(
-                        formulas.BicharInput(n, k, l, *quad)
-                    )
-                    from_exp = formulas.bichar_from_series(exp_form, n, k, l)
-                    from_product = formulas.bichar_from_series(product_form, n, k, l)
-                    if not closed == from_exp == from_product:
-                        bad = {
-                            "chis": list(quad),
-                            "n": n,
-                            "k": k,
-                            "l": l,
-                            "closed": closed,
-                            "exp_form": from_exp,
-                            "product_form": from_product,
-                        }
-                        break
-                if bad:
-                    break
-    checks.append(_check("three_way_agreement", bad, {"quadruples": len(quadruples)}))
-
-    bounds = {"nmax": nmax, "count": count, "chi_range": list(chi_range), "k_max": k_max}
+    bounds = {"nmax": nmax, "count": count, "chi_range": list(CHI_RANGE), "k_max": K_MAX}
     return _verdict("appendix", seed, bounds, checks)
 
 
@@ -164,53 +156,39 @@ def _family_spaces(seed: int, index: int) -> tuple[GradedDim, GradedDim, GradedD
     return tuple(random_space(rng) for _ in range(4))
 
 
-def _whom_family_task(task: tuple[int, int, int]) -> dict | None:
+def _whom_family_task(task: tuple[int, int, int]) -> tuple[dict | None, dict | None]:
+    """The first cell of one family where ``w_hom`` misses the group
+    average, and the first where it breaks the source/target swap."""
     seed, index, nmax = task
     spaces = _family_spaces(seed, index)
     common, first, second, rest = spaces
     averages = oracle.invariant_dim(nmax, *spaces)
+    oracle_bad = swap_bad = None
     for n in range(1, nmax + 1):
-        for e in range(n + 1):
-            for f in range(n + 1):
-                inp = formulas.WHomInput(
-                    n=n, e=e, f=f, hom_ef=common, coh_e_dual=first,
-                    coh_f=second, coh_o=rest,
-                )
-                closed = formulas.w_hom(inp)
-                averaged = averages[n, e, f]
-                if closed != averaged:
-                    return {
-                        "family": index,
-                        "n": n,
-                        "e": e,
-                        "f": f,
-                        "tables": [s.to_json() for s in spaces],
-                        "closed": closed.to_json(),
-                        "averaged": averaged.to_json(),
-                    }
-                swapped = formulas.w_hom(
-                    formulas.WHomInput(
-                        n=n, e=f, f=e, hom_ef=common, coh_e_dual=second,
-                        coh_f=first, coh_o=rest,
-                    )
-                )
-                if swapped != closed:
-                    return {
-                        "family": index,
-                        "n": n,
-                        "e": e,
-                        "f": f,
-                        "tables": [s.to_json() for s in spaces],
-                        "kind": "swap_asymmetry",
-                    }
-    return None
+        for e, f in itertools.product(range(n + 1), repeat=2):
+            closed = formulas.w_hom(formulas.WHomInput(
+                n=n, e=e, f=f, hom_ef=common, coh_e_dual=first, coh_f=second, coh_o=rest,
+            ))
+            swapped = formulas.w_hom(formulas.WHomInput(
+                n=n, e=f, f=e, hom_ef=common, coh_e_dual=second, coh_f=first, coh_o=rest,
+            ))
+            averaged = averages[n, e, f]
+            if oracle_bad is None and closed != averaged:
+                oracle_bad = {
+                    "family": index, "n": n, "e": e, "f": f,
+                    "tables": [s.to_json() for s in spaces],
+                    "closed": closed.to_json(), "averaged": averaged.to_json(),
+                }
+            if swap_bad is None and closed != swapped:
+                swap_bad = {
+                    "family": index, "n": n, "e": e, "f": f,
+                    "tables": [s.to_json() for s in spaces],
+                }
+    return oracle_bad, swap_bad
 
 
 def suite_whom_oracle(
-    seed: int = DEFAULT_SEED,
-    nmax: int = 5,
-    count: int = 20,
-    workers: int = 1,
+    seed: int = DEFAULT_SEED, nmax: int = 5, count: int = 20, workers: int = 1
 ) -> dict:
     """Closed Hom-space formula against full symmetric group averaging,
     plus the source/target swap symmetry, on random table families."""
@@ -220,12 +198,9 @@ def suite_whom_oracle(
         )
     tasks = [(seed, index, nmax) for index in range(count)]
     results = parallel_map(_whom_family_task, tasks, workers)
-    bad = next((r for r in results if r is not None), None)
-    swap_bad = bad if bad and bad.get("kind") == "swap_asymmetry" else None
-    oracle_bad = bad if bad and bad.get("kind") != "swap_asymmetry" else None
     checks = [
-        _check("matches_group_averaging", oracle_bad, {"families": count}),
-        _check("swap_symmetry", swap_bad),
+        _check("matches_group_averaging", _first(bad for bad, _ in results), {"families": count}),
+        _check("swap_symmetry", _first(bad for _, bad in results)),
     ]
     return _verdict("whom_oracle", seed, {"nmax": nmax, "count": count}, checks)
 
@@ -233,43 +208,27 @@ def suite_whom_oracle(
 # -- tensor_euler: closed sum vs term table vs generating function ------
 
 
-def _tensor_triangle(
-    nmax: int, chi_flp: Sequence[int], chi_l: int, chi_o: int, label: str
-) -> dict | None:
+def _tensor_triangle(task: tuple) -> dict | None:
+    """First (n, k) of one input where the three evaluations differ."""
+    nmax, chi_flp, chi_l, chi_o, label = task
     series = formulas.tensor_euler_series(chi_flp, chi_l, chi_o, n_max=nmax, k_max=nmax)
     for n in range(1, nmax + 1):
         for k in range(n + 1):
             closed = formulas.tensor_euler_closed(n, k, chi_flp, chi_l, chi_o)
             terms = formulas.tensor_euler_terms(n, k, chi_flp, chi_l, chi_o)
-            alternating = sum(
-                (-1) ** p * sum(contribs) for p, contribs in terms
-            )
+            alternating = sum((-1) ** p * sum(contribs) for p, contribs in terms)
             coefficient = formulas.tensor_euler_from_series(series, n, k)
             if not closed == alternating == coefficient:
                 return {
-                    "input": label,
-                    "chi_flp": list(chi_flp[: nmax + 1]),
-                    "chi_l": chi_l,
-                    "chi_o": chi_o,
-                    "n": n,
-                    "k": k,
-                    "closed": closed,
-                    "terms_sum": alternating,
-                    "series_coeff": coefficient,
+                    "input": label, "chi_flp": list(chi_flp[: nmax + 1]),
+                    "chi_l": chi_l, "chi_o": chi_o, "n": n, "k": k,
+                    "closed": closed, "terms_sum": alternating, "series_coeff": coefficient,
                 }
     return None
 
 
-def _tensor_task(task: tuple) -> dict | None:
-    nmax, chi_flp, chi_l, chi_o, label = task
-    return _tensor_triangle(nmax, chi_flp, chi_l, chi_o, label)
-
-
 def suite_tensor_euler(
-    seed: int = DEFAULT_SEED,
-    nmax: int = 6,
-    count: int = 20,
-    workers: int = 1,
+    seed: int = DEFAULT_SEED, nmax: int = 6, count: int = 20, workers: int = 1
 ) -> dict:
     """Three independent evaluations of the tensor-by-wedge Euler number
     on the shipped surface fixtures and on random integer inputs."""
@@ -292,8 +251,7 @@ def suite_tensor_euler(
         chi_o = rng.randint(-6, 6)
         tasks.append((nmax, chi_flp, chi_l, chi_o, f"random:{index}"))
 
-    results = parallel_map(_tensor_task, tasks, workers)
-    bad = next((r for r in results if r is not None), None)
+    bad = _first(parallel_map(_tensor_triangle, tasks, workers))
     checks = [_check("closed_terms_series_agree", bad, {"inputs": len(tasks)})]
     return _verdict("tensor_euler", seed, {"nmax": nmax, "count": count}, checks)
 
@@ -301,25 +259,31 @@ def suite_tensor_euler(
 # -- graded_powers: super powers vs basis enumeration -------------------
 
 
-def _all_spaces(degrees: Sequence[int], max_total: int) -> Iterable[GradedDim]:
-    def build(idx: int, left: int, current: dict[int, int]) -> Iterable[GradedDim]:
-        if idx == len(degrees):
-            yield GradedDim(dict(current))
-            return
-        for dim in range(left + 1):
-            if dim:
-                current[degrees[idx]] = dim
-            yield from build(idx + 1, left - dim, current)
-            current.pop(degrees[idx], None)
-
-    yield from build(0, max_total, {})
+def _basis_mismatch(space: GradedDim, k: int) -> dict | None:
+    """The k-th super power of ``space`` that basis enumeration refutes."""
+    for power, closed, enumerated in (
+        ("sym", sym_power, oracle.oracle_sym_power),
+        ("wedge", wedge_power, oracle.oracle_wedge_power),
+    ):
+        if closed(k, space) != enumerated(k, space):
+            return {"space": space.to_json(), "k": k, "power": power}
+    return None
 
 
-def suite_graded_powers(
-    seed: int = DEFAULT_SEED,
-    count: int = 100,
-    workers: int = 1,
-) -> dict:
+def _euler_mismatch(index: int, space: GradedDim, k: int) -> dict | None:
+    """The k-th super power of ``space`` whose Euler number misses the
+    scalar rule at χ(space)."""
+    chi = space.euler()
+    for power, closed, scalar in (
+        ("sym", sym_power, s_scalar),
+        ("wedge", wedge_power, lambda_scalar),
+    ):
+        if closed(k, space).euler() != scalar(k, chi):
+            return {"index": index, "space": space.to_json(), "k": k, "power": power}
+    return None
+
+
+def suite_graded_powers(seed: int = DEFAULT_SEED, count: int = 100, workers: int = 1) -> dict:
     """Super symmetric/exterior powers against monomial-basis
     enumeration, and their Euler compatibility with the scalar
     operations."""
@@ -332,42 +296,35 @@ def suite_graded_powers(
         GradedDim({0: 4, 1: 4}),
         GradedDim({-1: 3, 0: 2, 3: 3}),
     ]
-    bad = None
-    checked = 0
-    for space in list(_all_spaces(sweep_degrees, sweep_total)) + edge_spaces:
-        for k in range(oracle.POWER_EXPONENT_BOUND + 1):
-            closed_sym = sym_power(k, space)
-            closed_wedge = wedge_power(k, space)
-            if closed_sym != oracle.oracle_sym_power(k, space):
-                bad = {"space": space.to_json(), "k": k, "power": "sym"}
-                break
-            if closed_wedge != oracle.oracle_wedge_power(k, space):
-                bad = {"space": space.to_json(), "k": k, "power": "wedge"}
-                break
-            checked += 1
-        if bad:
-            break
-    checks = [_check("matches_basis_enumeration", bad, {"cases": checked})]
-
+    all_spaces = [
+        GradedDim(zip(sweep_degrees, dims))
+        for dims in itertools.product(range(sweep_total + 1), repeat=len(sweep_degrees))
+        if sum(dims) <= sweep_total
+    ]
+    sweep = [
+        (space, k)
+        for space in all_spaces + edge_spaces
+        for k in range(oracle.POWER_EXPONENT_BOUND + 1)
+    ]
     rng = random.Random(seed)
-    bad = None
-    for index in range(count):
-        space = random_space(rng, max_total=6, degrees=range(-3, 5))
-        k = rng.randint(0, oracle.POWER_EXPONENT_BOUND)
-        chi = space.euler()
-        if sym_power(k, space).euler() != s_scalar(k, chi):
-            bad = {"index": index, "space": space.to_json(), "k": k, "power": "sym"}
-            break
-        if wedge_power(k, space).euler() != lambda_scalar(k, chi):
-            bad = {"index": index, "space": space.to_json(), "k": k, "power": "wedge"}
-            break
-    checks.append(_check("euler_compatibility", bad, {"cases": count}))
-
-    bounds = {
-        "sweep_degrees": list(sweep_degrees),
-        "sweep_total": sweep_total,
-        "count": count,
-    }
+    draws = (
+        (random_space(rng, max_total=6, degrees=range(-3, 5)),
+         rng.randint(0, oracle.POWER_EXPONENT_BOUND))
+        for _ in range(count)
+    )
+    checks = [
+        _check(
+            "matches_basis_enumeration",
+            _first(_basis_mismatch(space, k) for space, k in sweep),
+            {"cases": len(sweep)},
+        ),
+        _check(
+            "euler_compatibility",
+            _first(_euler_mismatch(index, *draw) for index, draw in enumerate(draws)),
+            {"cases": count},
+        ),
+    ]
+    bounds = {"sweep_degrees": list(sweep_degrees), "sweep_total": sweep_total, "count": count}
     return _verdict("graded_powers", seed, bounds, checks)
 
 
@@ -395,76 +352,68 @@ def standard_pair(e: int, f: int, i: int) -> oracle.IndexPair:
     return oracle.IndexPair.from_indices(first, second)
 
 
-def suite_orbits(
-    seed: int = DEFAULT_SEED,
-    nmax: int = 7,
-    workers: int = 1,
-) -> dict:
+def _stabilizer_mismatch(
+    cell: dict, seen: dict[int, oracle.Orbit], expected: dict[int, int]
+) -> dict | None:
+    """First orbit whose size and stabilizer order do not multiply to n!,
+    else the first overlap whose stabilizer order is not the expected one."""
+    for i, orbit in seen.items():
+        if orbit.size * orbit.stabilizer_order != math.factorial(cell["n"]):
+            stabilizer = orbit.stabilizer_order
+            return {**cell, "i": i, "size": orbit.size, "stabilizer_order": stabilizer}
+    for i, stab in expected.items():
+        if seen[i].stabilizer_order != stab:
+            return {**cell, "i": i, "computed": seen[i].stabilizer_order, "expected": stab}
+    return None
+
+
+def _reference_mismatch(cell: dict, seen: dict[int, oracle.Orbit]) -> dict | None:
+    """First overlap, in increasing order, whose ``standard_pair`` is
+    malformed or, for n <= 5, lies outside the enumerated orbit."""
+    n, e, f = cell["n"], cell["e"], cell["f"]
+    for i in sorted(seen):
+        pair = standard_pair(e, f, i)
+        first, second = list(pair.first_indices()), list(pair.second_indices())
+        if (pair.overlap(), len(first), len(second)) != (i, e, f) or (
+            n <= 5 and _orbit_of(n, pair) != seen[i].representative
+        ):
+            return {**cell, "i": i, "pair": [first, second]}
+    return None
+
+
+def _orbit_cell(n: int, e: int, f: int) -> tuple[dict | None, dict | None, dict | None]:
+    """The first orbit-count, stabilizer-order and reference-pair mismatch
+    at one cell.  The last two are checked only where the enumerated
+    orbits line up with the expected overlaps."""
+    cell = {"n": n, "e": e, "f": f}
+    orbits = oracle.orbit_decomposition(n, e, f).orbits
+    expected = expected_orbit_profile(n, e, f)
+    if len(orbits) != len(expected):
+        return {**cell, "computed": len(orbits), "expected": len(expected)}, None, None
+    seen = {orbit.representative.overlap(): orbit for orbit in orbits}
+    if sorted(seen) != sorted(expected):
+        overlaps = {"computed_overlaps": sorted(seen), "expected_overlaps": sorted(expected)}
+        return {**cell, **overlaps}, None, None
+    return None, _stabilizer_mismatch(cell, seen, expected), _reference_mismatch(cell, seen)
+
+
+def suite_orbits(seed: int = DEFAULT_SEED, nmax: int = 7, workers: int = 1) -> dict:
     """Orbit decomposition of subset pairs against the closed count,
     the stabilizer order formula, and the reference representatives."""
     del workers
     if nmax > oracle.ENUM_BOUND:
         raise oracle.SizeBoundError(f"nmax={nmax} exceeds enumeration bound {oracle.ENUM_BOUND}")
-    bad_count = bad_stab = bad_member = None
-    transcript = []
-    for n in range(1, nmax + 1):
-        for e in range(n + 1):
-            for f in range(n + 1):
-                decomposition = oracle.orbit_decomposition(n, e, f)
-                expected = expected_orbit_profile(n, e, f)
-                if len(decomposition.orbits) != len(expected):
-                    bad_count = bad_count or {
-                        "n": n, "e": e, "f": f,
-                        "computed": len(decomposition.orbits),
-                        "expected": len(expected),
-                    }
-                    continue
-                seen = {}
-                for orbit in decomposition.orbits:
-                    i = orbit.representative.overlap()
-                    seen[i] = orbit
-                    if orbit.size * orbit.stabilizer_order != math.factorial(n):
-                        bad_stab = bad_stab or {
-                            "n": n, "e": e, "f": f, "i": i,
-                            "size": orbit.size,
-                            "stabilizer_order": orbit.stabilizer_order,
-                        }
-                if sorted(seen) != sorted(expected):
-                    bad_count = bad_count or {
-                        "n": n, "e": e, "f": f,
-                        "computed_overlaps": sorted(seen),
-                        "expected_overlaps": sorted(expected),
-                    }
-                    continue
-                for i, stab in expected.items():
-                    if seen[i].stabilizer_order != stab:
-                        bad_stab = bad_stab or {
-                            "n": n, "e": e, "f": f, "i": i,
-                            "computed": seen[i].stabilizer_order,
-                            "expected": stab,
-                        }
-                    pair = standard_pair(e, f, i)
-                    if pair.overlap() != i or (
-                        len(pair.first_indices()) != e or len(pair.second_indices()) != f
-                    ):
-                        bad_member = bad_member or {
-                            "n": n, "e": e, "f": f, "i": i, "kind": "malformed"
-                        }
-                    elif n <= 5 and _orbit_of(n, pair) != seen[i].representative:
-                        bad_member = bad_member or {
-                            "n": n, "e": e, "f": f, "i": i,
-                            "pair": [list(pair.first_indices()), list(pair.second_indices())],
-                        }
-                transcript.append(
-                    {"n": n, "e": e, "f": f, "orbits": len(decomposition.orbits)}
-                )
+    cells = [
+        _orbit_cell(n, e, f)
+        for n in range(1, nmax + 1)
+        for e, f in itertools.product(range(n + 1), repeat=2)
+    ]
+    names = ("orbit_count", "stabilizer_orders", "reference_pairs_covered")
     checks = [
-        _check("orbit_count", bad_count),
-        _check("stabilizer_orders", bad_stab),
-        _check("reference_pairs_covered", bad_member),
+        _check(name, _first(cell[index] for cell in cells)) for index, name in enumerate(names)
     ]
     verdict = _verdict("orbits", seed, {"nmax": nmax}, checks)
-    verdict["cells"] = len(transcript)
+    verdict["cells"] = len(cells)
     return verdict
 
 

@@ -462,32 +462,57 @@ def test_whom_oracle_averages_each_family_once(capsys, monkeypatch):
     assert calls == [4, 4, 4]
 
 
-def test_whom_oracle_names_the_family_and_cell_a_wrong_formula_gives(capsys, monkeypatch):
-    family, n, e, f = 1, 3, 2, 1
-    common, first, second, rest = verify._family_spaces(DEFAULT_SEED, family)
-    assert first != second  # so the swap check never meets the altered cell
+def alter_w_hom(monkeypatch, calls):
+    """Add one to ``w_hom`` at each listed ``(n, e, f, tables)`` call."""
     closed_form = formulas.w_hom
 
     def altered(inp):
         value = closed_form(inp)
-        if (inp.n, inp.e, inp.f) == (n, e, f) and (
-            inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o
-        ) == (common, first, second, rest):
-            return value + GradedDim({0: 1})
-        return value
+        call = (inp.n, inp.e, inp.f, (inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o))
+        return value + GradedDim({0: 1}) if call in calls else value
 
     monkeypatch.setattr(verify.formulas, "w_hom", altered)
+
+
+def run_whom_oracle(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--suite", "whom_oracle", "--count", "3", "--nmax", "4"
     )
     assert code == 1 and err == ""
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["swap_symmetry"]["pass"] is True
+    return {c["name"]: c for c in json.loads(out)["checks"]}
+
+
+def test_whom_oracle_names_the_family_and_cell_a_wrong_formula_gives(capsys, monkeypatch):
+    family, n, e, f = 1, 3, 2, 1
+    common, first, second, rest = verify._family_spaces(DEFAULT_SEED, family)
+    assert first != second
+    alter_w_hom(monkeypatch, [(n, e, f, (common, first, second, rest))])
+    checks = run_whom_oracle(capsys)
     check = checks["matches_group_averaging"]
     assert check["pass"] is False
     bad = check["counterexample"]
     assert (bad["family"], bad["n"], bad["e"], bad["f"]) == (family, n, e, f)
     assert bad["averaged"] != bad["closed"]
+    # the altered value meets the unaltered swapped one at the same cell
+    swap = checks["swap_symmetry"]
+    assert swap["pass"] is False
+    assert swap["counterexample"] == {key: bad[key] for key in ("family", "n", "e", "f", "tables")}
+
+
+def test_whom_oracle_failure_does_not_hide_a_later_swap_asymmetry(capsys, monkeypatch):
+    zero = verify._family_spaces(DEFAULT_SEED, 0)
+    common, first, second, rest = verify._family_spaces(DEFAULT_SEED, 1)
+    assert first != second
+    alter_w_hom(monkeypatch, [
+        (3, 1, 1, zero),
+        (3, 1, 1, (zero[0], zero[2], zero[1], zero[3])),
+        (3, 1, 2, (common, second, first, rest)),
+    ])
+    checks = run_whom_oracle(capsys)
+    oracle_bad = checks["matches_group_averaging"]["counterexample"]
+    swap_bad = checks["swap_symmetry"]["counterexample"]
+    assert (oracle_bad["family"], oracle_bad["n"], oracle_bad["e"], oracle_bad["f"]) == (0, 3, 1, 1)
+    assert (swap_bad["family"], swap_bad["n"], swap_bad["e"], swap_bad["f"]) == (1, 3, 2, 1)
 
 
 def test_verify_seed_changes_random_content(capsys):

@@ -273,3 +273,14 @@ def test_reference_pair_check_names_the_first_pair_off_its_orbit(monkeypatch):
     monkeypatch.setattr(verify, "_orbit_of", altered)
     bad = failing(run_suite("orbits", nmax=4), "reference_pairs_covered")
     assert bad == {"n": 3, "e": 1, "f": 1, "i": 0, "pair": [[0], [1]]}
+
+
+def test_reference_pair_check_names_a_malformed_pair(monkeypatch):
+    pair_for = verify.standard_pair
+    monkeypatch.setattr(
+        verify,
+        "standard_pair",
+        lambda e, f, i: pair_for(1, 1, 1) if (e, f, i) == (1, 1, 0) else pair_for(e, f, i),
+    )
+    bad = failing(run_suite("orbits", nmax=4), "reference_pairs_covered")
+    assert bad == {"n": 2, "e": 1, "f": 1, "i": 0, "pair": [[0], [0]]}
