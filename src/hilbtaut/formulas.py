@@ -388,16 +388,15 @@ def tensor_euler_series(
     q = TruncSeries.variable("Q", orders)
     u = TruncSeries.variable("u", orders)
     prefactor = (one + u * q).int_pow(chi_l) * (one - q).int_pow(-chi_o)
-    correction = TruncSeries.zero(orders)
-    for p in range(1, n_max + 1):
-        sign = 1 if (p - 1) % 2 == 0 else -1
-        term = TruncSeries.zero(orders)
-        if p - 1 <= k_max:
-            term = term + chi_flp[p - 1] * u.int_pow(p - 1) * q.int_pow(p)
-        if p <= k_max:
-            term = term + chi_flp[p] * u.int_pow(p) * q.int_pow(p)
-        correction = correction + sign * term
-    return prefactor * correction
+    # the correction's coefficients, monomial by monomial (exponents
+    # ordered Q, u, v): (-1)^(p-1) chi_flp(a) at u^a Q^p, a = p-1, p
+    correction = {
+        (p, a, 0): (-1) ** (p - 1) * chi_flp[a]
+        for p in range(1, n_max + 1)
+        for a in (p - 1, p)
+        if a <= k_max
+    }
+    return prefactor * TruncSeries(orders, correction)
 
 
 def tensor_euler_from_series(series: TruncSeries, n: int, k: int) -> int:
