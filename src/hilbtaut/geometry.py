@@ -362,10 +362,12 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
             raise ConfigError(
                 f"curve.bundles[{name!r}] must be {{\"rank\": ..., \"degree\": ...}}"
             )
-        bundles[name] = CurveBundle(
-            _as_int(spec["rank"], f"curve.bundles[{name!r}].rank"),
-            _as_int(spec["degree"], f"curve.bundles[{name!r}].degree"),
-        )
+        rank = _as_int(spec["rank"], f"curve.bundles[{name!r}].rank")
+        degree = _as_int(spec["degree"], f"curve.bundles[{name!r}].degree")
+        try:
+            bundles[name] = CurveBundle(rank, degree)
+        except ConfigError as exc:
+            raise ConfigError(f"curve.bundles[{name!r}]: {exc}") from None
     cohomology = _cohomology_tables(data, "curve")
     curve = CurveData(genus=genus, bundles=bundles, cohomology=cohomology)
     for key, table in cohomology.items():

@@ -239,6 +239,18 @@ def test_table_rejects_a_profile_section_that_is_not_an_object(
     assert err == f"error: {section}.{field} must be a JSON object, got [1]\n"
 
 
+def test_table_rejects_a_curve_bundle_of_rank_below_one_naming_its_key(capsys, tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(
+        {"curve": {"genus": 0, "bundles": {"P": {"rank": 0, "degree": 1}}}}
+    ))
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "curve_bichar", "--curve", str(path), "--n", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: curve.bundles['P']: bundle rank must be positive, got 0\n"
+
+
 @pytest.mark.parametrize(
     "files, fragment",
     [
