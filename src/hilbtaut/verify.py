@@ -259,6 +259,20 @@ def suite_tensor_euler(
 # -- graded_powers: super powers vs basis enumeration -------------------
 
 
+def _all_spaces(degrees: Sequence[int], max_total: int) -> Iterable[GradedDim]:
+    def build(idx: int, left: int, current: dict[int, int]) -> Iterable[GradedDim]:
+        if idx == len(degrees):
+            yield GradedDim(dict(current))
+            return
+        for dim in range(left + 1):
+            if dim:
+                current[degrees[idx]] = dim
+            yield from build(idx + 1, left - dim, current)
+            current.pop(degrees[idx], None)
+
+    yield from build(0, max_total, {})
+
+
 def _basis_mismatch(space: GradedDim, k: int) -> dict | None:
     """The k-th super power of ``space`` that basis enumeration refutes."""
     for power, closed, enumerated in (
@@ -296,14 +310,9 @@ def suite_graded_powers(seed: int = DEFAULT_SEED, count: int = 100, workers: int
         GradedDim({0: 4, 1: 4}),
         GradedDim({-1: 3, 0: 2, 3: 3}),
     ]
-    all_spaces = [
-        GradedDim(zip(sweep_degrees, dims))
-        for dims in itertools.product(range(sweep_total + 1), repeat=len(sweep_degrees))
-        if sum(dims) <= sweep_total
-    ]
     sweep = [
         (space, k)
-        for space in all_spaces + edge_spaces
+        for space in [*_all_spaces(sweep_degrees, sweep_total), *edge_spaces]
         for k in range(oracle.POWER_EXPONENT_BOUND + 1)
     ]
     rng = random.Random(seed)
@@ -373,11 +382,11 @@ def _reference_mismatch(cell: dict, seen: dict[int, oracle.Orbit]) -> dict | Non
     n, e, f = cell["n"], cell["e"], cell["f"]
     for i in sorted(seen):
         pair = standard_pair(e, f, i)
-        first, second = list(pair.first_indices()), list(pair.second_indices())
+        first, second = pair.first_indices(), pair.second_indices()
         if (pair.overlap(), len(first), len(second)) != (i, e, f) or (
             n <= 5 and _orbit_of(n, pair) != seen[i].representative
         ):
-            return {**cell, "i": i, "pair": [first, second]}
+            return {**cell, "i": i, "pair": [list(first), list(second)]}
     return None
 
 
