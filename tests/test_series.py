@@ -158,6 +158,44 @@ def test_int_pow_unit_constants_stay_silent():
         (-1 + TruncSeries.variable("Q", ORDERS)).int_pow(-2)
 
 
+
+def local_product(a, b, top):
+    """Truncated product of two coefficient dicts, without TruncSeries."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if all(e < o for e, o in zip(exps, top)):
+                out[exps] = out.get(exps, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("c0", [1, -1, 2, Fraction(1, 3), 0])
+def test_int_pow_matches_local_convolution(seed, c0):
+    rng = random.Random(seed)
+    orders = {"Q": rng.randint(2, 5), "u": rng.randint(1, 3), "v": rng.randint(1, 3)}
+    top = tuple(orders[name] for name in VARIABLES)
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.randrange(o) for o in top)
+        coeffs[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    coeffs[(0, 0, 0)] = c0
+    s = TruncSeries(orders, coeffs)
+    base = dict(s.terms())
+    power = {(0, 0, 0): Fraction(1)}
+    for a in range(5):
+        assert dict(s.int_pow(a).terms()) == power
+        power = local_product(power, base, top)
+    if c0 == 0:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitWarning)
+        for a in (-1, -2, -3):
+            inverse, direct = dict(s.int_pow(a).terms()), dict(s.int_pow(-a).terms())
+            assert local_product(inverse, direct, top) == {(0, 0, 0): 1}
+
+
 # -- exp ----------------------------------------------------------------------
 
 
