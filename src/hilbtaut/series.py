@@ -10,7 +10,7 @@ or truncating either side.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
 VARIABLES = ("Q", "u", "v")
@@ -75,10 +75,6 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, orders: Mapping[str, int]) -> "TruncSeries":
-        return cls(orders)
 
     @classmethod
     def const(cls, value: Fraction | int, orders: Mapping[str, int]) -> "TruncSeries":
@@ -208,17 +204,21 @@ class TruncSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        orders = self.orders
         out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in rhs._coeffs.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                if any(e >= o for e, o in zip(exps, orders)):
-                    continue
-                out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+        self._add_products(out, self._coeffs.items(), rhs._coeffs.items())
         return self._raw(out)
 
     __rmul__ = __mul__
+
+    def _add_products(self, out: dict, left: Iterable, right: Iterable) -> None:
+        # adds every product of a term of left and a term of right into
+        # out, dropping exponents past the orders (right is re-iterated)
+        oq, ou, ov = self.orders
+        for (q1, u1, v1), c1 in left:
+            for (q2, u2, v2), c2 in right:
+                q, u, v = q1 + q2, u1 + u2, v1 + v2
+                if q < oq and u < ou and v < ov:
+                    out[q, u, v] = out.get((q, u, v), 0) + c1 * c2
 
     def _raw(self, coeffs: dict[Exponents, Fraction]) -> "TruncSeries":
         # internal constructor bypassing per-term validation
@@ -227,55 +227,72 @@ class TruncSeries:
         object.__setattr__(result, "_coeffs", {e: c for e, c in coeffs.items() if c})
         return result
 
-    def _total_degree_bound(self) -> int:
-        # a series with zero constant term nilpotent: every monomial has
-        # total degree >= 1, and total degree is capped by the sum below
-        return sum(o - 1 for o in self.orders)
+    def _degree_recurrence(
+        self,
+        start: Fraction,
+        weight: Callable[[int, int], int],
+        divisor: Callable[[int], Fraction | int],
+    ) -> "TruncSeries":
+        # R with R_0 = start and, for every total degree d >= 1,
+        #   divisor(d) R_d = sum_{j=1..d} weight(d, j) S_j R_{d-j},
+        # where S_j, R_d are the parts of total degree j, d of S = self
+        # and R.  Truncation is by a monomial ideal, which the Euler
+        # operator preserves, so dropping every exponent past its order
+        # at each step is exact.
+        top = sum(o - 1 for o in self.orders)
+        by_degree: list[list[tuple[Exponents, Fraction]]] = [[] for _ in range(top + 1)]
+        for exps, coeff in self._coeffs.items():
+            by_degree[sum(exps)].append((exps, coeff))
+        weighted: dict[tuple[int, int], list[tuple[Exponents, Fraction]]] = {}
+        parts: list[dict[Exponents, Fraction]] = [{(0, 0, 0): start}]
+        for d in range(1, top + 1):
+            part: dict[Exponents, Fraction] = {}
+            for j in range(1, d + 1):
+                w = weight(d, j)
+                if not w or not by_degree[j]:
+                    continue
+                if (j, w) not in weighted:
+                    weighted[j, w] = [(e, w * c) for e, c in by_degree[j]]
+                self._add_products(part, weighted[j, w], parts[d - j].items())
+            div = divisor(d)
+            parts.append({e: c / div for e, c in part.items() if c})
+        return self._raw({e: c for part in parts for e, c in part.items()})
 
     def int_pow(self, exponent: int) -> "TruncSeries":
         """Integer power; negative exponents invert the truncated series.
 
-        Inversion needs a nonzero constant term.  A constant term other
-        than 1 or -1 still inverts exactly over the rationals but is
-        usually a sign of a misderived formula, so it warns.
+        With a nonzero constant term c, R = self^a satisfies
+        self E(R) = a E(self) R for the Euler operator E of ``exp``, so
+
+            c d R_d = sum_{j=1..d} ((a + 1) j - d) S_j R_{d-j},   R_0 = c^a,
+
+        for every integer a.  Inversion needs a nonzero constant term; a
+        constant term other than 1 or -1 still inverts exactly over the
+        rationals but is usually a sign of a misderived formula, so it
+        warns.  A zero constant term takes a repeated product, which
+        stops once the power is zero.
         """
         if not isinstance(exponent, int):
             raise TypeError(f"exponent must be int, got {exponent!r}")
-        one = TruncSeries.const(1, dict(zip(VARIABLES, self.orders)))
-        if exponent == 0:
-            return one
-        if exponent < 0:
-            c0 = self.constant_term()
-            if c0 == 0:
-                raise SeriesDomainError(
-                    "cannot invert a series with zero constant term"
-                )
-            if c0 not in (1, -1):
-                warnings.warn(
-                    f"inverting a series with constant term {c0}",
-                    NonUnitWarning,
-                    stacklevel=2,
-                )
-            # geometric series in x = 1 - self/c0, which is nilpotent
-            x = one - self * Fraction(1, c0)
-            geom = one
-            power = one
-            for _ in range(x._total_degree_bound()):
-                power = power * x
-                if not power:
+        c0 = self.constant_term()
+        if c0 == 0:
+            if exponent < 0:
+                raise SeriesDomainError("cannot invert a series with zero constant term")
+            out = TruncSeries.const(1, dict(zip(VARIABLES, self.orders)))
+            for _ in range(exponent):
+                if not out:
                     break
-                geom = geom + power
-            base = geom * Fraction(1, c0)
-            exponent = -exponent
-        else:
-            base = self
-        out = one
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
+                out = out * self
+            return out
+        if exponent < 0 and c0 not in (1, -1):
+            warnings.warn(
+                f"inverting a series with constant term {c0}",
+                NonUnitWarning,
+                stacklevel=2,
+            )
+        return self._degree_recurrence(
+            c0**exponent, lambda d, j: (exponent + 1) * j - d, lambda d: c0 * d
+        )
 
     def exp(self) -> "TruncSeries":
         """Exponential; requires zero constant term.
@@ -285,36 +302,10 @@ class TruncSeries:
         variables) multiplies degree-d parts by d and is a derivation,
         so E(F) = E(G) F gives the recurrence
 
-            d F_d = sum_{j=1..d} j G_j F_{d-j},   F_0 = 1,
-
-        computed here on coefficient dicts.  Truncation is by a monomial
-        ideal, which the Euler operator preserves, so dropping every
-        exponent past its order at each step is exact.
+            d F_d = sum_{j=1..d} j G_j F_{d-j},   F_0 = 1.
         """
         if self.constant_term() != 0:
             raise SeriesDomainError(
                 f"exp needs zero constant term, got {self.constant_term()}"
             )
-        orders = self.orders
-        top = self._total_degree_bound()
-        # j G_j for every degree j, as (exponents, coefficient) pairs
-        weighted: list[list[tuple[Exponents, Fraction]]] = [[] for _ in range(top + 1)]
-        for exps, coeff in self._coeffs.items():
-            degree = sum(exps)
-            weighted[degree].append((exps, degree * coeff))
-        parts: list[dict[Exponents, Fraction]] = [{(0, 0, 0): Fraction(1)}]
-        for d in range(1, top + 1):
-            part: dict[Exponents, Fraction] = {}
-            for j in range(1, d + 1):
-                for e1, c1 in weighted[j]:
-                    for e2, c2 in parts[d - j].items():
-                        exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                        if (
-                            exps[0] >= orders[0]
-                            or exps[1] >= orders[1]
-                            or exps[2] >= orders[2]
-                        ):
-                            continue
-                        part[exps] = part.get(exps, 0) + c1 * c2
-            parts.append({e: c / d for e, c in part.items() if c})
-        return self._raw({e: c for part in parts for e, c in part.items()})
+        return self._degree_recurrence(Fraction(1), lambda d, j: j, lambda d: d)

@@ -62,8 +62,8 @@ def test_unused_variables_default_to_order_one():
 
 def test_variable_at_order_one_is_zero():
     # x = 0 modulo x^1, so a variable truncated away is the zero series
-    assert TruncSeries.variable("u", {"Q": 3}) == TruncSeries.zero({"Q": 3})
-    assert TruncSeries.variable("Q", {"Q": 1, "u": 2}) == TruncSeries.zero({"u": 2})
+    assert TruncSeries.variable("u", {"Q": 3}) == TruncSeries({"Q": 3})
+    assert TruncSeries.variable("Q", {"Q": 1, "u": 2}) == TruncSeries({"u": 2})
 
 
 def test_unknown_variable_name_rejected():
@@ -207,7 +207,7 @@ def test_exp_requires_zero_constant():
 
 def test_exp_of_harmonic_sum_is_geometric():
     q = TruncSeries.variable("Q", ORDERS)
-    arg = TruncSeries.zero(ORDERS)
+    arg = TruncSeries(ORDERS)
     for r in range(1, 5):
         arg = arg + Fraction(1, r) * q.int_pow(r)
     assert arg.exp() == geom()
@@ -261,7 +261,7 @@ def test_str_orders_terms_lexicographically():
 
 
 def test_zero_renders_as_zero():
-    assert str(TruncSeries.zero(ORDERS)) == "0"
+    assert str(TruncSeries(ORDERS)) == "0"
 
 
 def test_to_jsonable_shape():
@@ -294,7 +294,7 @@ def test_ring_laws(a, b, c):
     assert pa * pb == pb * pa
     assert pa * (pb + pc) == pa * pb + pa * pc
     assert (pa * pb) * pc == pa * (pb * pc)
-    assert pa - pa == TruncSeries.zero(ORDERS)
+    assert pa - pa == TruncSeries(ORDERS)
 
 
 @settings(max_examples=30)
