@@ -16,7 +16,6 @@ import itertools
 import math
 import random
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import formulas, geometry, oracle
@@ -58,6 +57,10 @@ def _verdict(suite: str, seed: int | None, bounds: dict, checks: list[dict]) -> 
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: the pool loads multiprocessing and logging, which
+    # no other command needs at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -391,10 +395,22 @@ def test_table_starts_no_process_pool(capsys, monkeypatch):
     args = ["table", "--formula", "Extwedgewedge", "--surface", "k3.json",
             "--n", "1..3", "--k", "0..n", "--l", "0..n"]
     _, expected, _ = run_cli(capsys, *args, "--workers", "1")
-    monkeypatch.setattr("hilbtaut.verify.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     code, out, err = run_cli(capsys, *args, "--workers", "3")
     assert code == 0 and err == ""
     assert out == expected
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only verify --workers >= 2 needs concurrent.futures (and through it
+    # multiprocessing and logging), so a plain start must not import it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, hilbtaut.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 # -- verify command -----------------------------------------------------------------

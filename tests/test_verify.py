@@ -44,7 +44,7 @@ def test_parallel_map_caps_the_pool_at_the_item_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
     assert parallel_map(abs, [-1, 2, -3], 64) == [1, 2, 3]
     assert sizes == [3]
 
