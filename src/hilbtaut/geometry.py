@@ -121,7 +121,9 @@ def rr_chi(surface: SurfaceData, line: LineBundleClass) -> int:
     numerator = pairing(surface, line, line) - pairing(surface, line, canonical)
     quot, rem = divmod(numerator, 2)
     if rem:
-        raise NonIntegralError("non-integral Riemann-Roch; check gram/canonical")
+        raise NonIntegralError(
+            f"non-integral Riemann-Roch: D.D - D.K = {numerator} is odd; check gram/canonical"
+        )
     return surface.chi_o + quot
 
 
@@ -332,6 +334,13 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
         cohomology=cohomology,
         chi_omega=chi_omega,
     )
+    # (A - B)^2 - (A - B).K is congruent to (A^2 - A.K) + (B^2 - B.K) mod 2,
+    # so even bundles make every Hom class a key or role forms integral
+    for name, line in bundles.items():
+        try:
+            rr_chi(surface, line)
+        except NonIntegralError as exc:
+            raise ConfigError(f"surface.bundles[{name!r}]: {exc}") from None
     for key, table in cohomology.items():
         try:
             cls = _hom_class(surface, *_key_bundles(key))

@@ -256,6 +256,29 @@ def test_table_rejects_a_curve_bundle_of_rank_below_one_naming_its_key(capsys, t
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--formula", "cohF", "--F", "H", "--n", "1"],
+        ["table", "--formula", "rank3_check"],
+        ["series", "--formula", "tensor_euler", "--F", "H", "--n-max", "1"],
+    ],
+    ids=["table_cohF", "table_rank3_check", "series_tensor_euler"],
+)
+def test_an_odd_bundle_is_rejected_at_load_naming_its_key(capsys, tmp_path, argv):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"surface": {
+        "chi_O": 1, "picard_rank": 1, "gram": [[3]], "canonical": [0],
+        "bundles": {"H": [1]}, "chi_Omega": 0,
+    }}))
+    code, out, err = run_cli(capsys, *argv, "--surface", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: surface.bundles['H']: non-integral Riemann-Roch: "
+        "D.D - D.K = 3 is odd; check gram/canonical\n"
+    )
+
+
+@pytest.mark.parametrize(
     "files, fragment",
     [
         ({"profile.json": b'{"surface": "profile.json"}'}, "references itself"),
