@@ -121,9 +121,7 @@ def rr_chi(surface: SurfaceData, line: LineBundleClass) -> int:
     numerator = pairing(surface, line, line) - pairing(surface, line, canonical)
     quot, rem = divmod(numerator, 2)
     if rem:
-        raise NonIntegralError(
-            f"non-integral Riemann-Roch: D.D - D.K = {numerator} is odd; check gram/canonical"
-        )
+        raise NonIntegralError(f"non-integral Riemann-Roch: D.D - D.K = {numerator} is odd")
     return surface.chi_o + quot
 
 

@@ -228,13 +228,10 @@ class TruncSeries:
         return result
 
     def _degree_recurrence(
-        self,
-        start: Fraction,
-        weight: Callable[[int, int], int],
-        divisor: Callable[[int], Fraction | int],
+        self, start: Fraction, lead: Fraction | int, weight: Callable[[int, int], int]
     ) -> "TruncSeries":
         # R with R_0 = start and, for every total degree d >= 1,
-        #   divisor(d) R_d = sum_{j=1..d} weight(d, j) S_j R_{d-j},
+        #   lead d R_d = sum_{j=1..d} weight(d, j) S_j R_{d-j},
         # where S_j, R_d are the parts of total degree j, d of S = self
         # and R.  Truncation is by a monomial ideal, which the Euler
         # operator preserves, so dropping every exponent past its order
@@ -254,7 +251,7 @@ class TruncSeries:
                 if (j, w) not in weighted:
                     weighted[j, w] = [(e, w * c) for e, c in by_degree[j]]
                 self._add_products(part, weighted[j, w], parts[d - j].items())
-            div = divisor(d)
+            div = lead * d
             parts.append({e: c / div for e, c in part.items() if c})
         return self._raw({e: c for part in parts for e, c in part.items()})
 
@@ -290,9 +287,7 @@ class TruncSeries:
                 NonUnitWarning,
                 stacklevel=2,
             )
-        return self._degree_recurrence(
-            c0**exponent, lambda d, j: (exponent + 1) * j - d, lambda d: c0 * d
-        )
+        return self._degree_recurrence(c0**exponent, c0, lambda d, j: (exponent + 1) * j - d)
 
     def exp(self) -> "TruncSeries":
         """Exponential; requires zero constant term.
@@ -308,4 +303,4 @@ class TruncSeries:
             raise SeriesDomainError(
                 f"exp needs zero constant term, got {self.constant_term()}"
             )
-        return self._degree_recurrence(Fraction(1), lambda d, j: j, lambda d: d)
+        return self._degree_recurrence(Fraction(1), 1, lambda d, j: j)

@@ -57,10 +57,8 @@ def _verdict(suite: str, seed: int | None, bounds: dict, checks: list[dict]) -> 
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    # imported here: the pool loads multiprocessing and logging, which
-    # no other command needs at start-up
+    # imported here: only a pool needs multiprocessing and logging loaded
     from concurrent.futures import ProcessPoolExecutor
-
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 

@@ -274,7 +274,7 @@ def test_an_odd_bundle_is_rejected_at_load_naming_its_key(capsys, tmp_path, argv
     assert code == 2 and out == ""
     assert err == (
         "error: surface.bundles['H']: non-integral Riemann-Roch: "
-        "D.D - D.K = 3 is odd; check gram/canonical\n"
+        "D.D - D.K = 3 is odd\n"
     )
 
 
