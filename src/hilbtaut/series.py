@@ -212,7 +212,7 @@ class TruncSeries:
 
     def _add_products(self, out: dict, left: Iterable, right: Iterable) -> None:
         # adds every product of a term of left and a term of right into
-        # out, dropping exponents past the orders (right is re-iterated)
+        # out, dropping exponents past the orders; right must be re-iterable
         oq, ou, ov = self.orders
         for (q1, u1, v1), c1 in left:
             for (q2, u2, v2), c2 in right:
@@ -266,8 +266,8 @@ class TruncSeries:
         for every integer a.  Inversion needs a nonzero constant term; a
         constant term other than 1 or -1 still inverts exactly over the
         rationals but is usually a sign of a misderived formula, so it
-        warns.  A zero constant term takes a repeated product, which
-        stops once the power is zero.
+        warns.  With a zero constant term, a power a >= 0 is a repeated
+        product, which stops once it is zero.
         """
         if not isinstance(exponent, int):
             raise TypeError(f"exponent must be int, got {exponent!r}")
