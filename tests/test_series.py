@@ -158,7 +158,6 @@ def test_int_pow_unit_constants_stay_silent():
         (-1 + TruncSeries.variable("Q", ORDERS)).int_pow(-2)
 
 
-
 def local_product(a, b, top):
     """Truncated product of two coefficient dicts, without TruncSeries."""
     out = {}
