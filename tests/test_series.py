@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -212,15 +213,20 @@ def test_exp_of_harmonic_sum_is_geometric():
     assert arg.exp() == geom()
 
 
-def reference_exp(g):
-    """exp as the power sum of G^m / m!, stopping once G^m truncates to 0."""
-    out = power = TruncSeries.const(1, dict(zip(VARIABLES, g.orders)))
+def local_exp(base, top):
+    """exp of a coefficient dict with zero constant term, without TruncSeries:
+    the power sum of G^m / m!, stopping once G^m truncates to 0."""
+    out = power = {(0, 0, 0): Fraction(1)}
     m = 0
     while power:
         m += 1
-        power = power * g * Fraction(1, m)
-        out = out + power
-    return out
+        power = {e: c / m for e, c in local_product(power, base, top).items()}
+        out = {e: out.get(e, 0) + power.get(e, 0) for e in out.keys() | power.keys()}
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_exp(g):
+    return TruncSeries(dict(zip(VARIABLES, g.orders)), local_exp(dict(g.terms()), g.orders))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -237,6 +243,41 @@ def test_exp_recurrence_matches_power_sum(seed):
     coeffs[(1, 1, 1)] = Fraction(rng.randint(1, 5), 2)  # all three variables at once
     g = TruncSeries(orders, coeffs)
     assert g.exp() == reference_exp(g)
+
+
+def random_coeffs(rng, top, integral):
+    coeffs = {}
+    for _ in range(rng.randint(2, 7)):
+        exps = tuple(rng.randrange(o) for o in top)
+        num = rng.randint(-6, 6)
+        coeffs[exps] = num if integral else Fraction(num, rng.randint(1, 4))
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("integral", [True, False], ids=["integral", "fractional"])
+def test_exp_and_mul_match_local_reference(seed, integral):
+    rng = random.Random(seed)
+    orders = {"Q": rng.randint(2, 6), "u": rng.randint(1, 4), "v": rng.randint(1, 4)}
+    top = tuple(orders[name] for name in VARIABLES)
+    a = TruncSeries(orders, random_coeffs(rng, top, integral))
+    b = TruncSeries(orders, random_coeffs(rng, top, integral))
+    assert dict((a * b).terms()) == local_product(dict(a.terms()), dict(b.terms()), top)
+    g = TruncSeries(orders, {e: c for e, c in a.terms() if e != (0, 0, 0)})
+    assert dict(g.exp().terms()) == local_exp(dict(g.terms()), top)
+
+
+@pytest.mark.parametrize("scale, monomial", [(1, (1, 0, 0)), (2, (1, 1, 0))])
+def test_exp_of_an_integral_monomial_has_fractional_coefficients(scale, monomial):
+    # exp(c m) = sum_d c^d m^d / d!: integral input, but the division by d
+    # leaves a remainder from d = 2 on
+    orders = {"Q": 7, "u": 7}
+    g = TruncSeries(orders, {monomial: scale})
+    expected = {
+        tuple(d * e for e in monomial): Fraction(scale**d, math.factorial(d)) for d in range(7)
+    }
+    assert dict(g.exp().terms()) == expected
+    assert dict(g.exp().terms()) == local_exp(dict(g.terms()), g.orders)
 
 
 def test_exp_is_multiplicative():
