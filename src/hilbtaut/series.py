@@ -1,6 +1,10 @@
 """Truncated power series in the fixed variable set Q, u, v.
 
-Coefficients are exact rationals.  Every series carries one truncation
+Coefficients are exact rationals.  Inside a series an integral
+coefficient is held as an int and any other as a Fraction; the two mix
+exactly, and the generating functions this package expands have
+integral coefficients, so their arithmetic runs on ints.  The public
+accessors return Fraction either way.  Every series carries one truncation
 order per variable; exponents greater than or equal to the order are
 discarded, so an order of 1 means the variable never appears.  Binary
 operations insist on identical orders rather than silently extending
@@ -16,6 +20,7 @@ from fractions import Fraction
 VARIABLES = ("Q", "u", "v")
 
 Exponents = tuple[int, int, int]
+Coeff = int | Fraction
 
 
 class OrderMismatchError(ValueError):
@@ -43,8 +48,22 @@ def _normalize_orders(orders: Mapping[str, int]) -> tuple[int, int, int]:
     return tuple(out)
 
 
+def _narrow(value: Coeff) -> Coeff:
+    # an integral value as an int, any other as it is
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(value: Coeff, div: Coeff) -> Coeff:
+    # value / div, exactly; an int wherever it is integral
+    if type(value) is int and type(div) is int:
+        q, r = divmod(value, div)
+        if not r:
+            return q
+    return _narrow(Fraction(value, div))
+
+
 class TruncSeries:
-    """A truncated series with Fraction coefficients.
+    """A truncated series with exact rational coefficients.
 
     Instances are immutable.  ``orders`` maps variable name to
     truncation order; unnamed variables get order 1.
@@ -55,10 +74,10 @@ class TruncSeries:
     def __init__(
         self,
         orders: Mapping[str, int],
-        coeffs: Mapping[Exponents, Fraction | int] | None = None,
+        coeffs: Mapping[Exponents, Coeff] | None = None,
     ):
         object.__setattr__(self, "orders", _normalize_orders(orders))
-        store: dict[Exponents, Fraction] = {}
+        store: dict[Exponents, Coeff] = {}
         for exps, value in (coeffs or {}).items():
             if len(exps) != 3 or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r}")
@@ -68,8 +87,8 @@ class TruncSeries:
                 )
             value = Fraction(value)
             if value:
-                store[tuple(exps)] = store.get(tuple(exps), Fraction(0)) + value
-        object.__setattr__(self, "_coeffs", {e: c for e, c in store.items() if c})
+                store[tuple(exps)] = store.get(tuple(exps), 0) + value
+        object.__setattr__(self, "_coeffs", {e: _narrow(c) for e, c in store.items() if c})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncSeries is immutable")
@@ -77,8 +96,8 @@ class TruncSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def const(cls, value: Fraction | int, orders: Mapping[str, int]) -> "TruncSeries":
-        return cls(orders, {(0, 0, 0): Fraction(value)})
+    def const(cls, value: Coeff, orders: Mapping[str, int]) -> "TruncSeries":
+        return cls(orders, {(0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str, orders: Mapping[str, int]) -> "TruncSeries":
@@ -87,7 +106,7 @@ class TruncSeries:
         if orders.get(name, 1) == 1:
             return cls(orders)  # x = 0 modulo x^1
         exps = tuple(1 if n == name else 0 for n in VARIABLES)
-        return cls(orders, {exps: Fraction(1)})
+        return cls(orders, {exps: 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -108,14 +127,14 @@ class TruncSeries:
                 raise ValueError(
                     f"coefficient of {name}^{e} lies beyond truncation order {o}"
                 )
-        return self._coeffs.get(exps, Fraction(0))
+        return Fraction(self._coeffs.get(exps, 0))
 
     def terms(self) -> list[tuple[Exponents, Fraction]]:
         """Nonzero terms sorted lexicographically by exponents."""
-        return sorted(self._coeffs.items())
+        return [(e, Fraction(c)) for e, c in sorted(self._coeffs.items())]
 
     def constant_term(self) -> Fraction:
-        return self._coeffs.get((0, 0, 0), Fraction(0))
+        return Fraction(self._coeffs.get((0, 0, 0), 0))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -180,7 +199,7 @@ class TruncSeries:
             return NotImplemented
         out = dict(self._coeffs)
         for exps, coeff in rhs._coeffs.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
+            out[exps] = out.get(exps, 0) + coeff
         return self._raw(out)
 
     __radd__ = __add__
@@ -204,7 +223,7 @@ class TruncSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         self._add_products(out, self._coeffs.items(), rhs._coeffs.items())
         return self._raw(out)
 
@@ -220,39 +239,44 @@ class TruncSeries:
                 if q < oq and u < ou and v < ov:
                     out[q, u, v] = out.get((q, u, v), 0) + c1 * c2
 
-    def _raw(self, coeffs: dict[Exponents, Fraction]) -> "TruncSeries":
+    def _raw(self, coeffs: dict[Exponents, Coeff]) -> "TruncSeries":
         # internal constructor bypassing per-term validation
         result = object.__new__(TruncSeries)
         object.__setattr__(result, "orders", self.orders)
-        object.__setattr__(result, "_coeffs", {e: c for e, c in coeffs.items() if c})
+        object.__setattr__(
+            result, "_coeffs", {e: _narrow(c) for e, c in coeffs.items() if c}
+        )
         return result
 
     def _degree_recurrence(
-        self, start: Fraction, lead: Fraction | int, weight: Callable[[int, int], int]
+        self, start: Coeff, lead: Coeff, weight: Callable[[int, int], int]
     ) -> "TruncSeries":
         # R with R_0 = start and, for every total degree d >= 1,
         #   lead d R_d = sum_{j=1..d} weight(d, j) S_j R_{d-j},
         # where S_j, R_d are the parts of total degree j, d of S = self
         # and R.  Truncation is by a monomial ideal, which the Euler
         # operator preserves, so dropping every exponent past its order
-        # at each step is exact.
+        # at each step is exact.  Integral values stay ints, and the
+        # division by lead d stays in ints wherever it is exact (exp(Q)
+        # has coefficients 1/d!, so it is not always).
+        start, lead = _narrow(start), _narrow(lead)
         top = sum(o - 1 for o in self.orders)
-        by_degree: list[list[tuple[Exponents, Fraction]]] = [[] for _ in range(top + 1)]
+        by_degree: list[list[tuple[Exponents, Coeff]]] = [[] for _ in range(top + 1)]
         for exps, coeff in self._coeffs.items():
             by_degree[sum(exps)].append((exps, coeff))
-        weighted: dict[tuple[int, int], list[tuple[Exponents, Fraction]]] = {}
-        parts: list[dict[Exponents, Fraction]] = [{(0, 0, 0): start}]
+        weighted: dict[tuple[int, int], list[tuple[Exponents, Coeff]]] = {}
+        parts: list[dict[Exponents, Coeff]] = [{(0, 0, 0): start}]
         for d in range(1, top + 1):
-            part: dict[Exponents, Fraction] = {}
+            part: dict[Exponents, Coeff] = {}
             for j in range(1, d + 1):
                 w = weight(d, j)
                 if not w or not by_degree[j]:
                     continue
                 if (j, w) not in weighted:
-                    weighted[j, w] = [(e, w * c) for e, c in by_degree[j]]
+                    weighted[j, w] = [(e, _narrow(w * c)) for e, c in by_degree[j]]
                 self._add_products(part, weighted[j, w], parts[d - j].items())
             div = lead * d
-            parts.append({e: c / div for e, c in part.items() if c})
+            parts.append({e: _quotient(c, div) for e, c in part.items() if c})
         return self._raw({e: c for part in parts for e, c in part.items()})
 
     def int_pow(self, exponent: int) -> "TruncSeries":
@@ -303,4 +327,4 @@ class TruncSeries:
             raise SeriesDomainError(
                 f"exp needs zero constant term, got {self.constant_term()}"
             )
-        return self._degree_recurrence(Fraction(1), 1, lambda d, j: j)
+        return self._degree_recurrence(1, 1, lambda d, j: j)

@@ -312,6 +312,33 @@ def test_to_jsonable_shape():
     assert {"monomial": "Q^1", "coeff": "2"} in data["terms"]
 
 
+@pytest.mark.parametrize("integral", [True, False], ids=["integral", "fractional"])
+def test_public_coefficients_are_fractions(integral):
+    orders = {"Q": 4, "u": 3, "v": 2}
+    scale = 1 if integral else Fraction(1, 3)
+    a = TruncSeries(orders, {(0, 0, 0): 1, (1, 0, 0): 2 * scale, (1, 1, 1): -3 * scale})
+    b = TruncSeries(orders, {(0, 0, 0): -1, (1, 1, 0): 5 * scale, (2, 0, 1): scale})
+    results = [a + b, a - b, a * b, (a - 1).exp()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitWarning)
+        results += [a.int_pow(e) for e in range(-3, 5)]
+    for series in results:
+        assert type(series.constant_term()) is Fraction
+        assert all(type(c) is Fraction for _, c in series.terms())
+        assert type(series.coeff(Q=1)) is Fraction
+        assert type(series.coeff(Q=3, u=2, v=1)) is Fraction
+
+
+def test_integral_coefficient_given_as_int_or_fraction_is_one_series():
+    orders = {"Q": 3, "u": 2}
+    plain = TruncSeries(orders, {(0, 0, 0): 5, (1, 1, 0): -2})
+    wrapped = TruncSeries(orders, {(0, 0, 0): Fraction(5), (1, 1, 0): Fraction(-4, 2)})
+    assert plain == wrapped
+    assert hash(plain) == hash(wrapped)
+    assert str(plain) == str(wrapped) == "5 + -2 * Q^1 u^1"
+    assert plain.to_jsonable() == wrapped.to_jsonable()
+
+
 # -- algebraic laws -----------------------------------------------------------
 
 coeff_lists = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4)
