@@ -4,11 +4,13 @@ Coefficients are exact rationals.  Inside a series an integral
 coefficient is held as an int and any other as a Fraction; the two mix
 exactly, and the generating functions this package expands have
 integral coefficients, so their arithmetic runs on ints.  The public
-accessors return Fraction either way.  Every series carries one truncation
-order per variable; exponents greater than or equal to the order are
-discarded, so an order of 1 means the variable never appears.  Binary
-operations insist on identical orders rather than silently extending
-or truncating either side.
+accessors return Fraction either way.
+
+Every series carries one truncation order per variable; exponents
+greater than or equal to the order are discarded, so an order of 1
+means the variable never appears.  Binary operations insist on
+identical orders rather than silently extending or truncating either
+side.
 """
 
 from __future__ import annotations

@@ -269,8 +269,8 @@ def test_exp_and_mul_match_local_reference(seed, integral):
 
 @pytest.mark.parametrize("scale, monomial", [(1, (1, 0, 0)), (2, (1, 1, 0))])
 def test_exp_of_an_integral_monomial_has_fractional_coefficients(scale, monomial):
-    # exp(c m) = sum_d c^d m^d / d!: integral input, but the division by d
-    # leaves a remainder from d = 2 on
+    # exp(c m) = sum_d c^d m^d / d!: integral input, but the exact division
+    # by d leaves a remainder (at d = 2 for exp(Q), at d = 3 for exp(2 Q u))
     orders = {"Q": 7, "u": 7}
     g = TruncSeries(orders, {monomial: scale})
     expected = {
