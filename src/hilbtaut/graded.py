@@ -156,11 +156,14 @@ def s_scalar(k: int, chi: int) -> int:
     return quot
 
 
-def _power_layers(k: int, space: GradedDim, sym: bool) -> GradedDim:
-    # Coefficient of z^k in the product over degrees d of the z-expansion
-    # of the d-th layer.  For sym: even layers contribute (1-z t^d)^(-m)
-    # and odd layers (1+z t^d)^m; for wedge the roles swap.  Layers are
-    # dicts degree -> coefficient, indexed by z-power, truncated past z^k.
+def _power_layers(k: int, space: GradedDim, sym: bool) -> list[dict[int, int] | None]:
+    # Coefficients of z^0..z^k in the product over degrees d of the
+    # z-expansion of the d-th layer.  For sym: even layers contribute
+    # (1-z t^d)^(-m) and odd layers (1+z t^d)^m; for wedge the roles swap.
+    # Layers are dicts degree -> coefficient, indexed by z-power, truncated
+    # past z^k; None stands for a zero layer.  Negative k gives no layers.
+    if k < 0:
+        return []
     layers: list[dict[int, int] | None] = [None] * (k + 1)
     layers[0] = {0: 1}
     for d, m in space.items():
@@ -187,8 +190,7 @@ def _power_layers(k: int, space: GradedDim, sym: bool) -> GradedDim:
                     key = deg + d * b
                     tgt[key] = tgt.get(key, 0) + coeff * c
         layers = new
-    top = layers[k]
-    return GradedDim(top or {})
+    return layers
 
 
 def sym_power(k: int, space: GradedDim) -> GradedDim:
@@ -199,7 +201,7 @@ def sym_power(k: int, space: GradedDim) -> GradedDim:
     """
     if k < 0:
         return ZERO
-    return _power_layers(k, space, sym=True)
+    return GradedDim(_power_layers(k, space, sym=True)[k] or {})
 
 
 def wedge_power(k: int, space: GradedDim) -> GradedDim:
@@ -210,4 +212,20 @@ def wedge_power(k: int, space: GradedDim) -> GradedDim:
     """
     if k < 0:
         return ZERO
-    return _power_layers(k, space, sym=False)
+    return GradedDim(_power_layers(k, space, sym=False)[k] or {})
+
+
+def sym_powers(k: int, space: GradedDim) -> list[GradedDim]:
+    """The powers sym_power(j, V) for j = 0..k, from one pass over V.
+
+    Negative k gives the empty list.
+    """
+    return [GradedDim(layer or {}) for layer in _power_layers(k, space, sym=True)]
+
+
+def wedge_powers(k: int, space: GradedDim) -> list[GradedDim]:
+    """The powers wedge_power(j, V) for j = 0..k, from one pass over V.
+
+    Negative k gives the empty list.
+    """
+    return [GradedDim(layer or {}) for layer in _power_layers(k, space, sym=False)]

@@ -16,8 +16,10 @@ from hilbtaut.graded import (
     lambda_scalar,
     s_scalar,
     sym_power,
+    sym_powers,
     tensor_all,
     wedge_power,
+    wedge_powers,
 )
 from hilbtaut.oracle import oracle_sym_power, oracle_wedge_power
 
@@ -189,6 +191,24 @@ def test_powers_agree_with_enumeration(space, k):
 def test_power_euler_factors_through_scalars(space, k):
     assert sym_power(k, space).euler() == s_scalar(k, space.euler())
     assert wedge_power(k, space).euler() == lambda_scalar(k, space.euler())
+
+
+@settings(max_examples=60)
+@given(space=small_spaces, k=st.integers(min_value=0, max_value=6))
+def test_power_lists_hold_every_single_power(space, k):
+    syms = sym_powers(k, space)
+    wedges = wedge_powers(k, space)
+    assert len(syms) == len(wedges) == k + 1
+    for j in range(k + 1):
+        assert syms[j] == sym_power(j, space)
+        assert wedges[j] == wedge_power(j, space)
+
+
+@given(space=small_spaces)
+def test_power_lists_start_at_the_unit(space):
+    assert sym_powers(0, space) == [UNIT]
+    assert wedge_powers(0, space) == [UNIT]
+    assert sym_powers(-1, space) == wedge_powers(-1, space) == []
 
 
 def test_wedge_exhausts_purely_even_space():

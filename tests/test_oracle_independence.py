@@ -1,8 +1,9 @@
 """The oracle must stay independent of what it checks.
 
 ``oracle.py`` may import nothing from the closed formulas or the series
-layer, and must never name the closed power functions ``sym_power`` and
-``wedge_power``; its own powers come from basis enumeration.  The check
+layer, and must never name the closed power functions ``sym_power``,
+``wedge_power`` or their list forms ``sym_powers`` and ``wedge_powers``;
+its own powers come from basis enumeration.  The check
 reads the module's syntax tree, so it holds for every code path, not
 only the ones a test happens to run.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import hilbtaut.oracle
 
 FORBIDDEN_MODULES = {"formulas", "series"}
-FORBIDDEN_NAMES = {"sym_power", "wedge_power"}
+FORBIDDEN_NAMES = {"sym_power", "wedge_power", "sym_powers", "wedge_powers"}
 
 
 def _tree() -> ast.Module:
