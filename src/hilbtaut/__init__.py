@@ -20,6 +20,7 @@ from .formulas import (
     tensor_euler_series,
     tensor_euler_terms,
     w_hom,
+    w_hom_cells,
 )
 from .graded import GradedDim, lambda_scalar, s_scalar, sym_power, wedge_power
 from .series import TruncSeries
@@ -45,5 +46,6 @@ __all__ = [
     "tensor_euler_series",
     "tensor_euler_terms",
     "w_hom",
+    "w_hom_cells",
     "wedge_power",
 ]

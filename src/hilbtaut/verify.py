@@ -164,15 +164,13 @@ def _whom_family_task(task: tuple[int, int, int]) -> tuple[dict | None, dict | N
     spaces = _family_spaces(seed, index)
     common, first, second, rest = spaces
     averages = oracle.invariant_dim(nmax, *spaces)
+    closed_at = formulas.w_hom_cells(nmax, common, first, second, rest)
+    swapped_at = formulas.w_hom_cells(nmax, common, second, first, rest)
     oracle_bad = swap_bad = None
     for n in range(1, nmax + 1):
         for e, f in itertools.product(range(n + 1), repeat=2):
-            closed = formulas.w_hom(formulas.WHomInput(
-                n=n, e=e, f=f, hom_ef=common, coh_e_dual=first, coh_f=second, coh_o=rest,
-            ))
-            swapped = formulas.w_hom(formulas.WHomInput(
-                n=n, e=f, f=e, hom_ef=common, coh_e_dual=second, coh_f=first, coh_o=rest,
-            ))
+            closed = closed_at(n, e, f)
+            swapped = swapped_at(n, f, e)
             averaged = averages[n, e, f]
             if oracle_bad is None and closed != averaged:
                 oracle_bad = {

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbtaut import cli, formulas, oracle, verify
+from hilbtaut import cli, formulas, graded, oracle, verify
 from hilbtaut.cli import CSV_HEADER, UsageError, main, parse_range
 from hilbtaut.formulas import BicharInput
 from hilbtaut.graded import GradedDim
@@ -352,6 +352,43 @@ def test_table_expands_the_bichar_series_once_per_job(capsys, monkeypatch, n_ran
     assert calls == [5]
 
 
+def count_power_passes(monkeypatch):
+    """Record the top power k of every pass over a space's power layers."""
+    calls = []
+    layers = graded._power_layers
+
+    def counting(k, space, sym):
+        calls.append(k)
+        return layers(k, space, sym)
+
+    monkeypatch.setattr(graded, "_power_layers", counting)
+    return calls
+
+
+def test_table_runs_one_power_pass_per_slot_table(capsys, monkeypatch):
+    passes = count_power_passes(monkeypatch)
+    code, _, _ = run_cli(
+        capsys, "table", "--formula", "Extwedgewedge", "--surface", "k3.json",
+        "--K", "H", "--L", "H", "--n", "1..5", "--k", "0..n", "--l", "0..n",
+    )
+    assert code == 0
+    assert passes == [5, 5, 5, 5]
+
+
+def test_whom_oracle_runs_a_fixed_number_of_power_passes_per_family(capsys, monkeypatch):
+    passes = count_power_passes(monkeypatch)
+    counts = []
+    for nmax in ("2", "5"):
+        passes.clear()
+        code, _, _ = run_cli(
+            capsys, "verify", "--suite", "whom_oracle", "--count", "3", "--nmax", nmax
+        )
+        assert code == 0
+        assert set(passes) == {int(nmax)}
+        counts.append(len(passes))
+    assert counts == [3 * 8, 3 * 8]
+
+
 def test_table_resolves_chis_and_tables_once_per_job(capsys, monkeypatch):
     calls = []
     for name in ("variant_chis", "variant_tables"):
@@ -514,15 +551,19 @@ def test_whom_oracle_averages_each_family_once(capsys, monkeypatch):
 
 
 def alter_w_hom(monkeypatch, calls):
-    """Add one to ``w_hom`` at each listed ``(n, e, f, tables)`` call."""
-    closed_form = formulas.w_hom
+    """Add one to the ``w_hom`` cell at each listed ``(n, e, f, tables)``."""
+    closed_cells = formulas.w_hom_cells
 
-    def altered(inp):
-        value = closed_form(inp)
-        call = (inp.n, inp.e, inp.f, (inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o))
-        return value + GradedDim({0: 1}) if call in calls else value
+    def altered_cells(n_top, *tables):
+        cell = closed_cells(n_top, *tables)
 
-    monkeypatch.setattr(verify.formulas, "w_hom", altered)
+        def altered(n, e, f):
+            value = cell(n, e, f)
+            return value + GradedDim({0: 1}) if (n, e, f, tables) in calls else value
+
+        return altered
+
+    monkeypatch.setattr(verify.formulas, "w_hom_cells", altered_cells)
 
 
 def run_whom_oracle(capsys):

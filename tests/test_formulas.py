@@ -31,7 +31,9 @@ from hilbtaut.formulas import (
     tensor_euler_terms,
     variant_signature,
     w_hom,
+    w_hom_cells,
 )
+from hilbtaut.geometry import load_config, packaged_profile, variant_tables
 from hilbtaut.oracle import invariant_dim
 
 K3_POINT = GradedDim({0: 1, 2: 1})
@@ -107,6 +109,41 @@ def test_w_hom_input_validation():
         WHomInput(n=0, e=0, f=0, hom_ef=ZERO, coh_e_dual=ZERO, coh_f=ZERO, coh_o=UNIT)
     with pytest.raises(ValueError):
         WHomInput(n=2, e=3, f=0, hom_ef=ZERO, coh_e_dual=ZERO, coh_f=ZERO, coh_o=UNIT)
+
+
+@pytest.mark.parametrize(
+    "profile, names",
+    [("k3.json", {"K": "H", "L": "H"}), ("p2.json", {"K": "O", "L": "H"})],
+)
+def test_w_hom_cells_match_group_averaging_on_profile_tables(profile, names):
+    surface = load_config(packaged_profile(profile)).surface
+    roles = variant_signature("Extwedgewedge")[2]
+    tables = variant_tables(surface, roles, {"E": "O", "F": "O", **names})
+    slots = [tables[role] for role in roles]
+    cells = w_hom_cells(6, *slots)
+    averages = invariant_dim(6, *slots)
+    for n in range(1, 7):
+        for e in range(n + 1):
+            for f in range(n + 1):
+                assert cells(n, e, f) == averages[n, e, f], (n, e, f)
+
+
+@pytest.mark.parametrize(
+    "n, e, f, message",
+    [
+        (0, 0, 0, "n must be positive"),
+        (-1, 0, 0, "n must be positive"),
+        (4, 0, 0, "above the top n=3"),
+        (2, 3, 0, "need 0 <= e, f <= n"),
+        (2, 0, 3, "need 0 <= e, f <= n"),
+        (2, -1, 0, "need 0 <= e, f <= n"),
+        (3, 1, -2, "need 0 <= e, f <= n"),
+    ],
+)
+def test_w_hom_cells_reject_out_of_range_cells(n, e, f, message):
+    cells = w_hom_cells(3, K3_POINT, K3_POINT, K3_POINT, K3_POINT)
+    with pytest.raises(ValueError, match=message):
+        cells(n, e, f)
 
 
 # -- named variants --------------------------------------------------------------

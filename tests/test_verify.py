@@ -187,17 +187,20 @@ def test_swap_check_names_the_family_and_cell_of_an_asymmetric_formula(monkeypat
     family, n, e, f = 1, 3, 2, 1
     common, first, second, rest = verify._family_spaces(DEFAULT_SEED, family)
     assert first != second
-    closed_form = formulas.w_hom
+    closed_cells = formulas.w_hom_cells
 
-    def altered(inp):
-        value = closed_form(inp)
-        if (inp.n, inp.e, inp.f) == (n, f, e) and (
-            inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o
-        ) == (common, second, first, rest):
-            return value + GradedDim({0: 1})
-        return value
+    def altered_cells(n_top, *tables):
+        cell = closed_cells(n_top, *tables)
 
-    monkeypatch.setattr(verify.formulas, "w_hom", altered)
+        def altered(cell_n, cell_e, cell_f):
+            value = cell(cell_n, cell_e, cell_f)
+            if (cell_n, cell_e, cell_f) == (n, f, e) and tables == (common, second, first, rest):
+                return value + GradedDim({0: 1})
+            return value
+
+        return altered
+
+    monkeypatch.setattr(verify.formulas, "w_hom_cells", altered_cells)
     verdict = run_suite("whom_oracle", nmax=4, count=3)
     assert next(c for c in verdict["checks"] if c["name"] == "matches_group_averaging")["pass"]
     bad = failing(verdict, "swap_symmetry")
