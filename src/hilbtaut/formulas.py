@@ -26,9 +26,9 @@ from .graded import (
     wedge_powers,
 )
 
-# The single powers are no longer used here, but callers (the benchmark
-# harness's tracer tests among them) resolve them through this module.
-from .graded import sym_power, wedge_power  # noqa: F401
+# No longer used here, but the benchmark harness's tracer test resolves
+# sym_power through this module.
+from .graded import sym_power  # noqa: F401
 from .series import TruncSeries
 
 class MissingTableError(KeyError):
