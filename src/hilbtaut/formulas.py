@@ -55,14 +55,57 @@ class WHomInput:
     coh_o: GradedDim
 
     def __post_init__(self) -> None:
-        _check_cell(self.n, self.e, self.f)
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
+        if not 0 <= self.e <= self.n or not 0 <= self.f <= self.n:
+            raise ValueError(
+                f"need 0 <= e, f <= n, got n={self.n}, e={self.e}, f={self.f}"
+            )
 
 
-def _check_cell(n: int, e: int, f: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if not 0 <= e <= n or not 0 <= f <= n:
-        raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
+#: S^0..S^top(hom_ef), W^0..W^top(coh_e_dual), W^0..W^top(coh_f) and
+#: S^0..S^top(coh_o) of one set of ``w_hom`` tables
+Powers = tuple[list[GradedDim], list[GradedDim], list[GradedDim], list[GradedDim]]
+
+
+def _powers(
+    top: int, hom_ef: GradedDim, coh_e_dual: GradedDim, coh_f: GradedDim, coh_o: GradedDim
+) -> Powers:
+    return (
+        sym_powers(top, hom_ef),
+        wedge_powers(top, coh_e_dual),
+        wedge_powers(top, coh_f),
+        sym_powers(top, coh_o),
+    )
+
+
+def w_hom(inp: WHomInput, powers: Powers | None = None) -> GradedDim:
+    """Graded Hom-space between exterior powers of tautological sheaves.
+
+    Direct sum over i from max(0, e+f-n) to min(e, f) of
+
+        S^i(hom_ef) (x) W^(e-i)(coh_e_dual) (x) W^(f-i)(coh_f)
+            (x) S^(n+i-e-f)(coh_o)
+
+    with S and W the super symmetric and exterior powers.  An empty
+    range yields the zero space.
+
+    ``powers`` are the input's own tables' powers up to some top >= n,
+    which ``w_hom_cells`` builds once for every cell of a job; without
+    them this cell builds them up to n.  ValueError if n is above the top.
+    """
+    if powers is None:
+        powers = _powers(inp.n, inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o)
+    sym_hom, wedge_source, wedge_target, sym_o = powers
+    n, e, f = inp.n, inp.e, inp.f
+    if n >= len(sym_o):
+        raise ValueError(f"n={n} is above the top n={len(sym_o) - 1} these powers reach")
+    out = ZERO
+    for i in range(max(0, e + f - n), min(e, f) + 1):
+        out = out + tensor_all(
+            [sym_hom[i], wedge_source[e - i], wedge_target[f - i], sym_o[n + i - e - f]]
+        )
+    return out
 
 
 def w_hom_cells(
@@ -72,44 +115,20 @@ def w_hom_cells(
     coh_f: GradedDim,
     coh_o: GradedDim,
 ) -> Callable[[int, int, int], GradedDim]:
-    """Every ``w_hom`` cell of four tables, from one power pass per table.
+    """The ``w_hom`` cells (n, e, f) of four tables, n = 1..n_top.
 
     Builds S^0..S^n_top of ``hom_ef`` and ``coh_o`` and W^0..W^n_top of
-    ``coh_e_dual`` and ``coh_f`` once, and returns the function that
-    assembles the cell (n, e, f) from them: the direct sum over i from
-    max(0, e+f-n) to min(e, f) of
-
-        S^i(hom_ef) (x) W^(e-i)(coh_e_dual) (x) W^(f-i)(coh_f)
-            (x) S^(n+i-e-f)(coh_o)
-
-    with S and W the super symmetric and exterior powers.  An empty
-    range yields the zero space.  The cell function raises ValueError
-    for n < 1, n > n_top, or e or f outside 0..n, as ``WHomInput`` does.
+    ``coh_e_dual`` and ``coh_f`` in one pass per table, and returns the
+    function that hands them to ``w_hom`` at a cell.  Like ``w_hom``, it
+    raises ValueError for n < 1, n > n_top, or e or f outside 0..n.
     """
-    sym_hom = sym_powers(n_top, hom_ef)
-    wedge_source = wedge_powers(n_top, coh_e_dual)
-    wedge_target = wedge_powers(n_top, coh_f)
-    sym_o = sym_powers(n_top, coh_o)
+    tables = (hom_ef, coh_e_dual, coh_f, coh_o)
+    powers = _powers(n_top, *tables)
 
     def cell(n: int, e: int, f: int) -> GradedDim:
-        _check_cell(n, e, f)
-        if n > n_top:
-            raise ValueError(f"n={n} is above the top n={n_top} these powers reach")
-        out = ZERO
-        for i in range(max(0, e + f - n), min(e, f) + 1):
-            out = out + tensor_all(
-                [sym_hom[i], wedge_source[e - i], wedge_target[f - i], sym_o[n + i - e - f]]
-            )
-        return out
+        return w_hom(WHomInput(n, e, f, *tables), powers)
 
     return cell
-
-
-def w_hom(inp: WHomInput) -> GradedDim:
-    """Graded Hom-space between exterior powers of tautological sheaves:
-    the cell (n, e, f) of ``w_hom_cells`` on the input's four tables."""
-    cells = w_hom_cells(inp.n, inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o)
-    return cells(inp.n, inp.e, inp.f)
 
 
 #: table role -> (source, target) bundle letters.  Every input table is
