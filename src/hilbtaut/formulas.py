@@ -26,8 +26,8 @@ from .graded import (
     wedge_powers,
 )
 
-# No longer used here, but the benchmark harness's tracer test resolves
-# sym_power through this module.
+# Not called here: the benchmark harness's tracer test resolves sym_power
+# through this module.
 from .graded import sym_power  # noqa: F401
 from .series import TruncSeries
 
