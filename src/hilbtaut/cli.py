@@ -25,12 +25,11 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import formulas, geometry, oracle, verify
-from .formulas import BicharInput, MissingTableError
+from .formulas import BicharInput
 from .geometry import ConfigError
 
 DEFAULT_SEED = verify.DEFAULT_SEED
 
-TABLE_FORMULAS = formulas.VARIANTS + ("curve_bichar", "rank3_check")
 SERIES_FORMULAS = ("bichar", "tensor_euler")
 
 CSV_HEADER = ["formula_id", "n", "k", "l", "euler", "graded", "cross_checks"]
@@ -87,33 +86,43 @@ def _expand(bound: tuple[int, int | None], n: int) -> list[int]:
 #: the letters whose bundles a table job selects with --E/--F/--K/--L
 BUNDLE_LETTERS = ("E", "F", "K", "L")
 
+#: a table job's parsed --n, --k and --l ranges, None where a flag is
+#: absent; a --k/--l upper bound None stands for the row's n
+Range = tuple[int, int | None]
+Ranges = tuple[tuple[int, int] | None, Range | None, Range | None]
 
-def _resolve_job(
-    path: Path, formula: str, names: dict[str, str], n_top: int | None
-) -> Callable[[int | None, int | None, int | None], dict]:
-    """Resolve everything the rows of one table job share.
 
-    Loads the profile, looks up the role Euler characteristics, the
-    cohomology tables (or the reason the rows are euler-only) and the
-    generating function expanded at the job's largest n, and returns
-    the function that computes the row at (n, k, l) from them.
+def _load_part(
+    profile: str, part: str, formula: str, names: dict[str, str]
+) -> geometry.SurfaceData | geometry.CurveData:
+    """The surface or the curve of a table job's profile.
+
+    Every selected bundle must exist in it, also one the formula does
+    not use and also when no cell is in range.
     """
-    config = geometry.load_config(path)
-    if formula == "rank3_check":
-        row = _rank3_row(config)
-        return lambda n, k, l: row
-    if formula == "curve_bichar":
-        return _curve_job(config, names, n_top)
-    return _variant_job(config, formula, names, n_top)
+    data = getattr(geometry.load_config(geometry.resolve_profile(profile)), part)
+    if data is None:
+        raise ConfigError(f"formula {formula!r} needs a {part} profile")
+    for name in names.values():
+        data.bundle(name)
+    return data
 
 
-def _variant_job(
-    config: geometry.Config, formula: str, names: dict[str, str], n_top: int
-) -> Callable[[int, int | None, int | None], dict]:
-    surface = config.surface
-    if surface is None:
-        raise ConfigError(f"formula {formula!r} needs a surface profile")
+def _variant_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges) -> list[dict]:
+    n_range, k_range, l_range = ranges
     e_spec, f_spec, roles = formulas.variant_signature(formula)
+    uses_k = "k" in (e_spec, f_spec)
+    uses_l = "l" in (e_spec, f_spec)
+    if n_range is None:
+        raise UsageError(f"--n is required for {formula}")
+    if k_range is not None and not uses_k:
+        raise UsageError(f"{formula} takes no --k range")
+    if l_range is not None and not uses_l:
+        raise UsageError(f"{formula} takes no --l range")
+    if n_range[0] < 1:
+        raise UsageError(f"{formula} needs n >= 1")
+    surface = _load_part(profile, "surface", formula, names)
+    n_top = n_range[1]
     chis = geometry.variant_chis(surface, roles, names)
     slot_chis = tuple(chis[r] for r in roles)
     # one expansion and one set of powers per job: truncating at the
@@ -121,7 +130,7 @@ def _variant_job(
     series = formulas.bichar_series(*slot_chis, n_max=n_top)
     job_notes = []
     try:
-        tables = geometry.variant_tables(surface, formulas.required_tables(formula), names)
+        tables = geometry.variant_tables(surface, roles, names)
     except ConfigError as exc:
         graded_at = None
         job_notes.append(f"euler only: {exc}")
@@ -132,53 +141,56 @@ def _variant_job(
         "bundles": {b: names[b] for b in used},
         "chis": {role: chis[role] for role in sorted(set(roles))},
     }
+    rows = []
+    for n in range(n_range[0], n_top + 1):
+        for k in _expand(k_range or (0, None), n) if uses_k else [None]:
+            for l in _expand(l_range or (0, None), n) if uses_l else [None]:
+                e, f = formulas.wedge_indices(formula, k, l)
+                euler = formulas.bichar_closed(BicharInput(n, e, f, *slot_chis))
+                graded = None
+                cross_checks = []
+                if graded_at is not None:
+                    graded = graded_at(n, e, f)
+                    cross_checks.append(["bichar_closed", graded.euler() == euler])
+                series_value = formulas.bichar_from_series(series, n, e, f)
+                cross_checks.append(["bichar_series", series_value == euler])
+                notes = list(job_notes)
+                if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
+                    notes.append("vanishing symmetric power of negative index suppressed (k = n)")
+                rows.append({
+                    "formula_id": formula,
+                    "n": n,
+                    "k": k,
+                    "l": l,
+                    "euler": euler,
+                    "graded": graded.to_json() if graded is not None else None,
+                    "cross_checks": cross_checks,
+                    "inputs": inputs,
+                    "notes": notes,
+                })
+    return rows
 
-    def row(n: int, k: int | None, l: int | None) -> dict:
-        e = k if e_spec == "k" else e_spec
-        f = l if f_spec == "l" else (k if f_spec == "k" else f_spec)
-        euler = formulas.bichar_closed(BicharInput(n, e, f, *slot_chis))
-        graded = None
-        cross_checks = []
-        if graded_at is not None:
-            graded = graded_at(n, e, f)
-            cross_checks.append(["bichar_closed", graded.euler() == euler])
-        series_value = formulas.bichar_from_series(series, n, e, f)
-        cross_checks.append(["bichar_series", series_value == euler])
-        notes = list(job_notes)
-        if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
-            notes.append("vanishing symmetric power of negative index suppressed (k = n)")
-        return {
-            "formula_id": formula,
-            "n": n,
-            "k": k,
-            "l": l,
-            "euler": euler,
-            "graded": graded.to_json() if graded is not None else None,
-            "cross_checks": cross_checks,
-            "inputs": inputs,
-            "notes": notes,
-        }
 
-    return row
-
-
-def _curve_job(
-    config: geometry.Config, names: dict[str, str], n_top: int
-) -> Callable[[int, None, None], dict]:
-    curve = config.curve
-    if curve is None:
-        raise ConfigError("formula 'curve_bichar' needs a curve profile")
+def _curve_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges) -> list[dict]:
+    n_range, k_range, l_range = ranges
+    if n_range is None:
+        raise UsageError(f"--n is required for {formula}")
+    if k_range is not None or l_range is not None:
+        raise UsageError("curve_bichar takes no --k/--l ranges")
+    if n_range[0] < 1:
+        raise UsageError("curve_bichar needs n >= 1")
+    curve = _load_part(profile, "curve", formula, names)
     chis = geometry.curve_chis(curve, names)
     series = formulas.curve_series(
-        chis["chi_ef"], chis["chi_e_dual"], chis["chi_f"], chis["chi_oc"], n_max=n_top
+        chis["chi_ef"], chis["chi_e_dual"], chis["chi_f"], chis["chi_oc"], n_max=n_range[1]
     )
     inputs = {
         "bundles": {"E": names["E"], "F": names["F"]},
         "chis": chis,
         "genus": curve.genus,
     }
-
-    def row(n: int, k: None, l: None) -> dict:
+    rows = []
+    for n in range(n_range[0], n_range[1] + 1):
         value = formulas.curve_bichar(n, **chis)
         cross_checks: list[list] = []
         if n == 1:
@@ -187,7 +199,7 @@ def _curve_job(
             expected = -curve.genus * chis["chi_ef"] + chis["chi_e_dual"] * chis["chi_f"]
             cross_checks.append(["quadratic_simplification", value == expected])
         cross_checks.append(["curve_series", series.coeff(Q=n) == value])
-        return {
+        rows.append({
             "formula_id": "curve_bichar",
             "n": n,
             "k": None,
@@ -197,19 +209,19 @@ def _curve_job(
             "cross_checks": cross_checks,
             "inputs": inputs,
             "notes": [],
-        }
+        })
+    return rows
 
-    return row
 
-
-def _rank3_row(config: geometry.Config) -> dict:
-    surface = config.surface
-    if surface is None:
-        raise ConfigError("formula 'rank3_check' needs a surface profile")
+def _rank3_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges) -> list[dict]:
+    n_range, k_range, l_range = ranges
+    if n_range is not None or k_range is not None or l_range is not None:
+        raise UsageError("rank3_check takes no --n/--k/--l ranges")
+    surface = _load_part(profile, "surface", formula, names)
     if surface.chi_omega is None:
         raise ConfigError("surface.chi_Omega is required for rank3_check")
     result = formulas.rank3_check(surface.chi_o, surface.chi_omega)
-    return {
+    return [{
         "formula_id": "rank3_check",
         "n": 2,
         "k": None,
@@ -223,45 +235,17 @@ def _rank3_row(config: geometry.Config) -> dict:
             "naive": result.naive,
         },
         "notes": ["the lambda_sq_conjecture check records the naive prediction"],
-    }
+    }]
 
 
-def _table_cells(
-    formula: str,
-    n_range: tuple[int, int] | None,
-    k_range: tuple[int, int | None] | None,
-    l_range: tuple[int, int | None] | None,
-) -> list[tuple[int | None, int | None, int | None]]:
-    if formula == "rank3_check":
-        if n_range is not None or k_range is not None or l_range is not None:
-            raise UsageError("rank3_check takes no --n/--k/--l ranges")
-        return [(None, None, None)]
-    if n_range is None:
-        raise UsageError(f"--n is required for {formula}")
-    if formula == "curve_bichar":
-        if k_range is not None or l_range is not None:
-            raise UsageError("curve_bichar takes no --k/--l ranges")
-        if n_range[0] < 1:
-            raise UsageError("curve_bichar needs n >= 1")
-        uses_k = uses_l = False
-    else:
-        e_spec, f_spec, _ = formulas.variant_signature(formula)
-        uses_k = "k" in (e_spec, f_spec)
-        uses_l = "l" in (e_spec, f_spec)
-        if k_range is not None and not uses_k:
-            raise UsageError(f"{formula} takes no --k range")
-        if l_range is not None and not uses_l:
-            raise UsageError(f"{formula} takes no --l range")
-        if n_range[0] < 1:
-            raise UsageError(f"{formula} needs n >= 1")
-    cells = []
-    for n in range(n_range[0], n_range[1] + 1):
-        ks = _expand(k_range or (0, None), n) if uses_k else [None]
-        ls = _expand(l_range or (0, None), n) if uses_l else [None]
-        for k in ks:
-            for l in ls:
-                cells.append((n, k, l))
-    return cells
+#: formula id -> the job that checks the table's ranges before it loads
+#: the profile, then returns the table's rows; the variants come first
+TABLE_JOBS: dict[str, Callable[[str, str, dict[str, str], Ranges], list[dict]]] = {
+    **dict.fromkeys(formulas.VARIANTS, _variant_job),
+    "curve_bichar": _curve_job,
+    "rank3_check": _rank3_job,
+}
+TABLE_FORMULAS = tuple(TABLE_JOBS)
 
 
 def _render_graded(graded: dict | None) -> str:
@@ -328,15 +312,8 @@ def run_table(args: argparse.Namespace) -> int:
     n_range = None if args.n is None else _exact_range(args.n, "--n")
     k_range = None if args.k is None else parse_range(args.k, "--k", allow_n=True)
     l_range = None if args.l is None else parse_range(args.l, "--l", allow_n=True)
-    cells = _table_cells(args.formula, n_range, k_range, l_range)
-    # resolved before any cell, so bad input fails even when no cell is in range
-    row_at = _resolve_job(
-        geometry.resolve_profile(profile),
-        args.formula,
-        {b: getattr(args, b) for b in BUNDLE_LETTERS},
-        n_range[1] if n_range is not None else None,
-    )
-    rows = [row_at(*cell) for cell in cells]
+    names = {b: getattr(args, b) for b in BUNDLE_LETTERS}
+    rows = TABLE_JOBS[args.formula](args.formula, profile, names, (n_range, k_range, l_range))
     for row in rows:
         for name, ok in row["cross_checks"]:
             if not ok and name in MUST_AGREE_CHECKS:
@@ -569,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run_args(args)
-    except (UsageError, ConfigError, MissingTableError) as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except oracle.ConsistencyError as exc:

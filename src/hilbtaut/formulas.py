@@ -178,11 +178,6 @@ _SUBSTITUTIONS: dict[str, tuple[object, object, tuple[str, str, str, str]]] = {
 VARIANTS = tuple(_SUBSTITUTIONS)
 
 
-def required_tables(variant: str) -> tuple[str, ...]:
-    """The table keys a variant needs, in slot order without repeats."""
-    return tuple(dict.fromkeys(variant_signature(variant)[2]))
-
-
 def variant_signature(
     variant: str,
 ) -> tuple[int | str, int | str, tuple[str, str, str, str]]:
@@ -197,29 +192,15 @@ def variant_signature(
     return _SUBSTITUTIONS[variant]
 
 
-def taut_substitution(
-    variant: str,
-    n: int,
-    k: int = 0,
-    l: int = 0,
-    tables: Mapping[str, GradedDim] = (),
-) -> WHomInput:
-    """Resolve a formula variant to the underlying w_hom input."""
-    e_spec, f_spec, keys = variant_signature(variant)
+def wedge_indices(variant: str, k: int | None, l: int | None) -> tuple[int | None, int | None]:
+    """The exterior power indices (e, f) of a variant at wedge indices k, l.
+
+    A fixed index stays as it is; the placeholder "k" or "l" takes the
+    value of k or l, None included.
+    """
+    e_spec, f_spec, _ = variant_signature(variant)
     indices = {"k": k, "l": l}
-    e = indices[e_spec] if isinstance(e_spec, str) else e_spec
-    f = indices[f_spec] if isinstance(f_spec, str) else f_spec
-    tables = dict(tables or {})
-    slots = []
-    for key in keys:
-        if key not in tables:
-            src, tgt = TABLE_ROLES[key]
-            raise MissingTableError(
-                f"variant {variant!r} needs table {key!r}, Hom*({src or 'O'}, {tgt or 'O'})"
-            )
-        slots.append(tables[key])
-    return WHomInput(n=n, e=e, f=f, hom_ef=slots[0], coh_e_dual=slots[1],
-                     coh_f=slots[2], coh_o=slots[3])
+    return indices.get(e_spec, e_spec), indices.get(f_spec, f_spec)
 
 
 def taut_formula(
@@ -234,7 +215,15 @@ def taut_formula(
     Implemented purely as a substitution into ``w_hom`` so the variants
     cannot drift apart from it.
     """
-    return w_hom(taut_substitution(variant, n, k, l, tables))
+    slots = []
+    for role in variant_signature(variant)[2]:
+        if role not in tables:
+            src, tgt = TABLE_ROLES[role]
+            raise MissingTableError(
+                f"variant {variant!r} needs table {role!r}, Hom*({src or 'O'}, {tgt or 'O'})"
+            )
+        slots.append(tables[role])
+    return w_hom(WHomInput(n, *wedge_indices(variant, k, l), *slots))
 
 
 def negative_index_suppressed(variant: str, n: int, k: int = 0, l: int = 0) -> bool:

@@ -134,10 +134,8 @@ def chi_tensor_powers(
     return [rr_chi(surface, sheaf + line.scale(p)) for p in range(k + 1)]
 
 
-def curve_chi(curve: CurveData, bundle: CurveBundle | tuple[int, int]) -> int:
+def curve_chi(curve: CurveData, bundle: CurveBundle) -> int:
     """Euler characteristic on a curve: degree + rank(1 - genus)."""
-    if not isinstance(bundle, CurveBundle):
-        bundle = CurveBundle(*bundle)
     return bundle.degree + bundle.rank * (1 - curve.genus)
 
 
@@ -221,7 +219,7 @@ def variant_tables(
     the bundle letters E, F, K, L to profile bundle names."""
     return {
         role: surface_table(surface, _table_key(*role_bundles(role, names)))
-        for role in variant_keys
+        for role in dict.fromkeys(variant_keys)
     }
 
 
@@ -229,8 +227,6 @@ def variant_chis(
     surface: SurfaceData, roles: Sequence[str], names: Mapping[str, str]
 ) -> dict[str, int]:
     """Euler characteristic for each formula table role, from the lattice."""
-    for name in names.values():
-        surface.bundle(name)  # every selected bundle must exist, used or not
     return {
         role: rr_chi(surface, _hom_class(surface, *role_bundles(role, names)))
         for role in roles

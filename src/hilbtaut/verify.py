@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
@@ -55,11 +56,13 @@ def _verdict(suite: str, seed: int | None, bounds: dict, checks: list[dict]) -> 
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
+    # more processes than items or than CPUs would only wait their turn
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     # imported here: only a pool needs multiprocessing and logging loaded
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -13,13 +13,14 @@ from hilbtaut import cli, verify
 from hilbtaut.formulas import (
     VARIANTS,
     BicharInput,
+    WHomInput,
     bichar_closed,
     curve_bichar,
     rank3_check,
     taut_formula,
-    taut_substitution,
     variant_signature,
     w_hom,
+    wedge_indices,
 )
 from hilbtaut.geometry import load_config, packaged_profile, variant_chis, variant_tables
 from hilbtaut.oracle import invariant_dim
@@ -92,23 +93,18 @@ def test_criterion_4_variant_coherence_on_the_k3_fixture():
                 ls = range(n + 1) if "l" in (e_spec, f_spec) else (0,)
                 for k in ks:
                     for l in ls:
-                        inp = taut_substitution(variant, n, k, l, tables)
+                        e, f = wedge_indices(variant, k, l)
+                        slots = [tables[role] for role in roles]
                         graded = taut_formula(variant, n, k, l, tables)
-                        if graded != w_hom(inp):
+                        if graded != w_hom(WHomInput(n, e, f, *slots)):
                             bad.append((variant, n, k, l, "w_hom"))
                         closed = bichar_closed(
-                            BicharInput(
-                                n, inp.e, inp.f,
-                                chis[roles[0]], chis[roles[1]],
-                                chis[roles[2]], chis[roles[3]],
-                            )
+                            BicharInput(n, e, f, *(chis[role] for role in roles))
                         )
                         if graded.euler() != closed:
                             bad.append((variant, n, k, l, "euler"))
                         if n <= 3:
-                            oracle_value = invariant_dim(
-                                n, inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o,
-                            )[n, inp.e, inp.f]
+                            oracle_value = invariant_dim(n, *slots)[n, e, f]
                             if graded != oracle_value:
                                 bad.append((variant, n, k, l, "oracle"))
                         cells += 1

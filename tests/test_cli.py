@@ -188,6 +188,84 @@ def test_table_rejects_unknown_bundle_when_no_cell_is_in_range(capsys):
     assert err.count("\n") == 1 and "unknown bundle 'nosuch'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--formula", "curve_bichar", "--curve", "genus0_curve.json", "--n", "1", "--K", "nosuch"],
+        ["--formula", "rank3_check", "--surface", "k3.json", "--E", "nosuch"],
+    ],
+)
+def test_every_table_formula_rejects_an_unknown_bundle(capsys, argv):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "unknown bundle 'nosuch'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rank3_check", "--n", "1"], "rank3_check takes no --n/--k/--l ranges"),
+        (["curve_bichar", "--k", "1"], "--n is required for curve_bichar"),
+        (["cohF", "--k", "1"], "--n is required for cohF"),
+    ],
+)
+def test_table_usage_errors_beat_an_unknown_profile(capsys, argv, message):
+    code, out, err = run_cli(capsys, "table", "--formula", *argv, "--surface", "nope.json")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohF", "--surface", "k3.json", "--n", "1..3"],
+        ["Extwedgewedge", "--surface", "k3.json", "--n", "1..3", "--k", "0..n", "--l", "0..n"],
+        ["curve_bichar", "--curve", "genus0_curve.json", "--n", "1..3"],
+        ["rank3_check", "--surface", "k3.json"],
+    ],
+)
+def test_each_table_job_loads_its_profile_once(capsys, monkeypatch, argv):
+    real = cli.geometry.load_config
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.geometry, "load_config", counting)
+    code, _, _ = run_cli(capsys, "table", "--formula", *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("variant", formulas.VARIANTS)
+@pytest.mark.parametrize(
+    "profile, names",
+    [
+        ("k3.json", {"E": "H", "F": "H", "K": "H", "L": "H"}),
+        ("p2.json", {"E": "O", "F": "H", "K": "H", "L": "O"}),
+    ],
+)
+def test_table_rows_are_the_library_substitution(capsys, variant, profile, names):
+    # the CLI rows and taut_formula resolve (k, l) through one wedge_indices
+    e_spec, f_spec, roles = formulas.variant_signature(variant)
+    argv = ["table", "--formula", variant, "--surface", profile, "--n", "1..4"]
+    argv += ["--k", "0..n"] if "k" in (e_spec, f_spec) else []
+    argv += ["--l", "0..n"] if "l" in (e_spec, f_spec) else []
+    for letter, name in names.items():
+        argv += [f"--{letter}", name]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    surface = cli.geometry.load_config(cli.geometry.packaged_profile(profile)).surface
+    tables = cli.geometry.variant_tables(surface, roles, names)
+    rows = json.loads(out)["rows"]
+    assert rows
+    for row in rows:
+        k, l = row["k"] or 0, row["l"] or 0
+        expected = formulas.taut_formula(variant, row["n"], k, l, tables)
+        assert row["graded"] == expected.to_json(), row
+
+
 def test_table_rejects_non_integer_table_dimensions(capsys, tmp_path):
     profile = {
         "surface": {

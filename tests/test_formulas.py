@@ -22,9 +22,7 @@ from hilbtaut.formulas import (
     curve_series,
     negative_index_suppressed,
     rank3_check,
-    required_tables,
     taut_formula,
-    taut_substitution,
     tensor_euler_closed,
     tensor_euler_from_series,
     tensor_euler_series,
@@ -32,6 +30,7 @@ from hilbtaut.formulas import (
     variant_signature,
     w_hom,
     w_hom_cells,
+    wedge_indices,
 )
 from hilbtaut.geometry import load_config, packaged_profile, variant_tables
 from hilbtaut.oracle import invariant_dim
@@ -153,7 +152,6 @@ def test_every_variant_has_a_signature_and_tables():
     for variant in VARIANTS:
         e_spec, f_spec, roles = variant_signature(variant)
         assert len(roles) == 4
-        assert set(required_tables(variant)) == set(roles)
         for spec in (e_spec, f_spec):
             assert spec in (0, 1, "k", "l")
 
@@ -207,10 +205,30 @@ def test_double_wedge_is_symmetric_in_its_indices_for_equal_tables():
 
 
 def test_substitution_resolves_placeholders():
-    inp = taut_substitution("Extwedgewedge", 3, k=2, l=1, tables=K3_TABLES)
-    assert (inp.e, inp.f) == (2, 1)
-    inp = taut_substitution("ExtwedgeF", 3, k=2, tables=K3_TABLES)
-    assert (inp.e, inp.f) == (2, 1)
+    assert wedge_indices("Extwedgewedge", 2, 1) == (2, 1)
+    assert wedge_indices("ExtwedgeF", 2, 0) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "variant, expected",
+    [
+        ("cohF", (0, 1)),
+        ("cohEvee", (1, 0)),
+        ("ExtEF", (1, 1)),
+        ("cohwedge", (0, 2)),
+        ("ExtEwedge", (1, 2)),
+        ("ExtwedgeF", (2, 1)),
+        ("Extwedgewedge", (2, 3)),
+    ],
+)
+def test_wedge_indices_of_every_variant(variant, expected):
+    assert wedge_indices(variant, 2, 3) == expected
+    # a letter the variant does not use may be None; a used one stays None
+    e_spec, f_spec, _ = variant_signature(variant)
+    uses_k, uses_l = "k" in (e_spec, f_spec), "l" in (e_spec, f_spec)
+    assert wedge_indices(variant, 2 if uses_k else None, 3 if uses_l else None) == expected
+    missing = wedge_indices(variant, None, None)
+    assert [i is None for i in missing] == [spec in ("k", "l") for spec in (e_spec, f_spec)]
 
 
 def test_negative_index_flag_only_fires_at_top_wedge():

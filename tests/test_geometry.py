@@ -104,7 +104,7 @@ def test_curve_chi():
     assert curve_chi(rational, CurveBundle(1, 0)) == 1
     assert curve_chi(rational, CurveBundle(2, 3)) == 5
     assert curve_chi(elliptic, CurveBundle(1, 0)) == 0
-    assert curve_chi(elliptic, (3, 2)) == 2
+    assert curve_chi(elliptic, CurveBundle(3, 2)) == 2
 
 
 def test_curve_chis_roles():

@@ -30,6 +30,7 @@ def test_parallel_map_preserves_order():
 
 def test_parallel_map_caps_the_pool_at_the_item_count(monkeypatch):
     sizes = []
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
 
     class StubPool:
         def __init__(self, max_workers):
@@ -47,6 +48,11 @@ def test_parallel_map_caps_the_pool_at_the_item_count(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
     assert parallel_map(abs, [-1, 2, -3], 64) == [1, 2, 3]
     assert sizes == [3]
+    # and at the CPU count; an unknown count or one CPU runs in this process
+    for cpus, pool_sizes in ((2, [3, 2]), (None, [3, 2]), (1, [3, 2])):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda cpus=cpus: cpus)
+        assert parallel_map(abs, [-1, 2, -3], 5000) == [1, 2, 3]
+        assert sizes == pool_sizes
 
 
 def test_random_space_is_seed_deterministic():
