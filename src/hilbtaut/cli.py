@@ -218,8 +218,6 @@ def _rank3_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges
     if n_range is not None or k_range is not None or l_range is not None:
         raise UsageError("rank3_check takes no --n/--k/--l ranges")
     surface = _load_part(profile, "surface", formula, names)
-    if surface.chi_omega is None:
-        raise ConfigError("surface.chi_Omega is required for rank3_check")
     result = formulas.rank3_check(surface.chi_o, surface.chi_omega)
     return [{
         "formula_id": "rank3_check",
@@ -360,29 +358,24 @@ def run_series(args: argparse.Namespace) -> int:
     if args.formula == "bichar" and args.k_max is not None:
         raise UsageError("bichar takes no --k-max")
     _at_least(args.k_max, 0, "--k-max")
-    surface = geometry.load_config(geometry.resolve_profile(args.surface)).surface
-    if surface is None:
-        raise ConfigError("series formulas need a surface profile")
-    for name in (args.F, args.K, args.L):
-        surface.bundle(name)  # every selected bundle must exist, used or not
+    names = {b: getattr(args, b) for b in "FKL"}
+    surface = _load_part(args.surface, "surface", args.formula, names)
     n_max = args.n_max
     if args.formula == "bichar":
-        names = {"K": args.K, "L": args.L}
         roles = formulas.variant_signature("Extwedgewedge")[2]
         chis = geometry.variant_chis(surface, roles, names)
         series = formulas.bichar_series(*(chis[r] for r in roles), n_max=n_max)
-        inputs: dict = {"bundles": names, "chis": chis, "n_max": n_max}
+        inputs: dict = {"bundles": {b: names[b] for b in "KL"}, "chis": chis, "n_max": n_max}
     else:  # tensor_euler
         k_max = args.k_max if args.k_max is not None else n_max
-        chi_flp = geometry.chi_tensor_powers(
-            surface, surface.bundle(args.F), surface.bundle(args.L), n_max
-        )
-        chi_l = geometry.rr_chi(surface, surface.bundle(args.L))
+        sheaf, line = surface.bundle(names["F"]), surface.bundle(names["L"])
+        chi_flp = geometry.chi_tensor_powers(surface, sheaf, line, n_max)
+        chi_l = geometry.rr_chi(surface, line)
         series = formulas.tensor_euler_series(
             chi_flp, chi_l, surface.chi_o, n_max=n_max, k_max=k_max
         )
         inputs = {
-            "bundles": {"F": args.F, "L": args.L},
+            "bundles": {b: names[b] for b in "FL"},
             "chi_flp": chi_flp,
             "chi_l": chi_l,
             "chi_o": surface.chi_o,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .formulas import role_bundles
@@ -315,9 +315,9 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
 
     cohomology = _cohomology_tables(data, "surface")
 
-    chi_omega = data.get("chi_Omega")
-    if chi_omega is not None:
-        chi_omega = _as_int(chi_omega, "surface.chi_Omega")
+    given_chi_omega = data.get("chi_Omega")
+    if given_chi_omega is not None:
+        given_chi_omega = _as_int(given_chi_omega, "surface.chi_Omega")
 
     surface = SurfaceData(
         chi_o=chi_o,
@@ -326,7 +326,6 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
         canonical=canonical,
         bundles=bundles,
         cohomology=cohomology,
-        chi_omega=chi_omega,
     )
     # (A - B)^2 - (A - B).K is congruent to (A^2 - A.K) + (B^2 - B.K) mod 2,
     # so even bundles make every Hom class a key or role forms integral
@@ -346,7 +345,16 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
                 f"surface.cohomology[{key!r}] has euler {table.euler()} "
                 f"but Riemann-Roch gives {expected}"
             )
-    return surface
+    # Hirzebruch-Riemann-Roch for the cotangent sheaf, with Noether's
+    # c_2 = 12 chi_O - K.K: chi(Omega) = K.K - 10 chi_O
+    canonical_class = LineBundleClass(canonical)
+    chi_omega = pairing(surface, canonical_class, canonical_class) - 10 * chi_o
+    if given_chi_omega is not None and given_chi_omega != chi_omega:
+        raise ConfigError(
+            f"surface.chi_Omega is {given_chi_omega} "
+            f"but K.K - 10*chi_O gives {chi_omega}"
+        )
+    return replace(surface, chi_omega=chi_omega)
 
 
 def curve_from_json(data: Mapping[str, object]) -> CurveData:

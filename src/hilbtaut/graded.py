@@ -127,17 +127,15 @@ def tensor_all(spaces: Iterable[GradedDim]) -> GradedDim:
 def lambda_scalar(k: int, chi: int) -> int:
     """k-th lambda operation on an integer: binomial(chi, k) for any sign.
 
-    Falling factorial chi(chi-1)...(chi-k+1) over k!, which is the
-    coefficient of Q^k in (1+Q)^chi.  Negative k gives 0, k = 0 gives 1.
+    The coefficient of Q^k in (1+Q)^chi: the binomial C(chi, k) for
+    chi >= 0, and its reflection (-1)^k C(k - chi - 1, k) for chi < 0.
+    Negative k gives 0, k = 0 gives 1.
     """
     if k < 0:
         return 0
-    num = 1
-    for j in range(k):
-        num *= chi - j
-    quot, rem = divmod(num, math.factorial(k))
-    assert rem == 0
-    return quot
+    if chi >= 0:
+        return math.comb(chi, k)
+    return (-1) ** k * math.comb(k - chi - 1, k)
 
 
 def s_scalar(k: int, chi: int) -> int:
@@ -146,46 +144,31 @@ def s_scalar(k: int, chi: int) -> int:
     Equals (-1)^k * lambda_scalar(k, -chi), the coefficient of Q^k in
     (1-Q)^(-chi).  Negative k gives 0, k = 0 gives 1.
     """
-    if k < 0:
-        return 0
-    num = 1
-    for j in range(k):
-        num *= chi + j
-    quot, rem = divmod(num, math.factorial(k))
-    assert rem == 0
-    return quot
+    value = lambda_scalar(k, -chi)
+    return -value if k % 2 else value
 
 
-def _power_layers(k: int, space: GradedDim, sym: bool) -> list[dict[int, int] | None]:
+def _power_layers(k: int, space: GradedDim, sym: bool) -> list[dict[int, int]]:
     # Coefficients of z^0..z^k in the product over degrees d of the
     # z-expansion of the d-th layer.  For sym: even layers contribute
     # (1-z t^d)^(-m) and odd layers (1+z t^d)^m; for wedge the roles swap.
     # Layers are dicts degree -> coefficient, indexed by z-power, truncated
-    # past z^k; None stands for a zero layer.  Negative k gives no layers.
+    # past z^k; {} is a zero layer.  Negative k gives no layers.
     if k < 0:
         return []
-    layers: list[dict[int, int] | None] = [None] * (k + 1)
-    layers[0] = {0: 1}
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
     for d, m in space.items():
         bosonic = (d % 2 == 0) == sym
         if bosonic:
             factor = [s_scalar(j, m) for j in range(k + 1)]
         else:
             factor = [math.comb(m, j) for j in range(min(m, k) + 1)]
-        new: list[dict[int, int] | None] = [None] * (k + 1)
-        for a in range(k + 1):
-            base = layers[a]
-            if base is None:
+        new: list[dict[int, int]] = [{} for _ in range(k + 1)]
+        for a, base in enumerate(layers):
+            if not base:
                 continue
-            for b, c in enumerate(factor):
-                if a + b > k:
-                    break
-                if c == 0:
-                    continue
+            for b, c in enumerate(factor[: k + 1 - a]):
                 tgt = new[a + b]
-                if tgt is None:
-                    tgt = {}
-                    new[a + b] = tgt
                 for deg, coeff in base.items():
                     key = deg + d * b
                     tgt[key] = tgt.get(key, 0) + coeff * c
@@ -201,7 +184,7 @@ def sym_power(k: int, space: GradedDim) -> GradedDim:
     """
     if k < 0:
         return ZERO
-    return GradedDim(_power_layers(k, space, sym=True)[k] or {})
+    return GradedDim(_power_layers(k, space, sym=True)[k])
 
 
 def wedge_power(k: int, space: GradedDim) -> GradedDim:
@@ -212,7 +195,7 @@ def wedge_power(k: int, space: GradedDim) -> GradedDim:
     """
     if k < 0:
         return ZERO
-    return GradedDim(_power_layers(k, space, sym=False)[k] or {})
+    return GradedDim(_power_layers(k, space, sym=False)[k])
 
 
 def sym_powers(k: int, space: GradedDim) -> list[GradedDim]:
@@ -220,7 +203,7 @@ def sym_powers(k: int, space: GradedDim) -> list[GradedDim]:
 
     Negative k gives the empty list.
     """
-    return [GradedDim(layer or {}) for layer in _power_layers(k, space, sym=True)]
+    return [GradedDim(layer) for layer in _power_layers(k, space, sym=True)]
 
 
 def wedge_powers(k: int, space: GradedDim) -> list[GradedDim]:
@@ -228,4 +211,4 @@ def wedge_powers(k: int, space: GradedDim) -> list[GradedDim]:
 
     Negative k gives the empty list.
     """
-    return [GradedDim(layer or {}) for layer in _power_layers(k, space, sym=False)]
+    return [GradedDim(layer) for layer in _power_layers(k, space, sym=False)]

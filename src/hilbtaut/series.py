@@ -87,7 +87,10 @@ class TruncSeries:
                 raise ValueError(
                     f"exponents {exps} exceed truncation orders {self.orders}"
                 )
-            value = Fraction(value)
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise TypeError(
+                    f"coefficient at {exps} must be an int or a Fraction, got {value!r}"
+                )
             if value:
                 store[tuple(exps)] = store.get(tuple(exps), 0) + value
         object.__setattr__(self, "_coeffs", {e: _narrow(c) for e, c in store.items() if c})
@@ -191,7 +194,7 @@ class TruncSeries:
         if isinstance(other, TruncSeries):
             self._check_orders(other)
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return TruncSeries.const(other, dict(zip(VARIABLES, self.orders)))
         return None
 

@@ -16,6 +16,7 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
@@ -262,17 +263,9 @@ def suite_tensor_euler(
 
 
 def _all_spaces(degrees: Sequence[int], max_total: int) -> Iterable[GradedDim]:
-    def build(idx: int, left: int, current: dict[int, int]) -> Iterable[GradedDim]:
-        if idx == len(degrees):
-            yield GradedDim(dict(current))
-            return
-        for dim in range(left + 1):
-            if dim:
-                current[degrees[idx]] = dim
-            yield from build(idx + 1, left - dim, current)
-            current.pop(degrees[idx], None)
-
-    yield from build(0, max_total, {})
+    for total in range(max_total + 1):
+        for multiset in itertools.combinations_with_replacement(degrees, total):
+            yield GradedDim(Counter(multiset))
 
 
 def _basis_mismatch(space: GradedDim, k: int) -> dict | None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hilbtaut import cli, formulas, graded, oracle, verify
-from hilbtaut.cli import CSV_HEADER, UsageError, main, parse_range
+from hilbtaut.cli import CSV_HEADER, SERIES_FORMULAS, UsageError, main, parse_range
 from hilbtaut.formulas import BicharInput
 from hilbtaut.graded import GradedDim
 from hilbtaut.series import TruncSeries
@@ -107,12 +107,56 @@ def test_table_rank3_row(capsys):
 
 
 def test_table_rank3_requires_const_chi_omega(capsys):
-    # a profile without chi_Omega cannot run the check
+    # a profile without a surface cannot run the check
     code, _, err = run_cli(
         capsys, "table", "--formula", "rank3_check", "--surface",
         "genus0_curve.json",
     )
     assert code == 2 and "error" in err
+
+
+K3_LATTICE = {"chi_O": 2, "picard_rank": 1, "gram": [[4]], "canonical": [0], "bundles": {"H": [1]}}
+
+
+def test_table_rank3_derives_chi_omega_when_the_profile_omits_it(capsys, tmp_path):
+    path = tmp_path / "k3_lattice.json"
+    path.write_text(json.dumps({"surface": K3_LATTICE}))
+    code, out, _ = run_cli(
+        capsys, "table", "--formula", "rank3_check", "--surface", str(path), "--format", "json"
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["euler"] == 21 and row["inputs"]["chi_Omega"] == -20
+
+
+def test_a_wrong_chi_omega_is_rejected_at_load_naming_its_key(capsys, tmp_path):
+    path = tmp_path / "k3_lattice.json"
+    path.write_text(json.dumps({"surface": {**K3_LATTICE, "chi_Omega": -21}}))
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "rank3_check", "--surface", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err == "error: surface.chi_Omega is -21 but K.K - 10*chi_O gives -20\n"
+
+
+def test_a_missing_cohomology_table_degrades_the_rows_to_euler_only(capsys, tmp_path):
+    path = tmp_path / "k3_lattice.json"
+    path.write_text(json.dumps({"surface": {**K3_LATTICE, "cohomology": {"O": {"0": 1, "2": 1}}}}))
+    argv = ["table", "--formula", "ExtEF", "--E", "H", "--F", "H", "--n", "1..2", "--surface", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == [
+        "ExtEF,1,,,2,,bichar_series:pass",
+        "ExtEF,2,,,20,,bichar_series:pass",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        assert row["graded"] is None
+        assert row["notes"] == [
+            "euler only: no cohomology table for 'dual(H)' (class [-1]); "
+            "graded formulas need user-supplied tables"
+        ]
 
 
 def test_table_curve_rows(capsys):
@@ -552,6 +596,23 @@ def test_importing_the_cli_loads_no_process_pool():
     assert result.stdout.strip() == "False"
 
 
+def test_the_module_entry_point_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    golden = Path(__file__).resolve().parent / "golden" / "table_rank3_check_k3.csv"
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hilbtaut", *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+        )
+
+    result = run("table", "--formula", "rank3_check", "--surface", "k3.json")
+    assert result.returncode == 0 and result.stdout == golden.read_bytes()
+    result = run("table", "--formula", "rank3_check", "--surface", "nosuch.json")
+    assert result.returncode == 2 and result.stdout == b""
+    assert result.stderr.count(b"\n") == 1 and result.stderr.startswith(b"error: ")
+
+
 # -- verify command -----------------------------------------------------------------
 
 
@@ -775,6 +836,15 @@ def test_series_rejects_unknown_bundle_even_when_unused(capsys, formula, letter)
     )
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "unknown bundle 'nosuch'" in err
+
+
+@pytest.mark.parametrize("formula", SERIES_FORMULAS)
+def test_series_without_a_surface_names_the_formula(capsys, formula):
+    code, out, err = run_cli(
+        capsys, "series", "--formula", formula, "--surface", "genus0_curve.json"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: formula {formula!r} needs a surface profile\n"
 
 
 # -- --out ---------------------------------------------------------------------------

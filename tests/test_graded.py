@@ -22,6 +22,7 @@ from hilbtaut.graded import (
     wedge_powers,
 )
 from hilbtaut.oracle import oracle_sym_power, oracle_wedge_power
+from hilbtaut.series import TruncSeries
 
 # Keep total dimension within the reach of the basis-enumeration oracle.
 small_spaces = st.dictionaries(
@@ -139,6 +140,19 @@ def test_lambda_matches_binomial_for_nonnegative_chi(k, chi):
 def test_s_counts_multisets_for_nonnegative_chi(k, chi):
     expected = math.comb(chi + k - 1, k) if chi > 0 else (1 if k == 0 else 0)
     assert s_scalar(k, chi) == expected
+
+
+@given(k=st.integers(min_value=-2, max_value=20), chi=st.integers(min_value=-40, max_value=40))
+def test_scalar_rules_are_the_series_coefficients_for_either_sign(k, chi):
+    # (1+Q)^chi and (1-Q)^(-chi) expanded by the series layer, no binomial
+    orders = {"Q": 21}
+    one, q = TruncSeries.const(1, orders), TruncSeries.variable("Q", orders)
+    expected = (0, 0)
+    if k >= 0:
+        expected = ((one + q).int_pow(chi).coeff(Q=k), (one - q).int_pow(-chi).coeff(Q=k))
+    values = (lambda_scalar(k, chi), s_scalar(k, chi))
+    assert values == expected
+    assert all(type(v) is int for v in values)
 
 
 # -- graded symmetric / exterior powers --------------------------------------

@@ -80,6 +80,16 @@ def test_coefficients_are_exact_fractions():
     assert (half * half).coeff() == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("value", [0.1, "1/3", True], ids=["float", "str", "bool"])
+def test_constructor_rejects_a_coefficient_that_is_not_an_int_or_a_fraction(value):
+    # Fraction() would take each of these: 0.1 as its binary expansion,
+    # "1/3" by parsing and True as 1
+    with pytest.raises(TypeError, match=r"coefficient at \(1, 0, 0\) must be an int or a Fraction"):
+        TruncSeries({"Q": 3}, {(1, 0, 0): value})
+    with pytest.raises(TypeError, match="unsupported operand"):
+        TruncSeries.variable("Q", {"Q": 3}) + value
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 
