@@ -298,7 +298,7 @@ def bichar_series(
 
     The argument's coefficients are written down monomial by monomial
     (exponents ordered Q, u, v) and ``TruncSeries.exp`` expands it by
-    the recurrence d F_d = sum_j j G_j F_{d-j} on total-degree parts.
+    the recurrence d F_d = sum_j j G_j F_{d-j} on Q-degree parts.
     Neither step uses the product form of ``bichar_product``, so the two
     stay independent checks of each other.
     """

@@ -39,9 +39,6 @@ class ConsistencyError(RuntimeError):
     """An internal identity failed; indicates a bug, not bad input."""
 
 
-Perm = tuple[int, ...]
-
-
 def _cycle_trace(length: int, space: GradedDim, sign_flags: int) -> dict[int, int]:
     # Trace of a single length-l cycle acting on the l-th tensor power of
     # a graded space.  Only the diagonal vectors w x w x ... x w survive;
@@ -148,16 +145,9 @@ class IndexPair:
     def overlap(self) -> int:
         return (self.first_mask & self.second_mask).bit_count()
 
-    def apply(self, perm: Perm) -> "IndexPair":
-        return IndexPair(_apply_mask(perm, self.first_mask), _apply_mask(perm, self.second_mask))
-
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask & (1 << i))
-
-
-def _apply_mask(perm: Perm, mask: int) -> int:
-    return sum(1 << perm[i] for i in _mask_indices(mask))
 
 
 @dataclass(frozen=True)
@@ -189,15 +179,14 @@ def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
     if n > ENUM_BOUND:
         raise SizeBoundError(f"n={n} exceeds enumeration bound {ENUM_BOUND}")
 
-    full = (1 << n) - 1
-
-    def rotate(mask: int) -> int:  # point i goes to i + 1 mod n
-        return (mask << 1 | mask >> (n - 1)) & full
-
-    def swap(mask: int) -> int:  # points 0 and 1 trade places
-        return mask ^ 3 if (mask ^ mask >> 1) & 1 else mask
-
-    generators = (rotate, swap) if n >= 2 else ()
+    # each generator tabulated once over all 2^n masks
+    generators: tuple[list[int], ...] = ()
+    if n >= 2:
+        full = (1 << n) - 1
+        masks = range(1 << n)
+        rotate = [(m << 1 | m >> (n - 1)) & full for m in masks]  # point i goes to i + 1 mod n
+        swap = [m ^ 3 if (m ^ m >> 1) & 1 else m for m in masks]  # points 0 and 1 trade places
+        generators = (rotate, swap)
     first_masks = [sum(1 << i for i in comb) for comb in itertools.combinations(range(n), e)]
     second_masks = [sum(1 << i for i in comb) for comb in itertools.combinations(range(n), f)]
     pairs = sorted((fm, sm) for fm in first_masks for sm in second_masks)
@@ -212,8 +201,8 @@ def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
         members = {pair}
         while frontier:
             fm, sm = frontier.pop()
-            for move in generators:
-                nxt = (move(fm), move(sm))
+            for image in generators:
+                nxt = (image[fm], image[sm])
                 if nxt not in members:
                     members.add(nxt)
                     frontier.append(nxt)
@@ -232,44 +221,56 @@ def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
 # -- basis enumeration for super powers --------------------------------
 
 
-def _enumerate_power(k: int, space: GradedDim, sym: bool) -> GradedDim:
-    if k < 0:
-        return ZERO
+def _enumerate_powers(top: int, space: GradedDim, sym: bool) -> list[GradedDim]:
+    # the powers 0..top, counting each monomial of size <= top once
+    if top < 0:
+        return []
     if space.total_dim() > POWER_DIM_BOUND:
         raise SizeBoundError(
             f"total dimension {space.total_dim()} exceeds bound {POWER_DIM_BOUND}"
         )
-    if k > POWER_EXPONENT_BOUND:
-        raise SizeBoundError(f"exponent {k} exceeds bound {POWER_EXPONENT_BOUND}")
+    if top > POWER_EXPONENT_BOUND:
+        raise SizeBoundError(f"exponent {top} exceeds bound {POWER_EXPONENT_BOUND}")
     # one label per basis vector; a label of odd degree is unrepeatable
     # in a symmetric power, one of even degree unrepeatable in a wedge
-    labels: list[tuple[int, int]] = []
+    labels: list[tuple[int, bool]] = []
     for d, m in space.items():
-        odd = d % 2 != 0
-        limited = odd if sym else not odd
-        labels.extend((d, 1 if limited else k) for _ in range(m))
+        repeatable = (d % 2 == 0) == sym
+        labels.extend((d, repeatable) for _ in range(m))
 
-    counts: dict[int, int] = {}
+    counts: list[dict[int, int]] = [{} for _ in range(top + 1)]
 
-    def descend(pos: int, remaining: int, degree: int) -> None:
-        if remaining == 0:
-            counts[degree] = counts.get(degree, 0) + 1
+    def extend(start: int, size: int, degree: int) -> None:
+        # a monomial lists its labels in order, so it grows only at or
+        # after its last label, and past it when that one is unrepeatable
+        counts[size][degree] = counts[size].get(degree, 0) + 1
+        if size == top:
             return
-        if pos == len(labels):
-            return
-        d, cap = labels[pos]
-        for mult in range(min(cap, remaining) + 1):
-            descend(pos + 1, remaining - mult, degree + mult * d)
+        for pos in range(start, len(labels)):
+            d, repeatable = labels[pos]
+            extend(pos if repeatable else pos + 1, size + 1, degree + d)
 
-    descend(0, k, 0)
-    return GradedDim(counts)
+    extend(0, 0, 0)
+    return [GradedDim(layer) for layer in counts]
+
+
+def oracle_sym_powers(top: int, space: GradedDim) -> list[GradedDim]:
+    """Super-symmetric powers 0..top by one monomial-basis enumeration;
+    negative top gives the empty list."""
+    return _enumerate_powers(top, space, sym=True)
+
+
+def oracle_wedge_powers(top: int, space: GradedDim) -> list[GradedDim]:
+    """Super-exterior powers 0..top by one monomial-basis enumeration;
+    negative top gives the empty list."""
+    return _enumerate_powers(top, space, sym=False)
 
 
 def oracle_sym_power(k: int, space: GradedDim) -> GradedDim:
     """Super-symmetric power by explicit monomial-basis enumeration."""
-    return _enumerate_power(k, space, sym=True)
+    return oracle_sym_powers(k, space)[k] if k >= 0 else ZERO
 
 
 def oracle_wedge_power(k: int, space: GradedDim) -> GradedDim:
     """Super-exterior power by explicit monomial-basis enumeration."""
-    return _enumerate_power(k, space, sym=False)
+    return oracle_wedge_powers(k, space)[k] if k >= 0 else ZERO

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +24,22 @@ from hilbtaut.oracle import (
     _cycle_trace,
     invariant_dim,
     oracle_sym_power,
+    oracle_sym_powers,
     oracle_wedge_power,
+    oracle_wedge_powers,
     orbit_decomposition,
 )
+from hilbtaut.verify import _all_spaces
 
 EVEN_LINE = GradedDim({0: 1})
 K3_POINT = GradedDim({0: 1, 2: 1})
+
+
+def _moved(pair: IndexPair, perm: tuple[int, ...]) -> IndexPair:
+    """``pair`` with point i sent to perm[i]."""
+    return IndexPair.from_indices(
+        [perm[i] for i in pair.first_indices()], [perm[i] for i in pair.second_indices()]
+    )
 
 
 # -- invariant dimensions by group averaging ----------------------------------
@@ -209,7 +220,7 @@ def test_representatives_are_minimal_and_distinct():
     for orbit in reps:
         # minimality under the full group, checked by brute force
         smallest = min(
-            orbit.apply(p) for p in permutations(range(4))
+            _moved(orbit, p) for p in permutations(range(4))
         )
         assert smallest == orbit
 
@@ -235,7 +246,7 @@ def test_index_pair_apply_is_an_action(n, data):
     second = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
     perm = tuple(data.draw(st.permutations(range(n))))
     pair = IndexPair.from_indices(sorted(first), sorted(second))
-    moved = pair.apply(perm)
+    moved = _moved(pair, perm)
     assert moved.first_indices() == tuple(sorted(perm[i] for i in first))
     assert moved.second_indices() == tuple(sorted(perm[i] for i in second))
     assert moved.overlap() == pair.overlap()
@@ -271,6 +282,45 @@ def test_power_bounds_enforced():
 def test_zero_power_is_unit():
     assert oracle_sym_power(0, ZERO) == UNIT
     assert oracle_wedge_power(0, GradedDim({2: 1})) == UNIT
+
+
+def _counted_power(k: int, space: GradedDim, sym: bool) -> GradedDim:
+    # repeatable basis vectors drawn with replacement, the others without
+    labels = [d for d, m in space.items() for _ in range(m)]
+    free = [d for d in labels if (d % 2 == 0) == sym]
+    once = [d for d in labels if (d % 2 == 0) != sym]
+    counts: Counter[int] = Counter()
+    for a in range(k + 1):
+        for x in combinations_with_replacement(free, a):
+            for y in combinations(once, k - a):
+                counts[sum(x) + sum(y)] += 1
+    return GradedDim(counts)
+
+
+def test_enumerated_powers_match_a_combinations_count_on_every_sweep_space():
+    edges = [
+        GradedDim({0: POWER_DIM_BOUND}),
+        GradedDim({1: POWER_DIM_BOUND}),
+        GradedDim({0: 4, 1: 4}),
+        GradedDim({-1: 3, 0: 2, 3: 3}),
+    ]
+    for space in [*_all_spaces((-2, -1, 0, 1, 2, 3), 4), *edges]:
+        for sym, powers in ((True, oracle_sym_powers), (False, oracle_wedge_powers)):
+            listed = powers(POWER_EXPONENT_BOUND, space)
+            assert listed == [
+                _counted_power(k, space, sym) for k in range(POWER_EXPONENT_BOUND + 1)
+            ]
+
+
+def test_power_lists_bounds_and_negative_top():
+    for powers in (oracle_sym_powers, oracle_wedge_powers):
+        assert powers(-1, GradedDim({0: POWER_DIM_BOUND + 1})) == []
+        assert powers(0, ZERO) == [UNIT]
+        with pytest.raises(SizeBoundError):
+            powers(0, GradedDim({0: POWER_DIM_BOUND + 1}))
+        with pytest.raises(SizeBoundError):
+            powers(POWER_EXPONENT_BOUND + 1, EVEN_LINE)
+    assert oracle_sym_power(-1, EVEN_LINE) == oracle_wedge_power(-2, EVEN_LINE) == ZERO
 
 
 @settings(max_examples=40)

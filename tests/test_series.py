@@ -299,6 +299,17 @@ def test_exp_is_multiplicative():
     assert (a + b).exp() == a.exp() * b.exp()
 
 
+def test_a_term_without_q_grades_the_recurrence_by_total_degree():
+    # u carries no Q, so u + Q and 1 + u + Q take the total-degree
+    # recurrence while Q alone takes the Q-degree one
+    orders = {"Q": 5, "u": 4}
+    q = TruncSeries.variable("Q", orders)
+    u = TruncSeries.variable("u", orders)
+    one = TruncSeries.const(1, orders)
+    assert (u + q).exp() == u.exp() * q.exp()
+    assert (one + u + q).int_pow(-1) * (one + u + q) == one
+
+
 # -- rendering ----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -9,7 +10,7 @@ import pytest
 
 from hilbtaut import formulas, verify
 from hilbtaut.graded import GradedDim
-from hilbtaut.oracle import POWER_EXPONENT_BOUND, orbit_decomposition
+from hilbtaut.oracle import POWER_EXPONENT_BOUND, IndexPair, orbit_decomposition
 from hilbtaut.series import TruncSeries
 from hilbtaut.verify import (
     DEFAULT_SEED,
@@ -89,7 +90,7 @@ def test_all_suites_are_runnable_small():
         "whom_oracle": {"nmax": 2, "count": 2},
         "tensor_euler": {"nmax": 2, "count": 2},
         "graded_powers": {"count": 5},
-        "orbits": {"nmax": 4},
+        "orbits": {"nmax": 5},
     }
     for name in SUITES:
         verdict = run_suite(name, seed=DEFAULT_SEED, **small[name])
@@ -227,13 +228,16 @@ def test_tensor_check_names_the_first_input_and_cell_that_disagree(monkeypatch):
 
 
 def test_basis_check_names_the_first_wrong_power(monkeypatch):
-    wedge = verify.oracle.oracle_wedge_power
+    wedges = verify.oracle.oracle_wedge_powers
     cell = (2, GradedDim({1: 2}))
 
-    def altered(k, space):
-        return wedge(k, space) + GradedDim({0: int((k, space) == cell)})
+    def altered(top, space):
+        return [
+            power + GradedDim({0: int((k, space) == cell)})
+            for k, power in enumerate(wedges(top, space))
+        ]
 
-    monkeypatch.setattr(verify.oracle, "oracle_wedge_power", altered)
+    monkeypatch.setattr(verify.oracle, "oracle_wedge_powers", altered)
     bad = failing(run_suite("graded_powers", count=1), "matches_basis_enumeration")
     assert bad == {"space": {"1": 2}, "k": 2, "power": "wedge"}
 
@@ -270,6 +274,20 @@ def test_orbit_checks_name_the_first_wrong_cell(monkeypatch, profile, name, expe
     )
     bad = failing(run_suite("orbits", nmax=4), name)
     assert bad == {"n": 3, "e": 1, "f": 1, **expected}
+
+
+def test_orbit_of_is_the_minimum_over_every_permutation():
+    for n in range(5):
+        for first, second in itertools.product(range(1 << n), repeat=2):
+            pair = IndexPair(first, second)
+            naive = min(
+                IndexPair.from_indices(
+                    [perm[i] for i in pair.first_indices()],
+                    [perm[i] for i in pair.second_indices()],
+                )
+                for perm in itertools.permutations(range(n))
+            )
+            assert verify._orbit_of(n, pair) == naive
 
 
 def test_reference_pair_check_names_the_first_pair_off_its_orbit(monkeypatch):
