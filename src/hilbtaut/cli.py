@@ -539,9 +539,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run_args(args)
-    except (UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except oracle.ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1

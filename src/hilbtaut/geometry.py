@@ -67,6 +67,8 @@ class SurfaceData:
     bundles: Mapping[str, LineBundleClass] = field(default_factory=dict)
     cohomology: Mapping[str, GradedDim] = field(default_factory=dict)
     chi_omega: int | None = None
+    # each cohomology table under its Hom class, filled by surface_from_json
+    class_tables: Mapping[LineBundleClass, GradedDim] = field(default_factory=dict)
 
     def bundle(self, name: str) -> LineBundleClass:
         if name in self.bundles:
@@ -181,35 +183,21 @@ def _curve_hom_chi(curve: CurveData, src: str | None, tgt: str | None) -> int:
     return curve_chi(curve, CurveBundle(a.rank * b.rank, a.rank * b.degree - b.rank * a.degree))
 
 
-def table_for_class(surface: SurfaceData, wanted: LineBundleClass) -> GradedDim | None:
-    """A supplied cohomology table for any bundle in the given class."""
-    for name in sorted(surface.cohomology):
-        try:
-            cls = _hom_class(surface, *_key_bundles(name))
-        except ConfigError:
-            continue
-        if cls == wanted:
-            return surface.cohomology[name]
-    return None
+def surface_table(surface: SurfaceData, src: str | None, tgt: str | None) -> GradedDim:
+    """The supplied cohomology table of Hom*(src, tgt); None stands for O.
 
-
-def surface_table(surface: SurfaceData, key: str) -> GradedDim:
-    """Resolve a cohomology table by key, falling back to class matching.
-
-    The exact key wins; otherwise any supplied table for a bundle in the
-    same lattice class is equivalent (for line bundles, duals and Homs
-    are themselves line bundles).  Tables are never synthesized.
+    For line bundles the Hom-space depends only on the lattice class of
+    tgt - src, so a table is found by that class alone: any key of the
+    class answers, and the loader has checked that such keys agree.
+    Tables are never synthesized.
     """
-    if key in surface.cohomology:
-        return surface.cohomology[key]
-    wanted = _hom_class(surface, *_key_bundles(key))
-    found = table_for_class(surface, wanted)
-    if found is None:
+    wanted = _hom_class(surface, src, tgt)
+    if wanted not in surface.class_tables:
         raise ConfigError(
-            f"no cohomology table for {key!r} (class {list(wanted.vector)}); "
+            f"no cohomology table for {_table_key(src, tgt)!r} (class {list(wanted.vector)}); "
             "graded formulas need user-supplied tables"
         )
-    return found
+    return surface.class_tables[wanted]
 
 
 def variant_tables(
@@ -218,7 +206,7 @@ def variant_tables(
     """Cohomology table for each formula table role, given the map from
     the bundle letters E, F, K, L to profile bundle names."""
     return {
-        role: surface_table(surface, _table_key(*role_bundles(role, names)))
+        role: surface_table(surface, *role_bundles(role, names))
         for role in dict.fromkeys(variant_keys)
     }
 
@@ -334,6 +322,7 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
             rr_chi(surface, line)
         except NonIntegralError as exc:
             raise ConfigError(f"surface.bundles[{name!r}]: {exc}") from None
+    class_keys: dict[LineBundleClass, str] = {}
     for key, table in cohomology.items():
         try:
             cls = _hom_class(surface, *_key_bundles(key))
@@ -345,6 +334,12 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
                 f"surface.cohomology[{key!r}] has euler {table.euler()} "
                 f"but Riemann-Roch gives {expected}"
             )
+        first = class_keys.setdefault(cls, key)
+        if cohomology[first] != table:
+            raise ConfigError(
+                f"surface.cohomology[{first!r}] and [{key!r}] are both class "
+                f"{list(cls.vector)} but their tables differ"
+            )
     # Hirzebruch-Riemann-Roch for the cotangent sheaf, with Noether's
     # c_2 = 12 chi_O - K.K: chi(Omega) = K.K - 10 chi_O
     canonical_class = LineBundleClass(canonical)
@@ -354,7 +349,8 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
             f"surface.chi_Omega is {given_chi_omega} "
             f"but K.K - 10*chi_O gives {chi_omega}"
         )
-    return replace(surface, chi_omega=chi_omega)
+    class_tables = {cls: cohomology[key] for cls, key in class_keys.items()}
+    return replace(surface, chi_omega=chi_omega, class_tables=class_tables)
 
 
 def curve_from_json(data: Mapping[str, object]) -> CurveData:

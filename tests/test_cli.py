@@ -159,6 +159,41 @@ def test_a_missing_cohomology_table_degrades_the_rows_to_euler_only(capsys, tmp_
         ]
 
 
+def _k3_with_hom_h_h(tmp_path, table):
+    data = json.loads(cli.geometry.packaged_profile("k3.json").read_text())
+    data["surface"]["cohomology"]["hom(H,H)"] = table
+    path = tmp_path / "k3_hom_h_h.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_two_keys_of_one_class_with_different_tables_exit_two(capsys, tmp_path):
+    # hom(H,H) and O are one class; a table that differs from O's must not
+    # answer for Hom*(H, H) = H*(O)
+    path = _k3_with_hom_h_h(tmp_path, {"0": 2})
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "ExtEF", "--E", "H", "--F", "H", "--n", "1", "--surface", path
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: surface.cohomology['O'] and ['hom(H,H)'] are both class [0] "
+        "but their tables differ\n"
+    )
+
+
+@pytest.mark.parametrize("variant", formulas.VARIANTS)
+def test_two_keys_of_one_class_with_equal_tables_give_the_plain_rows(capsys, tmp_path, variant):
+    e_spec, f_spec, _ = formulas.variant_signature(variant)
+    argv = ["table", "--formula", variant, "--n", "1..3"]
+    argv += ["--k", "0..n"] if "k" in (e_spec, f_spec) else []
+    argv += ["--l", "0..n"] if "l" in (e_spec, f_spec) else []
+    argv += ["--E", "H", "--F", "H", "--K", "H", "--L", "H"]
+    plain = run_cli(capsys, *argv, "--surface", "k3.json")
+    duplicated = run_cli(capsys, *argv, "--surface", _k3_with_hom_h_h(tmp_path, {"0": 1, "2": 1}))
+    assert plain[0] == 0 and plain[1]
+    assert duplicated == plain
+
+
 def test_table_curve_rows(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--formula", "curve_bichar", "--curve",

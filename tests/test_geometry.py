@@ -26,34 +26,30 @@ from hilbtaut.geometry import (
     rr_chi,
     surface_from_json,
     surface_table,
-    table_for_class,
     variant_chis,
     variant_tables,
 )
 
-K3 = SurfaceData(
-    chi_o=2,
-    picard_rank=1,
-    gram=((4,),),
-    canonical=(0,),
-    bundles={"O": LineBundleClass((0,)), "H": LineBundleClass((1,))},
-    cohomology={
-        "O": GradedDim({0: 1, 2: 1}),
-        "H": GradedDim({0: 4}),
-        "dual(H)": GradedDim({2: 4}),
-    },
-    chi_omega=-20,
-)
+# built by the loader, which files each cohomology table under its Hom class
+K3 = surface_from_json({
+    "chi_O": 2,
+    "picard_rank": 1,
+    "gram": [[4]],
+    "canonical": [0],
+    "bundles": {"O": [0], "H": [1]},
+    "cohomology": {"O": {"0": 1, "2": 1}, "H": {"0": 4}, "dual(H)": {"2": 4}},
+    "chi_Omega": -20,
+})
 
-PLANE = SurfaceData(
-    chi_o=1,
-    picard_rank=1,
-    gram=((1,),),
-    canonical=(-3,),
-    bundles={"O": LineBundleClass((0,)), "H": LineBundleClass((1,))},
-    cohomology={"O": GradedDim({0: 1}), "H": GradedDim({0: 3})},
-    chi_omega=-1,
-)
+PLANE = surface_from_json({
+    "chi_O": 1,
+    "picard_rank": 1,
+    "gram": [[1]],
+    "canonical": [-3],
+    "bundles": {"O": [0], "H": [1]},
+    "cohomology": {"O": {"0": 1}, "H": {"0": 3}},
+    "chi_Omega": -1,
+})
 
 
 # -- lattice arithmetic --------------------------------------------------------
@@ -117,38 +113,76 @@ def test_curve_chis_roles():
 
 
 def test_plain_dual_and_hom_keys():
-    assert dict(surface_table(K3, "H").items()) == {0: 4}
-    assert dict(surface_table(K3, "dual(H)").items()) == {2: 4}
-    assert dict(surface_table(K3, "hom(H,H)").items()) == {0: 1, 2: 1}
-    assert dict(surface_table(K3, "hom(O,H)").items()) == {0: 4}
+    assert dict(surface_table(K3, None, "H").items()) == {0: 4}
+    assert dict(surface_table(K3, "H", None).items()) == {2: 4}
+    assert dict(surface_table(K3, "H", "H").items()) == {0: 1, 2: 1}
+    assert dict(surface_table(K3, "O", "H").items()) == {0: 4}
 
 
 def test_class_matching_fallback():
     # hom(H,H) has the class of O, so O's table answers for it even
     # though no such key was supplied.
-    got = table_for_class(PLANE, LineBundleClass((0,)))
-    assert got is not None and dict(got.items()) == {0: 1}
-    assert dict(surface_table(PLANE, "hom(H,H)").items()) == {0: 1}
+    assert "hom(H,H)" not in PLANE.cohomology
+    assert dict(surface_table(PLANE, None, None).items()) == {0: 1}
+    assert dict(surface_table(PLANE, "H", "H").items()) == {0: 1}
 
 
 def test_missing_table_is_a_config_error():
-    with pytest.raises(ConfigError):
-        surface_table(PLANE, "dual(H)") if "dual(H)" not in PLANE.cohomology else None
-        surface_table(
-            SurfaceData(chi_o=1, picard_rank=1, gram=((1,),), canonical=(-3,),
-                        bundles={"H": LineBundleClass((1,))}),
-            "H",
-        )
+    assert "dual(H)" not in PLANE.cohomology
+    with pytest.raises(ConfigError, match=r"^no cohomology table for 'dual\(H\)' \(class \[-1\]\)"):
+        surface_table(PLANE, "H", None)
+    tableless = SurfaceData(
+        chi_o=1, picard_rank=1, gram=((1,),), canonical=(-3,),
+        bundles={"H": LineBundleClass((1,))},
+    )
+    with pytest.raises(ConfigError, match=r"^no cohomology table for 'H' \(class \[1\]\)"):
+        surface_table(tableless, None, "H")
 
 
 def test_tables_are_never_synthesized_from_duality():
-    bare = SurfaceData(
-        chi_o=2, picard_rank=1, gram=((4,),), canonical=(0,),
-        bundles={"H": LineBundleClass((1,))},
-        cohomology={"H": GradedDim({0: 4})},
-    )
+    bare = surface_from_json({
+        "chi_O": 2, "picard_rank": 1, "gram": [[4]], "canonical": [0],
+        "bundles": {"H": [1]}, "cohomology": {"H": {"0": 4}},
+    })
     with pytest.raises(ConfigError):
-        surface_table(bare, "dual(H)")
+        surface_table(bare, "H", None)
+
+
+_TABLES_BY_CLASS = {
+    "k3.json": {-1: {2: 4}, 0: {0: 1, 2: 1}, 1: {0: 4}},
+    "p2.json": {-1: {}, 0: {0: 1}, 1: {0: 3}},
+}
+
+
+@pytest.mark.parametrize("profile", sorted(_TABLES_BY_CLASS))
+def test_every_hom_space_resolves_to_the_table_of_its_class(profile):
+    surface = load_config(packaged_profile(profile)).surface
+    names = (None, "O", "H")
+    for src in names:
+        for tgt in names:
+            cls = (tgt == "H") - (src == "H")
+            got = surface_table(surface, src, tgt)
+            assert dict(got.items()) == _TABLES_BY_CLASS[profile][cls], (src, tgt)
+
+
+def _k3_with_hom_h_h(tmp_path, table):
+    data = json.loads(packaged_profile("k3.json").read_text())
+    data["surface"]["cohomology"]["hom(H,H)"] = table
+    path = tmp_path / "k3_hom_h_h.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_two_keys_of_one_class_with_different_tables_are_rejected_at_load(tmp_path):
+    # both have euler 2, as Riemann-Roch wants, but Hom*(H, H) = H*(O)
+    path = _k3_with_hom_h_h(tmp_path, {"0": 2})
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == (
+        "surface.cohomology['O'] and ['hom(H,H)'] are both class [0] "
+        "but their tables differ"
+    )
+
 
 
 def test_variant_tables_resolves_role_names():
@@ -195,7 +229,7 @@ def test_surface_round_trip():
     surface = surface_from_json(good_surface_json())
     assert surface.chi_o == 2
     assert rr_chi(surface, surface.bundle("H")) == 4
-    assert dict(surface_table(surface, "O").items()) == {0: 1, 2: 1}
+    assert dict(surface_table(surface, None, None).items()) == {0: 1, 2: 1}
 
 
 def test_surface_rejects_unknown_fields():
