@@ -11,6 +11,12 @@ Ranges are inclusive, written "a..b" or a single "a"; for --k/--l the
 upper bound may be the letter n, meaning the per-row value of n.  Cells
 whose k or l exceeds n are skipped.  Exit codes: 0 success, 1 internal
 consistency failure, 2 usage or config error.
+
+Every subcommand's flags are described once, in ``COMMANDS``.  A command
+line of full ``--flag value`` pairs is read straight from that table;
+anything else (help, abbreviations, ``--flag=value``, a value starting
+with "-", every malformed line) goes to an argparse parser built from
+the same table, so help text and error messages are argparse's own.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from pathlib import Path
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import formulas, geometry, oracle, verify
 from .formulas import BicharInput
@@ -90,17 +96,23 @@ BUNDLE_LETTERS = ("E", "F", "K", "L")
 #: absent; a --k/--l upper bound None stands for the row's n
 Range = tuple[int, int | None]
 Ranges = tuple[tuple[int, int] | None, Range | None, Range | None]
+#: the profile flag a job was given, "surface" or "curve", and its value
+Profile = tuple[str, str]
 
 
 def _load_part(
-    profile: str, part: str, formula: str, names: dict[str, str]
+    profile: Profile, part: str, formula: str, names: dict[str, str]
 ) -> geometry.SurfaceData | geometry.CurveData:
     """The surface or the curve of a table job's profile.
 
-    Every selected bundle must exist in it, also one the formula does
-    not use and also when no cell is in range.
+    The profile must come from the flag of that part.  Every selected
+    bundle must exist in it, also one the formula does not use and also
+    when no cell is in range.
     """
-    data = getattr(geometry.load_config(geometry.resolve_profile(profile)), part)
+    flag, spec = profile
+    if flag != part:
+        raise UsageError(f"{formula} reads its profile from --{part}, not --{flag}")
+    data = getattr(geometry.load_config(geometry.resolve_profile(spec)), part)
     if data is None:
         raise ConfigError(f"formula {formula!r} needs a {part} profile")
     for name in names.values():
@@ -108,7 +120,7 @@ def _load_part(
     return data
 
 
-def _variant_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges) -> list[dict]:
+def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ranges) -> list[dict]:
     n_range, k_range, l_range = ranges
     e_spec, f_spec, roles = formulas.variant_signature(formula)
     uses_k = "k" in (e_spec, f_spec)
@@ -171,7 +183,7 @@ def _variant_job(formula: str, profile: str, names: dict[str, str], ranges: Rang
     return rows
 
 
-def _curve_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges) -> list[dict]:
+def _curve_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ranges) -> list[dict]:
     n_range, k_range, l_range = ranges
     if n_range is None:
         raise UsageError(f"--n is required for {formula}")
@@ -213,7 +225,7 @@ def _curve_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges
     return rows
 
 
-def _rank3_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges) -> list[dict]:
+def _rank3_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ranges) -> list[dict]:
     n_range, k_range, l_range = ranges
     if n_range is not None or k_range is not None or l_range is not None:
         raise UsageError("rank3_check takes no --n/--k/--l ranges")
@@ -238,7 +250,7 @@ def _rank3_job(formula: str, profile: str, names: dict[str, str], ranges: Ranges
 
 #: formula id -> the job that checks the table's ranges before it loads
 #: the profile, then returns the table's rows; the variants come first
-TABLE_JOBS: dict[str, Callable[[str, str, dict[str, str], Ranges], list[dict]]] = {
+TABLE_JOBS: dict[str, Callable[[str, Profile, dict[str, str], Ranges], list[dict]]] = {
     **dict.fromkeys(formulas.VARIANTS, _variant_job),
     "curve_bichar": _curve_job,
     "rank3_check": _rank3_job,
@@ -304,14 +316,17 @@ def run_table(args: argparse.Namespace) -> int:
     _at_least(args.workers, 1, "--workers")
     if args.surface and args.curve:
         raise UsageError("pass either --surface or --curve, not both")
-    profile = args.surface or args.curve
+    flag = "surface" if args.surface else "curve"
+    profile = getattr(args, flag)
     if profile is None:
         raise UsageError("a --surface or --curve profile is required")
     n_range = None if args.n is None else _exact_range(args.n, "--n")
     k_range = None if args.k is None else parse_range(args.k, "--k", allow_n=True)
     l_range = None if args.l is None else parse_range(args.l, "--l", allow_n=True)
     names = {b: getattr(args, b) for b in BUNDLE_LETTERS}
-    rows = TABLE_JOBS[args.formula](args.formula, profile, names, (n_range, k_range, l_range))
+    rows = TABLE_JOBS[args.formula](
+        args.formula, (flag, profile), names, (n_range, k_range, l_range)
+    )
     for row in rows:
         for name, ok in row["cross_checks"]:
             if not ok and name in MUST_AGREE_CHECKS:
@@ -359,7 +374,7 @@ def run_series(args: argparse.Namespace) -> int:
         raise UsageError("bichar takes no --k-max")
     _at_least(args.k_max, 0, "--k-max")
     names = {b: getattr(args, b) for b in "FKL"}
-    surface = _load_part(args.surface, "surface", args.formula, names)
+    surface = _load_part(("surface", args.surface), "surface", args.formula, names)
     n_max = args.n_max
     if args.formula == "bichar":
         roles = formulas.variant_signature("Extwedgewedge")[2]
@@ -429,10 +444,12 @@ def run_jobs(config_path: str) -> int:
                 argv.extend(("--curve", str(resolved)))
             elif not wants_curve and config.surface is not None:
                 argv.extend(("--surface", str(resolved)))
-        try:
-            args = _build_parser(_JobArgumentParser).parse_args(argv)
-        except UsageError as exc:
-            raise UsageError(f"jobs[{index}]: {exc}") from None
+        args = _read_args(argv)
+        if args is None:
+            try:
+                args = _build_parser(_JobArgumentParser).parse_args(argv)
+            except UsageError as exc:
+                raise UsageError(f"jobs[{index}]: {exc}") from None
         code = _run_args(args)
         if code != 0:
             return code
@@ -440,6 +457,108 @@ def run_jobs(config_path: str) -> int:
 
 
 # -- argument parsing -------------------------------------------------------
+
+
+class Flag(NamedTuple):
+    """One flag of a subcommand, in ``add_argument``'s terms."""
+
+    names: tuple[str, ...]
+    dest: str
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    metavar: str | None = None
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    help: str
+    epilog: str | None
+    flags: tuple[Flag, ...]
+
+
+def _bundle_flags(letters: Sequence[str]) -> tuple[Flag, ...]:
+    return tuple(Flag((f"--{b}",), b, default="O", metavar="BUNDLE") for b in letters)
+
+
+_RANGE_HELP = (
+    'Ranges are inclusive: "a..b" or a single "a". For --k/--l the upper '
+    'bound may be "n" (the per-row value of n); cells with k or l above '
+    "n are skipped."
+)
+
+#: every subcommand's flags, in help order; _read_args and _build_parser
+#: both read this one table
+COMMANDS = {
+    "table": Command("evaluate a formula over (n, k, l) ranges", _RANGE_HELP, (
+        Flag(("--formula",), "formula", choices=TABLE_FORMULAS, required=True),
+        Flag(("--surface",), "surface", metavar="PROFILE",
+             help="surface config (path or packaged name)"),
+        Flag(("--curve",), "curve", metavar="PROFILE",
+             help="curve config (path or packaged name)"),
+        Flag(("--n",), "n", metavar="RANGE"),
+        Flag(("--k",), "k", metavar="RANGE"),
+        Flag(("--l",), "l", metavar="RANGE"),
+        *_bundle_flags(BUNDLE_LETTERS),
+        Flag(("--format",), "format", choices=("csv", "json"), default="csv"),
+        Flag(("--out",), "out", metavar="PATH"),
+        Flag(("--workers",), "workers", type=int, default=1),
+    )),
+    "verify": Command("run a property suite", None, (
+        Flag(("--suite",), "suite", choices=verify.SUITES, required=True),
+        Flag(("--seed",), "seed", type=int, default=DEFAULT_SEED),
+        Flag(("--nmax", "--n"), "nmax", type=int),
+        Flag(("--count",), "count", type=int),
+        Flag(("--workers",), "workers", type=int, default=1),
+        Flag(("--out",), "out", metavar="PATH"),
+    )),
+    "series": Command("expand a generating function", None, (
+        Flag(("--formula",), "formula", choices=SERIES_FORMULAS, required=True),
+        Flag(("--surface",), "surface", required=True, metavar="PROFILE"),
+        Flag(("--n-max",), "n_max", type=int, default=6),
+        Flag(("--k-max",), "k_max", type=int),
+        *_bundle_flags("FKL"),
+        Flag(("--format",), "format", choices=("text", "json"), default="text"),
+        Flag(("--out",), "out", metavar="PATH"),
+    )),
+    "run": Command("execute the jobs list of a config file", None, (
+        Flag(("--config",), "config", required=True, metavar="PATH"),
+    )),
+}
+
+
+def _read_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a plain command line, else None.
+
+    A plain line is a command followed by ``flag value`` pairs, each flag
+    spelt in full and each value free of a leading "-", converting to its
+    type and lying in its choices, with every required flag present; a
+    repeated flag keeps its last value, as in argparse.  Anything else,
+    help and abbreviations included, is left to argparse, so its help
+    text and its error messages are the only ones there are.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = COMMANDS[argv[0]].flags
+    by_name = {name: flag for flag in flags for name in flag.names}
+    values = {}
+    for name, text in zip(argv[1::2], argv[2::2]):
+        flag = by_name.get(name)
+        if flag is None or text.startswith("-"):
+            return None
+        try:
+            value = text if flag.type is None else flag.type(text)
+        except (TypeError, ValueError):
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    if any(flag.required and flag.dest not in values for flag in flags):
+        return None
+    return argparse.Namespace(
+        command=argv[0], **{flag.dest: values.get(flag.dest, flag.default) for flag in flags}
+    )
 
 
 class _JobArgumentParser(argparse.ArgumentParser):
@@ -468,54 +587,14 @@ def _build_parser(
         "on Hilbert schemes of points.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    range_help = (
-        'Ranges are inclusive: "a..b" or a single "a". For --k/--l the upper '
-        'bound may be "n" (the per-row value of n); cells with k or l above '
-        "n are skipped."
-    )
-
-    t = sub.add_parser(
-        "table",
-        help="evaluate a formula over (n, k, l) ranges",
-        epilog=range_help,
-    )
-    t.add_argument("--formula", required=True, choices=TABLE_FORMULAS)
-    t.add_argument("--surface", metavar="PROFILE", help="surface config (path or packaged name)")
-    t.add_argument("--curve", metavar="PROFILE", help="curve config (path or packaged name)")
-    t.add_argument("--n", metavar="RANGE")
-    t.add_argument("--k", metavar="RANGE")
-    t.add_argument("--l", metavar="RANGE")
-    t.add_argument("--E", default="O", metavar="BUNDLE")
-    t.add_argument("--F", default="O", metavar="BUNDLE")
-    t.add_argument("--K", default="O", metavar="BUNDLE")
-    t.add_argument("--L", default="O", metavar="BUNDLE")
-    t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--out", metavar="PATH")
-    t.add_argument("--workers", type=int, default=1)
-
-    v = sub.add_parser("verify", help="run a property suite")
-    v.add_argument("--suite", required=True, choices=verify.SUITES)
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--nmax", "--n", dest="nmax", type=int, default=None)
-    v.add_argument("--count", type=int, default=None)
-    v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--out", metavar="PATH")
-
-    s = sub.add_parser("series", help="expand a generating function")
-    s.add_argument("--formula", required=True, choices=SERIES_FORMULAS)
-    s.add_argument("--surface", required=True, metavar="PROFILE")
-    s.add_argument("--n-max", dest="n_max", type=int, default=6)
-    s.add_argument("--k-max", dest="k_max", type=int, default=None)
-    s.add_argument("--F", default="O", metavar="BUNDLE")
-    s.add_argument("--K", default="O", metavar="BUNDLE")
-    s.add_argument("--L", default="O", metavar="BUNDLE")
-    s.add_argument("--format", choices=("text", "json"), default="text")
-    s.add_argument("--out", metavar="PATH")
-
-    r = sub.add_parser("run", help="execute the jobs list of a config file")
-    r.add_argument("--config", required=True, metavar="PATH")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, epilog=command.epilog)
+        for flag in command.flags:
+            p.add_argument(
+                *flag.names, dest=flag.dest, type=flag.type, choices=flag.choices,
+                default=flag.default, required=flag.required, metavar=flag.metavar,
+                help=flag.help,
+            )
     return parser
 
 
@@ -535,8 +614,12 @@ def _run_args(args: argparse.Namespace) -> int:
     return run_series(args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return _run_args(args)
     except oracle.ConsistencyError as exc:

@@ -65,7 +65,6 @@ class SurfaceData:
     gram: tuple[tuple[int, ...], ...]
     canonical: tuple[int, ...]
     bundles: Mapping[str, LineBundleClass] = field(default_factory=dict)
-    cohomology: Mapping[str, GradedDim] = field(default_factory=dict)
     chi_omega: int | None = None
     # each cohomology table under its Hom class, filled by surface_from_json
     class_tables: Mapping[LineBundleClass, GradedDim] = field(default_factory=dict)
@@ -94,7 +93,6 @@ class CurveData:
 
     genus: int
     bundles: Mapping[str, CurveBundle] = field(default_factory=dict)
-    cohomology: Mapping[str, GradedDim] = field(default_factory=dict)
 
     def bundle(self, name: str) -> CurveBundle:
         if name in self.bundles:
@@ -313,7 +311,6 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
         gram=tuple(gram),
         canonical=canonical,
         bundles=bundles,
-        cohomology=cohomology,
     )
     # (A - B)^2 - (A - B).K is congruent to (A^2 - A.K) + (B^2 - B.K) mod 2,
     # so even bundles make every Hom class a key or role forms integral
@@ -376,7 +373,7 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
         except ConfigError as exc:
             raise ConfigError(f"curve.bundles[{name!r}]: {exc}") from None
     cohomology = _cohomology_tables(data, "curve")
-    curve = CurveData(genus=genus, bundles=bundles, cohomology=cohomology)
+    curve = CurveData(genus=genus, bundles=bundles)
     for key, table in cohomology.items():
         expected = _curve_hom_chi(curve, *_key_bundles(key))
         if table.euler() != expected:

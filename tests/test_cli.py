@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -646,6 +649,167 @@ def test_the_module_entry_point_runs_the_cli():
     result = run("table", "--formula", "rank3_check", "--surface", "nosuch.json")
     assert result.returncode == 2 and result.stdout == b""
     assert result.stderr.count(b"\n") == 1 and result.stderr.startswith(b"error: ")
+
+
+# -- reading the command line -------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _plain_argvs(capsys, monkeypatch) -> list[list[str]]:
+    """The golden lines, README's examples and the golden run config's jobs."""
+    from test_golden import INVOCATIONS
+    from test_readme_examples import _examples
+
+    argvs = [list(argv) for argv in INVOCATIONS.values()]
+    argvs += [shlex.split(command)[1:] for command in _examples()]
+    real = cli._read_args
+    seen = []
+
+    def recording(argv):
+        seen.append(list(argv))
+        return real(argv)
+
+    monkeypatch.setattr(cli, "_read_args", recording)
+    assert main(["run", "--config", str(GOLDEN / "run_jobs_config.json")]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    # the first line read is the run command itself, the others its jobs
+    return argvs + seen[1:]
+
+
+def _mutations(argv: list[str], rng: random.Random) -> list[list[str]]:
+    """Seeded variants of a plain line, most of which the flag table leaves to argparse."""
+    command, rest = argv[0], argv[1:]
+    pairs = [rest[i:i + 2] for i in range(0, len(rest), 2)]
+    i = rng.randrange(len(pairs))
+    name, value = pairs[i]
+
+    def with_pair(*tokens: str) -> list[str]:
+        return [command, *sum(pairs[:i], []), *tokens, *sum(pairs[i + 1:], [])]
+
+    out = [
+        with_pair(name[:-1], value) if len(name) > 3 else with_pair("--form", value),
+        with_pair(f"{name}={value}"),
+        with_pair(name, "-5"),
+        with_pair(name, "-"),
+        argv + [name, value],
+        [command, name, rng.choice(["7", "x", "csv", "1..2"]), *rest],
+        argv + [name, rng.choice(["7", "x", "json", "k3.json"])],
+        argv + ["-h"],
+        [command, "-h", *rest],
+        argv + ["--help"],
+        ["tabel", *rest],
+        argv + [rng.choice(["--out", "--n", "--workers", "--E"])],
+        argv + ["extra"],
+        argv[:1],
+    ]
+    for flag in cli.COMMANDS[command].flags:
+        if flag.required:
+            out.append([command, *sum((p for p in pairs if p[0] not in flag.names), [])])
+        if flag.type is int:
+            out.append(argv + [flag.names[0], "x"])
+        if flag.choices is not None:
+            out.append(argv + [flag.names[0], "nosuch"])
+            out.append([command, flag.names[0], "nosuch", *rest])
+    return out
+
+
+@pytest.mark.parametrize("parser_class", [argparse.ArgumentParser, cli._JobArgumentParser])
+def test_the_flag_table_reads_what_argparse_reads(capsys, monkeypatch, parser_class):
+    parser = cli._build_parser(parser_class)
+
+    def parsed(argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except (SystemExit, UsageError):
+            return None
+        finally:
+            capsys.readouterr()
+
+    plain = _plain_argvs(capsys, monkeypatch)
+    rng = random.Random(20161)
+    argvs = plain + [m for argv in plain for m in _mutations(argv, rng)] + [[]]
+    assert len(argvs) > 500
+    disagree = []
+    for argv in argvs:
+        expected = parsed(argv)
+        read = cli._read_args(argv)
+        if read is not None and vars(read) != expected:
+            disagree.append((argv, vars(read), expected))
+    assert disagree == []
+    # the reader is not vacuous: every plain line is read without argparse
+    assert [argv for argv in plain if cli._read_args(argv) is None] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--formu", "rank3_check", "--surface", "k3.json"],
+        ["table", "--formula", "rank3_check", "--surface=k3.json"],
+        ["table", "--formu=rank3_check", "--surf", "k3.json"],
+    ],
+)
+def test_argparse_still_reads_abbreviations_and_equals_forms(capsys, argv):
+    assert cli._read_args(argv) is None
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "table_rank3_check_k3.csv").read_text()
+
+
+def test_an_ambiguous_abbreviation_is_argparse_s_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--form", "rank3_check", "--surface=k3.json"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith("error: ambiguous option: --form could match --formula, --format\n")
+
+
+def test_argparse_still_reads_a_negative_seed(capsys):
+    argv = ["verify", "--suite", "appendix", "--nmax", "2", "--count", "1", "--seed", "-5"]
+    assert cli._read_args(argv) is None
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["seed"] == -5
+
+
+def test_table_help_is_argparse_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: hilbtaut table [-h] --formula")
+    assert "--curve PROFILE" in out and "Ranges are inclusive" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cohF", "--curve", "k3.json", "--n", "1"], "cohF reads its profile from --surface, not --curve"),
+        (["Extwedgewedge", "--curve", "k3.json", "--n", "1", "--k", "0..n", "--l", "0..n"],
+         "Extwedgewedge reads its profile from --surface, not --curve"),
+        (["rank3_check", "--curve", "k3.json"], "rank3_check reads its profile from --surface, not --curve"),
+        (["curve_bichar", "--surface", "genus0_curve.json", "--n", "1"],
+         "curve_bichar reads its profile from --curve, not --surface"),
+        # the ranges are still checked first
+        (["curve_bichar", "--surface", "genus0_curve.json"], "--n is required for curve_bichar"),
+        (["cohF", "--curve", "k3.json", "--n", "0"], "cohF needs n >= 1"),
+    ],
+)
+def test_each_table_formula_reads_only_its_own_profile_flag(capsys, argv, message):
+    # cohF --curve k3.json used to print the surface table and exit 0
+    code, out, err = run_cli(capsys, "table", "--formula", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_run_job_that_names_the_wrong_profile_flag_exits_two(capsys, tmp_path):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(
+        {"jobs": [{"command": "table", "formula": "cohF", "curve": "k3.json", "n": "1"}]}
+    ))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: cohF reads its profile from --surface, not --curve\n"
 
 
 # -- verify command -----------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from hilbtaut import cli
 from hilbtaut.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -89,6 +90,19 @@ def _stdout(argv: list[str]) -> tuple[int, str]:
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_golden_output(name):
+    code, out = _stdout(INVOCATIONS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_golden_output_is_read_without_argparse(monkeypatch, name):
+    # every golden line, and every job of the run config, is a plain
+    # "flag value" line that the flag table reads without a parser
+    def no_parser(*args, **kwargs):
+        raise AssertionError("built an argparse parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
     code, out = _stdout(INVOCATIONS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
