@@ -350,7 +350,7 @@ def run_verify(args: argparse.Namespace) -> int:
     _at_least(args.workers, 1, "--workers")
     _at_least(args.count, 1, "--count")
     _at_least(args.nmax, 1, "--nmax")
-    kwargs: dict = {"seed": args.seed, "workers": args.workers}
+    kwargs: dict = {"seed": args.seed}
     if args.nmax is not None:
         if args.suite == "graded_powers":
             raise UsageError("graded_powers has no --nmax bound (its domain is fixed)")

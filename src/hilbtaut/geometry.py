@@ -298,6 +298,11 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
         if not isinstance(vec, list) or len(vec) != rank:
             raise ConfigError(f"surface.bundles[{name!r}] must have length {rank}")
         bundles[name] = LineBundleClass(tuple(_as_int(x, f"surface.bundles[{name!r}]") for x in vec))
+    # every structure-sheaf slot is resolved through the name O
+    zero = LineBundleClass((0,) * rank)
+    if bundles.get("O", zero) != zero:
+        got = list(bundles["O"].vector)
+        raise ConfigError(f"surface.bundles['O'] must be the zero class, got {got}")
 
     cohomology = _cohomology_tables(data, "surface")
 
@@ -372,6 +377,12 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
             bundles[name] = CurveBundle(rank, degree)
         except ConfigError as exc:
             raise ConfigError(f"curve.bundles[{name!r}]: {exc}") from None
+    structure = bundles.get("O", CurveBundle(1, 0))
+    if structure != CurveBundle(1, 0):
+        raise ConfigError(
+            "curve.bundles['O'] must be rank 1, degree 0, "
+            f"got rank {structure.rank}, degree {structure.degree}"
+        )
     cohomology = _cohomology_tables(data, "curve")
     curve = CurveData(genus=genus, bundles=bundles)
     for key, table in cohomology.items():

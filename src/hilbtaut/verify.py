@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
@@ -65,15 +64,14 @@ def _verdict(suite: str, seed: int | None, bounds: dict, checks: list[dict]) -> 
     }
 
 
-def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    # more processes than items or than CPUs would only wait their turn
-    workers = min(workers, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # imported here: only a pool needs multiprocessing and logging loaded
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn: Callable, items: Iterable) -> list:
+    """``fn`` applied to each item in order, in this process.
+
+    The loop that ``whom_oracle`` and ``tensor_euler`` run their work
+    items through.  It stays a named function because the benchmark's
+    layer tracer times it under this name (``perfbench/tracing.py``).
+    """
+    return [fn(item) for item in items]
 
 
 def random_space(
@@ -132,12 +130,9 @@ def _three_way_mismatch(quad: tuple[int, int, int, int], nmax: int) -> dict | No
     return None
 
 
-def suite_appendix(
-    seed: int = DEFAULT_SEED, nmax: int = 6, count: int = 50, workers: int = 1
-) -> dict:
+def suite_appendix(seed: int = DEFAULT_SEED, nmax: int = 6, count: int = 50) -> dict:
     """Series-side identities: the scalar coefficient rules and the
     three-way agreement of closed sum, exp form and product form."""
-    del workers  # cheap enough sequentially; kept for a uniform call shape
     lo, hi = CHI_RANGE
     rng = random.Random(seed)
     quadruples = [tuple(rng.randint(lo, hi) for _ in range(4)) for _ in range(count)]
@@ -170,10 +165,9 @@ def _family_spaces(seed: int, index: int) -> tuple[GradedDim, GradedDim, GradedD
     return tuple(random_space(rng) for _ in range(4))
 
 
-def _whom_family_task(task: tuple[int, int, int]) -> tuple[dict | None, dict | None]:
+def _whom_family_task(seed: int, index: int, nmax: int) -> tuple[dict | None, dict | None]:
     """The first cell of one family where ``w_hom`` misses the group
     average, and the first where it breaks the source/target swap."""
-    seed, index, nmax = task
     spaces = _family_spaces(seed, index)
     common, first, second, rest = spaces
     averages = oracle.invariant_dim(nmax, *spaces)
@@ -199,17 +193,14 @@ def _whom_family_task(task: tuple[int, int, int]) -> tuple[dict | None, dict | N
     return oracle_bad, swap_bad
 
 
-def suite_whom_oracle(
-    seed: int = DEFAULT_SEED, nmax: int = 5, count: int = 20, workers: int = 1
-) -> dict:
+def suite_whom_oracle(seed: int = DEFAULT_SEED, nmax: int = 5, count: int = 20) -> dict:
     """Closed Hom-space formula against full symmetric group averaging,
     plus the source/target swap symmetry, on random table families."""
     if nmax > oracle.AVERAGING_BOUND:
         raise oracle.SizeBoundError(
             f"nmax={nmax} exceeds averaging bound {oracle.AVERAGING_BOUND}"
         )
-    tasks = [(seed, index, nmax) for index in range(count)]
-    results = parallel_map(_whom_family_task, tasks, workers)
+    results = parallel_map(lambda index: _whom_family_task(seed, index, nmax), range(count))
     checks = [
         _check("matches_group_averaging", _first(bad for bad, _ in results), {"families": count}),
         _check("swap_symmetry", _first(bad for _, bad in results)),
@@ -220,9 +211,10 @@ def suite_whom_oracle(
 # -- tensor_euler: closed sum vs term table vs generating function ------
 
 
-def _tensor_triangle(task: tuple) -> dict | None:
+def _tensor_triangle(
+    nmax: int, chi_flp: Sequence[int], chi_l: int, chi_o: int, label: str
+) -> dict | None:
     """First (n, k) of one input where the three evaluations differ."""
-    nmax, chi_flp, chi_l, chi_o, label = task
     series = formulas.tensor_euler_series(chi_flp, chi_l, chi_o, n_max=nmax, k_max=nmax)
     for n in range(1, nmax + 1):
         for k in range(n + 1):
@@ -239,9 +231,7 @@ def _tensor_triangle(task: tuple) -> dict | None:
     return None
 
 
-def suite_tensor_euler(
-    seed: int = DEFAULT_SEED, nmax: int = 6, count: int = 20, workers: int = 1
-) -> dict:
+def suite_tensor_euler(seed: int = DEFAULT_SEED, nmax: int = 6, count: int = 20) -> dict:
     """Three independent evaluations of the tensor-by-wedge Euler number
     on the shipped surface fixtures and on random integer inputs."""
     tasks = []
@@ -253,17 +243,15 @@ def suite_tensor_euler(
                 surface, surface.bundle(f_name), surface.bundle(l_name), nmax
             )
             chi_l = geometry.rr_chi(surface, surface.bundle(l_name))
-            tasks.append(
-                (nmax, chi_flp, chi_l, surface.chi_o, f"{profile}:{f_name},{l_name}")
-            )
+            tasks.append((chi_flp, chi_l, surface.chi_o, f"{profile}:{f_name},{l_name}"))
     rng = random.Random(seed)
     for index in range(count):
         chi_flp = [rng.randint(-6, 6) for _ in range(nmax + 1)]
         chi_l = rng.randint(-6, 6)
         chi_o = rng.randint(-6, 6)
-        tasks.append((nmax, chi_flp, chi_l, chi_o, f"random:{index}"))
+        tasks.append((chi_flp, chi_l, chi_o, f"random:{index}"))
 
-    bad = _first(parallel_map(_tensor_triangle, tasks, workers))
+    bad = _first(parallel_map(lambda task: _tensor_triangle(nmax, *task), tasks))
     checks = [_check("closed_terms_series_agree", bad, {"inputs": len(tasks)})]
     return _verdict("tensor_euler", seed, {"nmax": nmax, "count": count}, checks)
 
@@ -304,11 +292,10 @@ def _euler_mismatch(index: int, space: GradedDim, k: int) -> dict | None:
     return None
 
 
-def suite_graded_powers(seed: int = DEFAULT_SEED, count: int = 100, workers: int = 1) -> dict:
+def suite_graded_powers(seed: int = DEFAULT_SEED, count: int = 100) -> dict:
     """Super symmetric/exterior powers against monomial-basis
     enumeration, and their Euler compatibility with the scalar
     operations."""
-    del workers
     sweep_degrees = (-2, -1, 0, 1, 2, 3)
     sweep_total = 4
     edge_spaces = [
@@ -410,10 +397,9 @@ def _orbit_cell(n: int, e: int, f: int) -> tuple[dict | None, dict | None, dict 
     return None, _stabilizer_mismatch(cell, seen, expected), _reference_mismatch(cell, seen)
 
 
-def suite_orbits(seed: int = DEFAULT_SEED, nmax: int = 7, workers: int = 1) -> dict:
+def suite_orbits(seed: int = DEFAULT_SEED, nmax: int = 7) -> dict:
     """Orbit decomposition of subset pairs against the closed count,
     the stabilizer order formula, and the reference representatives."""
-    del workers
     if nmax > oracle.ENUM_BOUND:
         raise oracle.SizeBoundError(f"nmax={nmax} exceeds enumeration bound {oracle.ENUM_BOUND}")
     cells = [

@@ -289,6 +289,9 @@ def test_every_table_formula_rejects_an_unknown_bundle(capsys, argv):
         (["rank3_check", "--n", "1"], "rank3_check takes no --n/--k/--l ranges"),
         (["curve_bichar", "--k", "1"], "--n is required for curve_bichar"),
         (["cohF", "--k", "1"], "--n is required for cohF"),
+        (["cohwedge", "--n", "1", "--l", "0..n"], "cohwedge takes no --l range"),
+        (["curve_bichar", "--n", "1", "--k", "0..n"], "curve_bichar takes no --k/--l ranges"),
+        (["curve_bichar", "--n", "0..2"], "curve_bichar needs n >= 1"),
     ],
 )
 def test_table_usage_errors_beat_an_unknown_profile(capsys, argv, message):
@@ -436,6 +439,42 @@ def test_an_odd_bundle_is_rejected_at_load_naming_its_key(capsys, tmp_path, argv
         "error: surface.bundles['H']: non-integral Riemann-Roch: "
         "D.D - D.K = 3 is odd\n"
     )
+
+
+@pytest.mark.parametrize(
+    "profile, argv, message",
+    [
+        (
+            {"surface": {"chi_O": 2, "picard_rank": 1, "gram": [[4]], "canonical": [0],
+                         "bundles": {"O": [1], "H": [1]}}},
+            ["--formula", "cohF", "--F", "H", "--n", "1..2", "--surface"],
+            "surface.bundles['O'] must be the zero class, got [1]",
+        ),
+        (
+            {"curve": {"genus": 0, "bundles": {"O": {"rank": 1, "degree": 1},
+                                               "P": {"rank": 1, "degree": 1}}}},
+            ["--formula", "curve_bichar", "--E", "P", "--F", "P", "--n", "1..2", "--curve"],
+            "curve.bundles['O'] must be rank 1, degree 0, got rank 1, degree 1",
+        ),
+        (
+            {"surface": {"chi_O": 2, "picard_rank": 1, "gram": [[4]], "canonical": [0],
+                         "bundles": {"H": [1]}, "cohomology": {"Z": {"0": 2}}}},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "surface.cohomology['Z']: unknown bundle 'Z'; profile has ['H']",
+        ),
+    ],
+    ids=["surface_O_not_zero", "curve_O_not_trivial", "cohomology_key_unknown_bundle"],
+)
+def test_table_rejects_a_profile_at_load_naming_its_key(
+    capsys, tmp_path, profile, argv, message
+):
+    # every structure-sheaf slot is read through the name O, so a profile
+    # binding O to anything else would skew every Euler number silently
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    code, out, err = run_cli(capsys, "table", *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -609,12 +648,20 @@ def test_table_deterministic_across_worker_counts(capsys, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-def test_table_starts_no_process_pool(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--formula", "Extwedgewedge", "--surface", "k3.json",
+         "--n", "1..3", "--k", "0..n", "--l", "0..n"],
+        ["verify", "--suite", "whom_oracle", "--nmax", "3", "--count", "4"],
+        ["verify", "--suite", "tensor_euler", "--nmax", "3", "--count", "3"],
+    ],
+    ids=["table", "whom_oracle", "tensor_euler"],
+)
+def test_table_starts_no_process_pool(capsys, monkeypatch, args):
     def no_pool(*args, **kwargs):
-        raise AssertionError("table started a process pool")
+        raise AssertionError("a process pool was started")
 
-    args = ["table", "--formula", "Extwedgewedge", "--surface", "k3.json",
-            "--n", "1..3", "--k", "0..n", "--l", "0..n"]
     _, expected, _ = run_cli(capsys, *args, "--workers", "1")
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     code, out, err = run_cli(capsys, *args, "--workers", "3")
@@ -623,8 +670,8 @@ def test_table_starts_no_process_pool(capsys, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # only verify --workers >= 2 needs concurrent.futures (and through it
-    # multiprocessing and logging), so a plain start must not import it
+    # no command needs concurrent.futures (and through it multiprocessing
+    # and logging), so a plain start must not import it
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, hilbtaut.cli; print('concurrent.futures' in sys.modules)"
     result = subprocess.run(
@@ -1159,6 +1206,7 @@ def test_run_rejects_a_nested_run_job(capsys, tmp_path):
             {"command": "verify", "suite": "orbits", "help": 1},
             "error: jobs[0]: unrecognized arguments: --help 1\n",
         ),
+        ({"suite": "orbits"}, "error: jobs[0] is missing field 'command'\n"),
     ],
 )
 def test_run_names_the_job_an_argument_error_comes_from(capsys, tmp_path, entry, message):
