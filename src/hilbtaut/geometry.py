@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .formulas import role_bundles
@@ -29,51 +29,31 @@ class NonIntegralError(ValueError):
     """Riemann-Roch produced a non-integer; the lattice data is bad."""
 
 
-@dataclass(frozen=True)
-class LineBundleClass:
-    """Coordinates of a line bundle class in the chosen Picard sublattice."""
-
-    vector: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", tuple(int(c) for c in self.vector))
-
-    def __add__(self, other: "LineBundleClass") -> "LineBundleClass":
-        self._check(other)
-        return LineBundleClass(tuple(a + b for a, b in zip(self.vector, other.vector)))
-
-    def __sub__(self, other: "LineBundleClass") -> "LineBundleClass":
-        self._check(other)
-        return LineBundleClass(tuple(a - b for a, b in zip(self.vector, other.vector)))
-
-    def scale(self, factor: int) -> "LineBundleClass":
-        return LineBundleClass(tuple(factor * a for a in self.vector))
-
-    def _check(self, other: "LineBundleClass") -> None:
-        if len(self.vector) != len(other.vector):
-            raise ValueError(
-                f"rank mismatch: {len(self.vector)} vs {len(other.vector)}"
-            )
+#: a line bundle class: its coordinates in the profile's Picard sublattice
+LatticeClass = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class SurfaceData:
-    """Lattice and cohomology data of a projective surface profile."""
+    """Lattice and cohomology data of a surface of Picard rank len(canonical)."""
 
     chi_o: int
-    picard_rank: int
     gram: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]
-    bundles: Mapping[str, LineBundleClass] = field(default_factory=dict)
-    chi_omega: int | None = None
+    canonical: LatticeClass
+    bundles: Mapping[str, LatticeClass] = field(default_factory=dict)
     # each cohomology table under its Hom class, filled by surface_from_json
-    class_tables: Mapping[LineBundleClass, GradedDim] = field(default_factory=dict)
+    class_tables: Mapping[LatticeClass, GradedDim] = field(default_factory=dict)
 
-    def bundle(self, name: str) -> LineBundleClass:
+    @property
+    def chi_omega(self) -> int:
+        """K.K - 10 chi_O, by Hirzebruch-Riemann-Roch and Noether's formula."""
+        return pairing(self, self.canonical, self.canonical) - 10 * self.chi_o
+
+    def bundle(self, name: str) -> LatticeClass:
         if name in self.bundles:
             return self.bundles[name]
         if name == "O":
-            return LineBundleClass((0,) * self.picard_rank)
+            return (0,) * len(self.canonical)
         raise ConfigError(f"unknown bundle {name!r}; profile has {sorted(self.bundles)}")
 
 
@@ -102,23 +82,23 @@ class CurveData:
         raise ConfigError(f"unknown bundle {name!r}; profile has {sorted(self.bundles)}")
 
 
-def pairing(surface: SurfaceData, a: LineBundleClass, b: LineBundleClass) -> int:
+def pairing(surface: SurfaceData, a: LatticeClass, b: LatticeClass) -> int:
     """Intersection number of two classes under the profile's Gram matrix."""
-    if len(a.vector) != surface.picard_rank or len(b.vector) != surface.picard_rank:
+    rank = len(surface.canonical)
+    if len(a) != rank or len(b) != rank:
         raise ConfigError(
-            f"class length must equal picard_rank={surface.picard_rank}"
+            f"class length must equal picard_rank={rank}"
         )
     return sum(
-        a.vector[i] * surface.gram[i][j] * b.vector[j]
-        for i in range(surface.picard_rank)
-        for j in range(surface.picard_rank)
+        a[i] * surface.gram[i][j] * b[j]
+        for i in range(rank)
+        for j in range(rank)
     )
 
 
-def rr_chi(surface: SurfaceData, line: LineBundleClass) -> int:
+def rr_chi(surface: SurfaceData, line: LatticeClass) -> int:
     """Euler characteristic of a line bundle by surface Riemann-Roch."""
-    canonical = LineBundleClass(surface.canonical)
-    numerator = pairing(surface, line, line) - pairing(surface, line, canonical)
+    numerator = pairing(surface, line, line) - pairing(surface, line, surface.canonical)
     quot, rem = divmod(numerator, 2)
     if rem:
         raise NonIntegralError(f"non-integral Riemann-Roch: D.D - D.K = {numerator} is odd")
@@ -126,12 +106,15 @@ def rr_chi(surface: SurfaceData, line: LineBundleClass) -> int:
 
 
 def chi_tensor_powers(
-    surface: SurfaceData, sheaf: LineBundleClass, line: LineBundleClass, k: int
+    surface: SurfaceData, sheaf: LatticeClass, line: LatticeClass, k: int
 ) -> list[int]:
     """Euler characteristics of sheaf (x) line^p for p = 0..k."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    return [rr_chi(surface, sheaf + line.scale(p)) for p in range(k + 1)]
+    return [
+        rr_chi(surface, tuple(s + p * c for s, c in zip(sheaf, line, strict=True)))
+        for p in range(k + 1)
+    ]
 
 
 def curve_chi(curve: CurveData, bundle: CurveBundle) -> int:
@@ -169,9 +152,10 @@ def _table_key(src: str | None, tgt: str | None) -> str:
     return f"hom({src},{tgt})"
 
 
-def _hom_class(surface: SurfaceData, src: str | None, tgt: str | None) -> LineBundleClass:
+def _hom_class(surface: SurfaceData, src: str | None, tgt: str | None) -> LatticeClass:
     """Lattice class of Hom(src, tgt): target minus source, None being O."""
-    return surface.bundle(tgt or "O") - surface.bundle(src or "O")
+    source, target = surface.bundle(src or "O"), surface.bundle(tgt or "O")
+    return tuple(t - s for s, t in zip(source, target, strict=True))
 
 
 def _curve_hom_chi(curve: CurveData, src: str | None, tgt: str | None) -> int:
@@ -192,7 +176,7 @@ def surface_table(surface: SurfaceData, src: str | None, tgt: str | None) -> Gra
     wanted = _hom_class(surface, src, tgt)
     if wanted not in surface.class_tables:
         raise ConfigError(
-            f"no cohomology table for {_table_key(src, tgt)!r} (class {list(wanted.vector)}); "
+            f"no cohomology table for {_table_key(src, tgt)!r} (class {list(wanted)}); "
             "graded formulas need user-supplied tables"
         )
     return surface.class_tables[wanted]
@@ -293,15 +277,15 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
         raise ConfigError(f"surface.canonical must have length {rank}")
     canonical = tuple(_as_int(x, "surface.canonical") for x in canonical_raw)
 
-    bundles: dict[str, LineBundleClass] = {}
+    bundles: dict[str, LatticeClass] = {}
     for name, vec in _object_field(data, "bundles", "surface").items():
         if not isinstance(vec, list) or len(vec) != rank:
             raise ConfigError(f"surface.bundles[{name!r}] must have length {rank}")
-        bundles[name] = LineBundleClass(tuple(_as_int(x, f"surface.bundles[{name!r}]") for x in vec))
+        bundles[name] = tuple(_as_int(x, f"surface.bundles[{name!r}]") for x in vec)
     # every structure-sheaf slot is resolved through the name O
-    zero = LineBundleClass((0,) * rank)
+    zero = (0,) * rank
     if bundles.get("O", zero) != zero:
-        got = list(bundles["O"].vector)
+        got = list(bundles["O"])
         raise ConfigError(f"surface.bundles['O'] must be the zero class, got {got}")
 
     cohomology = _cohomology_tables(data, "surface")
@@ -310,13 +294,8 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
     if given_chi_omega is not None:
         given_chi_omega = _as_int(given_chi_omega, "surface.chi_Omega")
 
-    surface = SurfaceData(
-        chi_o=chi_o,
-        picard_rank=rank,
-        gram=tuple(gram),
-        canonical=canonical,
-        bundles=bundles,
-    )
+    class_tables: dict[LatticeClass, GradedDim] = {}
+    surface = SurfaceData(chi_o, tuple(gram), canonical, bundles, class_tables)
     # (A - B)^2 - (A - B).K is congruent to (A^2 - A.K) + (B^2 - B.K) mod 2,
     # so even bundles make every Hom class a key or role forms integral
     for name, line in bundles.items():
@@ -324,7 +303,7 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
             rr_chi(surface, line)
         except NonIntegralError as exc:
             raise ConfigError(f"surface.bundles[{name!r}]: {exc}") from None
-    class_keys: dict[LineBundleClass, str] = {}
+    class_keys: dict[LatticeClass, str] = {}
     for key, table in cohomology.items():
         try:
             cls = _hom_class(surface, *_key_bundles(key))
@@ -340,19 +319,15 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
         if cohomology[first] != table:
             raise ConfigError(
                 f"surface.cohomology[{first!r}] and [{key!r}] are both class "
-                f"{list(cls.vector)} but their tables differ"
+                f"{list(cls)} but their tables differ"
             )
-    # Hirzebruch-Riemann-Roch for the cotangent sheaf, with Noether's
-    # c_2 = 12 chi_O - K.K: chi(Omega) = K.K - 10 chi_O
-    canonical_class = LineBundleClass(canonical)
-    chi_omega = pairing(surface, canonical_class, canonical_class) - 10 * chi_o
-    if given_chi_omega is not None and given_chi_omega != chi_omega:
+        class_tables[cls] = table
+    if given_chi_omega is not None and given_chi_omega != surface.chi_omega:
         raise ConfigError(
             f"surface.chi_Omega is {given_chi_omega} "
-            f"but K.K - 10*chi_O gives {chi_omega}"
+            f"but K.K - 10*chi_O gives {surface.chi_omega}"
         )
-    class_tables = {cls: cohomology[key] for cls, key in class_keys.items()}
-    return replace(surface, chi_omega=chi_omega, class_tables=class_tables)
+    return surface
 
 
 def curve_from_json(data: Mapping[str, object]) -> CurveData:
@@ -412,9 +387,10 @@ def packaged_profile(name: str) -> Path:
     return candidate
 
 
-def resolve_profile(spec: str) -> Path:
-    """Interpret a profile argument as a path, else as a packaged name."""
-    path = Path(spec)
+def resolve_profile(spec: str, base: Path = Path()) -> Path:
+    """Interpret a profile argument as a path, else as a packaged name.
+    A relative path is read from ``base``, by default the working directory."""
+    path = base / spec
     if path.is_file():
         return path
     try:
@@ -425,10 +401,13 @@ def resolve_profile(spec: str) -> Path:
         ) from None
 
 
-def _nested_section(value: object, field: str, parse: Callable, chain: tuple[Path, ...]):
-    """A config section is either an inline object or a profile reference."""
+def _nested_section(
+    value: object, field: str, parse: Callable, path: Path, chain: tuple[Path, ...]
+):
+    """A config section is either an inline object or a profile reference,
+    which is resolved from the directory of ``path``, the file holding it."""
     if isinstance(value, str):
-        loaded = load_config(resolve_profile(value), referenced_from=chain)
+        loaded = load_config(resolve_profile(value, path.parent), referenced_from=chain)
         part = getattr(loaded, field)
         if part is None:
             raise ConfigError(f"profile {value!r} does not define a {field}")
@@ -467,9 +446,9 @@ def load_config(path: str | Path, referenced_from: tuple[Path, ...] = ()) -> Con
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
     surface = curve = None
     if "surface" in data:
-        surface = _nested_section(data["surface"], "surface", surface_from_json, chain)
+        surface = _nested_section(data["surface"], "surface", surface_from_json, path, chain)
     if "curve" in data:
-        curve = _nested_section(data["curve"], "curve", curve_from_json, chain)
+        curve = _nested_section(data["curve"], "curve", curve_from_json, path, chain)
     jobs = data.get("jobs", [])
     if not isinstance(jobs, list) or not all(isinstance(j, Mapping) for j in jobs):
         raise ConfigError("config field 'jobs' must be a list of objects")

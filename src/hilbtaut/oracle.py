@@ -157,15 +157,7 @@ class Orbit:
     stabilizer_order: int
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    n: int
-    e: int
-    f: int
-    orbits: tuple[Orbit, ...]
-
-
-def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
+def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
     """Split all (e, f)-subset pairs into symmetric group orbits.
 
     Orbits are found by explicit closure under two group generators, the
@@ -215,7 +207,7 @@ def orbit_decomposition(n: int, e: int, f: int) -> OrbitDecomposition:
 
     if sum(o.size for o in orbits) != len(pairs):
         raise ConsistencyError("orbit sizes do not add up to the number of pairs")
-    return OrbitDecomposition(n=n, e=e, f=f, orbits=tuple(orbits))
+    return tuple(orbits)
 
 
 # -- basis enumeration for super powers --------------------------------

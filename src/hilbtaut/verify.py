@@ -386,7 +386,7 @@ def _orbit_cell(n: int, e: int, f: int) -> tuple[dict | None, dict | None, dict 
     at one cell.  The last two are checked only where the enumerated
     orbits line up with the expected overlaps."""
     cell = {"n": n, "e": e, "f": f}
-    orbits = oracle.orbit_decomposition(n, e, f).orbits
+    orbits = oracle.orbit_decomposition(n, e, f)
     expected = expected_orbit_profile(n, e, f)
     if len(orbits) != len(expected):
         return {**cell, "computed": len(orbits), "expected": len(expected)}, None, None

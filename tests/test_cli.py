@@ -462,8 +462,68 @@ def test_an_odd_bundle_is_rejected_at_load_naming_its_key(capsys, tmp_path, argv
             ["--formula", "cohF", "--n", "1", "--surface"],
             "surface.cohomology['Z']: unknown bundle 'Z'; profile has ['H']",
         ),
+        (
+            {"surface": {**K3_LATTICE, "chi_O": "2"}},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "surface.chi_O must be an integer, got '2'",
+        ),
+        (
+            {"surface": {**K3_LATTICE, "cohomology": {"H": [4]}}},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "surface.cohomology['H'] must be a degree->dim map",
+        ),
+        (
+            {"surface": {"chi_O": 2, "picard_rank": 1, "gram": [[4]]}},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "surface is missing field 'canonical'",
+        ),
+        (
+            {"surface": {**K3_LATTICE, "picard_rank": 0}},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "surface.picard_rank must be positive, got 0",
+        ),
+        (
+            {"surface": {**K3_LATTICE, "gram": [[4], [4]]}},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "surface.gram must be a 1x1 matrix",
+        ),
+        (
+            {"surface": {"chi_O": 2, "picard_rank": 2, "gram": [[0, 1], [1]],
+                         "canonical": [0, 0]}},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "surface.gram row 1 must have length 2",
+        ),
+        (
+            {"surface": {**K3_LATTICE, "canonical": [0, 0]}},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "surface.canonical must have length 1",
+        ),
+        (
+            {"curve": {"bundles": {}}},
+            ["--formula", "curve_bichar", "--n", "1", "--curve"],
+            "curve is missing field 'genus'",
+        ),
+        (
+            {"curve": {"genus": -1}},
+            ["--formula", "curve_bichar", "--n", "1", "--curve"],
+            "curve.genus must be non-negative, got -1",
+        ),
+        (
+            {"surface": 3},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "config field 'surface' must be an object or a profile name",
+        ),
+        (
+            {"surface": K3_LATTICE, "jobs": 3},
+            ["--formula", "cohF", "--n", "1", "--surface"],
+            "config field 'jobs' must be a list of objects",
+        ),
     ],
-    ids=["surface_O_not_zero", "curve_O_not_trivial", "cohomology_key_unknown_bundle"],
+    ids=["surface_O_not_zero", "curve_O_not_trivial", "cohomology_key_unknown_bundle",
+         "chi_O_a_string", "cohomology_table_a_list", "canonical_missing",
+         "picard_rank_zero", "gram_too_many_rows", "gram_row_too_short",
+         "canonical_too_long", "genus_missing", "genus_negative",
+         "surface_not_an_object", "jobs_not_a_list"],
 )
 def test_table_rejects_a_profile_at_load_naming_its_key(
     capsys, tmp_path, profile, argv, message
@@ -490,8 +550,11 @@ def test_table_rejects_a_profile_at_load_naming_its_key(
         ),
         ({"profile.json": b"[" * 100_000}, "nests too deeply"),
         ({"profile.json": b'{"surface": "\xff"}'}, "is not UTF-8"),
+        ({"profile.json": b"[1]"}, "must be a JSON object"),
+        ({"profile.json": b'{"surface": '}, "is not valid JSON: "),
     ],
-    ids=["self_reference", "reference_cycle", "deep_nesting", "not_utf8"],
+    ids=["self_reference", "reference_cycle", "deep_nesting", "not_utf8", "not_an_object",
+         "not_json"],
 )
 def test_table_rejects_an_unloadable_profile_naming_the_file(
     capsys, tmp_path, monkeypatch, files, fragment
@@ -1177,6 +1240,57 @@ def test_run_stops_at_first_failing_job(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert "orbits" not in out
+
+
+def test_run_returns_the_code_of_the_first_job_that_fails(capsys, tmp_path, monkeypatch):
+    # an altered closed formula makes the verify job exit 1; the table
+    # job after it must not run
+    common, first, second, rest = verify._family_spaces(DEFAULT_SEED, 1)
+    alter_w_hom(monkeypatch, [(3, 2, 1, (common, first, second, rest))])
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps({"jobs": [
+        {"command": "verify", "suite": "whom_oracle", "count": 3, "nmax": 4},
+        {"command": "table", "formula": "cohF", "surface": "k3.json", "n": "1"},
+    ]}))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 1 and err == ""
+    assert json.loads(out)["suite"] == "whom_oracle"
+    assert ",".join(CSV_HEADER) not in out
+
+
+def _profile_dirs(tmp_path, monkeypatch, config):
+    """sub/cfg.json holding ``config``, next to sub/mine.json, whose H has
+    chi 3; the working directory holds another mine.json, whose H has chi 4."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "mine.json").write_text(
+        json.dumps({"surface": {**K3_LATTICE, "gram": [[2]]}})
+    )
+    (tmp_path / "sub" / "cfg.json").write_text(json.dumps(config))
+    (tmp_path / "mine.json").write_text(json.dumps({"surface": K3_LATTICE}))
+
+
+@pytest.mark.parametrize("decoy", [False, True], ids=["no_cwd_profile", "other_cwd_profile"])
+def test_run_reads_a_profile_reference_from_the_directory_of_its_config(
+    capsys, tmp_path, monkeypatch, decoy
+):
+    job = {"command": "table", "formula": "cohF", "n": "1", "F": "H"}
+    _profile_dirs(tmp_path, monkeypatch, {"surface": "mine.json", "jobs": [job]})
+    if not decoy:
+        (tmp_path / "mine.json").unlink()
+    code, out, err = run_cli(capsys, "run", "--config", "sub/cfg.json")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("cohF,1,,,3,")
+
+
+def test_run_reads_a_job_surface_flag_from_the_working_directory(
+    capsys, tmp_path, monkeypatch
+):
+    job = {"command": "table", "formula": "cohF", "n": "1", "F": "H", "surface": "mine.json"}
+    _profile_dirs(tmp_path, monkeypatch, {"jobs": [job]})
+    code, out, err = run_cli(capsys, "run", "--config", "sub/cfg.json")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("cohF,1,,,4,")
 
 
 def test_run_rejects_a_nested_run_job(capsys, tmp_path):

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from hilbtaut.formulas import rank3_check
 from hilbtaut.graded import GradedDim
 from hilbtaut.geometry import (
     Config,
     ConfigError,
     CurveBundle,
     CurveData,
-    LineBundleClass,
     NonIntegralError,
     SurfaceData,
     chi_tensor_powers,
@@ -55,43 +56,45 @@ PLANE = surface_from_json({
 # -- lattice arithmetic --------------------------------------------------------
 
 
-def test_line_bundle_class_arithmetic():
-    a = LineBundleClass((1, 0))
-    b = LineBundleClass((0, 2))
-    assert (a + b).vector == (1, 2)
-    assert (a - b).vector == (1, -2)
-    assert a.scale(3).vector == (3, 0)
-    with pytest.raises(ValueError):
-        a + LineBundleClass((1,))
-
-
 def test_pairing_uses_gram_matrix():
-    h = LineBundleClass((1,))
+    h = (1,)
     assert pairing(K3, h, h) == 4
-    assert pairing(PLANE, h, h.scale(2)) == 2
+    assert pairing(PLANE, h, (2,)) == 2
 
 
 def test_rr_chi_frozen_values():
-    h = LineBundleClass((1,))
-    assert rr_chi(K3, h) == 4
-    assert rr_chi(K3, h.scale(-1)) == 4
-    assert rr_chi(K3, h.scale(0)) == 2
+    assert rr_chi(K3, (1,)) == 4
+    assert rr_chi(K3, (-1,)) == 4
+    assert rr_chi(K3, (0,)) == 2
     # chi(O(d)) on the plane is the triangular number (d+1)(d+2)/2
-    assert [rr_chi(PLANE, h.scale(d)) for d in range(5)] == [1, 3, 6, 10, 15]
-    assert rr_chi(PLANE, h.scale(-1)) == 0
+    assert [rr_chi(PLANE, (d,)) for d in range(5)] == [1, 3, 6, 10, 15]
+    assert rr_chi(PLANE, (-1,)) == 0
 
 
 def test_rr_chi_rejects_non_integral_input():
-    twisted = SurfaceData(chi_o=1, picard_rank=1, gram=((1,),), canonical=(0,))
+    twisted = SurfaceData(chi_o=1, gram=((1,),), canonical=(0,))
     with pytest.raises(NonIntegralError):
-        rr_chi(twisted, LineBundleClass((1,)))
+        rr_chi(twisted, (1,))
 
 
 def test_chi_tensor_powers_from_lattice():
-    h = LineBundleClass((1,))
-    o = LineBundleClass((0,))
+    h = (1,)
+    o = (0,)
     assert chi_tensor_powers(PLANE, o, h, 4) == [1, 3, 6, 10, 15]
     assert chi_tensor_powers(K3, h, o, 2) == [4, 4, 4]
+
+
+def test_chi_tensor_powers_rejects_classes_of_different_lengths():
+    with pytest.raises(ValueError):
+        chi_tensor_powers(PLANE, (0, 0), (1,), 2)
+
+
+def test_chi_omega_is_derived_from_the_lattice():
+    # a hand-built surface used to leave chi_omega None
+    k3 = SurfaceData(chi_o=2, gram=((4,),), canonical=(0,))
+    assert k3.chi_omega == K3.chi_omega == -20
+    assert PLANE.chi_omega == 9 - 10
+    assert rank3_check(k3.chi_o, k3.chi_omega).value == 21
 
 
 def test_curve_chi():
@@ -122,18 +125,17 @@ def test_plain_dual_and_hom_keys():
 def test_class_matching_fallback():
     # hom(H,H) has the class of O, so O's table answers for it even
     # though no such key was supplied.
-    assert set(PLANE.class_tables) == {LineBundleClass((0,)), LineBundleClass((1,))}
+    assert set(PLANE.class_tables) == {(0,), (1,)}
     assert dict(surface_table(PLANE, None, None).items()) == {0: 1}
     assert dict(surface_table(PLANE, "H", "H").items()) == {0: 1}
 
 
 def test_missing_table_is_a_config_error():
-    assert LineBundleClass((-1,)) not in PLANE.class_tables
+    assert (-1,) not in PLANE.class_tables
     with pytest.raises(ConfigError, match=r"^no cohomology table for 'dual\(H\)' \(class \[-1\]\)"):
         surface_table(PLANE, "H", None)
     tableless = SurfaceData(
-        chi_o=1, picard_rank=1, gram=((1,),), canonical=(-3,),
-        bundles={"H": LineBundleClass((1,))},
+        chi_o=1, gram=((1,),), canonical=(-3,), bundles={"H": (1,)},
     )
     with pytest.raises(ConfigError, match=r"^no cohomology table for 'H' \(class \[1\]\)"):
         surface_table(tableless, None, "H")
@@ -331,6 +333,18 @@ def test_resolve_profile_prefers_files(tmp_path):
     assert resolve_profile("k3.json") == packaged_profile("k3.json")
     with pytest.raises(ConfigError):
         resolve_profile("does_not_exist.json")
+
+
+def test_resolve_profile_reads_a_relative_path_from_its_base(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "mine.json").write_text("{}")
+    (tmp_path / "k3.json").write_text("{}")
+    assert resolve_profile("mine.json", tmp_path / "sub") == tmp_path / "sub" / "mine.json"
+    assert resolve_profile("k3.json", tmp_path / "sub") == packaged_profile("k3.json")
+    assert resolve_profile("k3.json") == Path("k3.json")
+    with pytest.raises(ConfigError):
+        resolve_profile("mine.json")
 
 
 def test_config_accepts_string_profile_references(tmp_path):

@@ -193,29 +193,28 @@ def test_averaging_bound_enforced():
 
 
 def test_orbits_of_pairs_on_five_points():
-    dec = orbit_decomposition(5, 2, 2)
+    orbits = orbit_decomposition(5, 2, 2)
     table = [
-        (o.representative.overlap(), o.size, o.stabilizer_order) for o in dec.orbits
+        (o.representative.overlap(), o.size, o.stabilizer_order) for o in orbits
     ]
     assert table == [(2, 10, 12), (1, 60, 2), (0, 30, 4)]
 
 
 def test_orbit_sizes_sum_to_all_pairs():
     for n, e, f in [(1, 1, 0), (3, 1, 2), (4, 2, 2), (6, 3, 2)]:
-        dec = orbit_decomposition(n, e, f)
-        assert sum(o.size for o in dec.orbits) == math.comb(n, e) * math.comb(n, f)
-        assert len(dec.orbits) == min(e, f) - max(0, e + f - n) + 1
+        orbits = orbit_decomposition(n, e, f)
+        assert sum(o.size for o in orbits) == math.comb(n, e) * math.comb(n, f)
+        assert len(orbits) == min(e, f) - max(0, e + f - n) + 1
 
 
 def test_orbit_sizes_times_stabilizer_orders():
     for n, e, f in [(4, 2, 1), (5, 3, 2), (7, 3, 3)]:
-        for orbit in orbit_decomposition(n, e, f).orbits:
+        for orbit in orbit_decomposition(n, e, f):
             assert orbit.size * orbit.stabilizer_order == math.factorial(n)
 
 
 def test_representatives_are_minimal_and_distinct():
-    dec = orbit_decomposition(4, 2, 2)
-    reps = [o.representative for o in dec.orbits]
+    reps = [o.representative for o in orbit_decomposition(4, 2, 2)]
     assert len(set(reps)) == len(reps)
     for orbit in reps:
         # minimality under the full group, checked by brute force

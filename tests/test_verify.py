@@ -74,7 +74,7 @@ def test_expected_orbit_profile_matches_enumeration():
         profile = expected_orbit_profile(n, e, f)
         found = {
             o.representative.overlap(): o.stabilizer_order
-            for o in orbit_decomposition(n, e, f).orbits
+            for o in orbit_decomposition(n, e, f)
         }
         assert profile == found
 
@@ -90,7 +90,7 @@ def test_standard_pair_hits_every_overlap():
 
 def test_orbit_sizes_follow_from_stabilizers():
     for n, e, f in [(4, 2, 1), (5, 2, 2)]:
-        for orbit in orbit_decomposition(n, e, f).orbits:
+        for orbit in orbit_decomposition(n, e, f):
             assert orbit.size == math.factorial(n) // orbit.stabilizer_order
 
 
