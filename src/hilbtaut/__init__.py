@@ -7,9 +7,7 @@ series expansion).
 """
 
 from .formulas import (
-    BicharInput,
     Rank3Check,
-    WHomInput,
     bichar_closed,
     bichar_product,
     bichar_series,
@@ -28,11 +26,9 @@ from .series import TruncSeries
 __version__ = "0.1.0"
 
 __all__ = [
-    "BicharInput",
     "GradedDim",
     "Rank3Check",
     "TruncSeries",
-    "WHomInput",
     "bichar_closed",
     "bichar_product",
     "bichar_series",

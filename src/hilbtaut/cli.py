@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 from . import formulas, geometry, oracle, verify
-from .formulas import BicharInput
 from .geometry import ConfigError
 
 DEFAULT_SEED = verify.DEFAULT_SEED
@@ -158,7 +157,7 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
         for k in _expand(k_range or (0, None), n) if uses_k else [None]:
             for l in _expand(l_range or (0, None), n) if uses_l else [None]:
                 e, f = formulas.wedge_indices(formula, k, l)
-                euler = formulas.bichar_closed(BicharInput(n, e, f, *slot_chis))
+                euler = formulas.bichar_closed(n, e, f, *slot_chis)
                 graded = None
                 cross_checks = []
                 if graded_at is not None:

@@ -12,7 +12,6 @@ suites compare against it and against the brute-force oracles.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,51 +34,12 @@ class MissingTableError(KeyError):
     """A formula variant was asked to run without one of its inputs."""
 
 
-@dataclass(frozen=True)
-class WHomInput:
-    """The four cohomology tables entering the graded Hom formula.
-
-    ``e`` and ``f`` are the exterior power indices on the source and
-    target side.  ``hom_ef`` is the graded Hom-space between the two
-    inducing objects, ``coh_e_dual`` the cohomology of the dual of the
-    source, ``coh_f`` the cohomology of the target, and ``coh_o`` the
-    cohomology of the structure sheaf.
-    """
-
-    n: int
-    e: int
-    f: int
-    hom_ef: GradedDim
-    coh_e_dual: GradedDim
-    coh_f: GradedDim
-    coh_o: GradedDim
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not 0 <= self.e <= self.n or not 0 <= self.f <= self.n:
-            raise ValueError(
-                f"need 0 <= e, f <= n, got n={self.n}, e={self.e}, f={self.f}"
-            )
-
-
 #: S^0..S^top(hom_ef), W^0..W^top(coh_e_dual), W^0..W^top(coh_f) and
-#: S^0..S^top(coh_o) of one set of ``w_hom`` tables
+#: S^0..S^top(coh_o) of one set of ``w_hom`` tables, built by ``w_hom_cells``
 Powers = tuple[list[GradedDim], list[GradedDim], list[GradedDim], list[GradedDim]]
 
 
-def _powers(
-    top: int, hom_ef: GradedDim, coh_e_dual: GradedDim, coh_f: GradedDim, coh_o: GradedDim
-) -> Powers:
-    return (
-        sym_powers(top, hom_ef),
-        wedge_powers(top, coh_e_dual),
-        wedge_powers(top, coh_f),
-        sym_powers(top, coh_o),
-    )
-
-
-def w_hom(inp: WHomInput, powers: Powers | None = None) -> GradedDim:
+def w_hom(powers: Powers, n: int, e: int, f: int) -> GradedDim:
     """Graded Hom-space between exterior powers of tautological sheaves.
 
     Direct sum over i from max(0, e+f-n) to min(e, f) of
@@ -87,17 +47,15 @@ def w_hom(inp: WHomInput, powers: Powers | None = None) -> GradedDim:
         S^i(hom_ef) (x) W^(e-i)(coh_e_dual) (x) W^(f-i)(coh_f)
             (x) S^(n+i-e-f)(coh_o)
 
-    with S and W the super symmetric and exterior powers.  An empty
-    range yields the zero space.
-
-    ``powers`` are the input's own tables' powers up to some top >= n,
-    which ``w_hom_cells`` builds once for every cell of a job; without
-    them this cell builds them up to n.  ValueError if n is above the top.
+    with S and W the super symmetric and exterior powers, read off the
+    ``powers`` of the four tables.  An empty range yields the zero space.
+    ValueError for n < 1, e or f outside 0..n, or n above the powers' top.
     """
-    if powers is None:
-        powers = _powers(inp.n, inp.hom_ef, inp.coh_e_dual, inp.coh_f, inp.coh_o)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if not 0 <= e <= n or not 0 <= f <= n:
+        raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
     sym_hom, wedge_source, wedge_target, sym_o = powers
-    n, e, f = inp.n, inp.e, inp.f
     if n >= len(sym_o):
         raise ValueError(f"n={n} is above the top n={len(sym_o) - 1} these powers reach")
     out = ZERO
@@ -117,16 +75,22 @@ def w_hom_cells(
 ) -> Callable[[int, int, int], GradedDim]:
     """The ``w_hom`` cells (n, e, f) of four tables, n = 1..n_top.
 
+    ``hom_ef`` is the graded Hom-space between the two inducing objects,
+    ``coh_e_dual`` the cohomology of the dual of the source, ``coh_f``
+    that of the target and ``coh_o`` that of the structure sheaf.
     Builds S^0..S^n_top of ``hom_ef`` and ``coh_o`` and W^0..W^n_top of
     ``coh_e_dual`` and ``coh_f`` in one pass per table, and returns the
-    function that hands them to ``w_hom`` at a cell.  Like ``w_hom``, it
-    raises ValueError for n < 1, n > n_top, or e or f outside 0..n.
+    function that hands them to ``w_hom`` at a cell.
     """
-    tables = (hom_ef, coh_e_dual, coh_f, coh_o)
-    powers = _powers(n_top, *tables)
+    powers = (
+        sym_powers(n_top, hom_ef),
+        wedge_powers(n_top, coh_e_dual),
+        wedge_powers(n_top, coh_f),
+        sym_powers(n_top, coh_o),
+    )
 
     def cell(n: int, e: int, f: int) -> GradedDim:
-        return w_hom(WHomInput(n, e, f, *tables), powers)
+        return w_hom(powers, n, e, f)
 
     return cell
 
@@ -161,10 +125,10 @@ def role_bundles(role: str, names: Mapping[str, str]) -> tuple[str | None, str |
 
 
 # Substitution table: variant -> (e, f, slot keys) where e/f may be the
-# wedge indices k and l.  Slots are (hom_ef, coh_e_dual, coh_f, coh_o)
-# of WHomInput in that order.  Duplicate keys encode identities like
-# Hom*(O, F) = H*(F) and H*(O^dual) = H*(O); the variants for a single
-# wedge power set the source (resp. target) to the structure sheaf.
+# wedge indices k and l; the slots are the four tables of ``w_hom_cells``
+# in its order.  Duplicate keys encode identities like Hom*(O, F) = H*(F)
+# and H*(O^dual) = H*(O); single-wedge variants set the source (resp.
+# target) to the structure sheaf.
 _SUBSTITUTIONS: dict[str, tuple[object, object, tuple[str, str, str, str]]] = {
     "cohF": (0, 1, ("coh_f", "coh_o", "coh_f", "coh_o")),
     "cohEvee": (1, 0, ("coh_e_dual", "coh_e_dual", "coh_o", "coh_o")),
@@ -185,7 +149,7 @@ def variant_signature(
 
     Returns (e, f, roles) where e and f are either fixed integers or the
     placeholder strings "k"/"l", and roles names the four tables that
-    land in the WHomInput slots.
+    land in the ``w_hom_cells`` slots.
     """
     if variant not in _SUBSTITUTIONS:
         raise ValueError(f"unknown formula variant {variant!r}; choose from {VARIANTS}")
@@ -223,7 +187,7 @@ def taut_formula(
                 f"variant {variant!r} needs table {role!r}, Hom*({src or 'O'}, {tgt or 'O'})"
             )
         slots.append(tables[role])
-    return w_hom(WHomInput(n, *wedge_indices(variant, k, l), *slots))
+    return w_hom_cells(n, *slots)(n, *wedge_indices(variant, k, l))
 
 
 def negative_index_suppressed(variant: str, n: int, k: int = 0, l: int = 0) -> bool:
@@ -241,41 +205,26 @@ def negative_index_suppressed(variant: str, n: int, k: int = 0, l: int = 0) -> b
 # -- Euler characteristic of Hom between two wedge powers ---------------
 
 
-@dataclass(frozen=True)
-class BicharInput:
-    """Euler characteristics feeding the wedge-vs-wedge counting formula."""
-
-    n: int
-    k: int
-    l: int
-    chi_kl: int
-    chi_k_dual: int
-    chi_l: int
-    chi_o: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        if not 0 <= self.k <= self.n or not 0 <= self.l <= self.n:
-            raise ValueError(
-                f"need 0 <= k, l <= n, got n={self.n}, k={self.k}, l={self.l}"
-            )
-
-
-def bichar_closed(inp: BicharInput) -> int:
+def bichar_closed(
+    n: int, k: int, l: int, chi_kl: int, chi_k_dual: int, chi_l: int, chi_o: int
+) -> int:
     """Euler pairing of two wedge powers of tautological line bundles.
 
     Sum over i from max(0, k+l-n) to min(k, l) of
     s^i(chi_kl) * lambda^(k-i)(chi_k_dual) * lambda^(l-i)(chi_l)
     * s^(n+i-k-l)(chi_o).
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if not 0 <= k <= n or not 0 <= l <= n:
+        raise ValueError(f"need 0 <= k, l <= n, got n={n}, k={k}, l={l}")
     total = 0
-    for i in range(max(0, inp.k + inp.l - inp.n), min(inp.k, inp.l) + 1):
+    for i in range(max(0, k + l - n), min(k, l) + 1):
         total += (
-            s_scalar(i, inp.chi_kl)
-            * lambda_scalar(inp.k - i, inp.chi_k_dual)
-            * lambda_scalar(inp.l - i, inp.chi_l)
-            * s_scalar(inp.n + i - inp.k - inp.l, inp.chi_o)
+            s_scalar(i, chi_kl)
+            * lambda_scalar(k - i, chi_k_dual)
+            * lambda_scalar(l - i, chi_l)
+            * s_scalar(n + i - k - l, chi_o)
         )
     return total
 

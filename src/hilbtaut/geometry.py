@@ -221,9 +221,14 @@ def curve_chis(curve: CurveData, names: Mapping[str, str]) -> dict[str, int]:
 # -- profile loading and validation ------------------------------------
 
 
+def _as_json(value: object) -> str:
+    """A profile value as JSON shows it; a library caller's non-JSON value by repr."""
+    return json.dumps(value, default=repr)
+
+
 def _as_int(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {_as_json(value)}")
     return value
 
 
@@ -231,7 +236,7 @@ def _object_field(data: Mapping[str, object], field: str, section: str) -> Mappi
     """An optional profile field that must be a JSON object when present."""
     raw = data.get(field, {})
     if not isinstance(raw, Mapping):
-        raise ConfigError(f"{section}.{field} must be a JSON object, got {raw!r}")
+        raise ConfigError(f"{section}.{field} must be a JSON object, got {_as_json(raw)}")
     return raw
 
 
@@ -290,9 +295,10 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
 
     cohomology = _cohomology_tables(data, "surface")
 
+    # a chi_Omega that is present must be an integer: null is not absent
     given_chi_omega = data.get("chi_Omega")
-    if given_chi_omega is not None:
-        given_chi_omega = _as_int(given_chi_omega, "surface.chi_Omega")
+    if "chi_Omega" in data:
+        _as_int(given_chi_omega, "surface.chi_Omega")
 
     class_tables: dict[LatticeClass, GradedDim] = {}
     surface = SurfaceData(chi_o, tuple(gram), canonical, bundles, class_tables)

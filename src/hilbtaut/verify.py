@@ -119,7 +119,7 @@ def _three_way_mismatch(quad: tuple[int, int, int, int], nmax: int) -> dict | No
     for n in range(nmax + 1):
         for k in range(n + 1):
             for l in range(n + 1):
-                closed = formulas.bichar_closed(formulas.BicharInput(n, k, l, *quad))
+                closed = formulas.bichar_closed(n, k, l, *quad)
                 from_exp = formulas.bichar_from_series(exp_form, n, k, l)
                 from_product = formulas.bichar_from_series(product_form, n, k, l)
                 if not closed == from_exp == from_product:

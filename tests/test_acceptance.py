@@ -12,14 +12,12 @@ import time
 from hilbtaut import cli, verify
 from hilbtaut.formulas import (
     VARIANTS,
-    BicharInput,
-    WHomInput,
     bichar_closed,
     curve_bichar,
     rank3_check,
     taut_formula,
     variant_signature,
-    w_hom,
+    w_hom_cells,
     wedge_indices,
 )
 from hilbtaut.geometry import load_config, packaged_profile, variant_chis, variant_tables
@@ -96,11 +94,9 @@ def test_criterion_4_variant_coherence_on_the_k3_fixture():
                         e, f = wedge_indices(variant, k, l)
                         slots = [tables[role] for role in roles]
                         graded = taut_formula(variant, n, k, l, tables)
-                        if graded != w_hom(WHomInput(n, e, f, *slots)):
+                        if graded != w_hom_cells(n, *slots)(n, e, f):
                             bad.append((variant, n, k, l, "w_hom"))
-                        closed = bichar_closed(
-                            BicharInput(n, e, f, *(chis[role] for role in roles))
-                        )
+                        closed = bichar_closed(n, e, f, *(chis[role] for role in roles))
                         if graded.euler() != closed:
                             bad.append((variant, n, k, l, "euler"))
                         if n <= 3:
@@ -156,7 +152,7 @@ def test_criterion_6_graded_powers_against_basis_enumeration():
 
 def test_criterion_7_curve_surface_discrepancy_and_rank3():
     curve_value = curve_bichar(2, 1, 1, 1, 1)
-    surface_value = bichar_closed(BicharInput(2, 1, 1, 1, 1, 1, 1))
+    surface_value = bichar_closed(2, 1, 1, 1, 1, 1, 1)
     check = rank3_check(2, -20)
     ok = curve_value == 1 and surface_value == 2 and check == (21, 1)
     report(

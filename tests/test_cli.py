@@ -15,7 +15,6 @@ import pytest
 
 from hilbtaut import cli, formulas, graded, oracle, verify
 from hilbtaut.cli import CSV_HEADER, SERIES_FORMULAS, UsageError, main, parse_range
-from hilbtaut.formulas import BicharInput
 from hilbtaut.graded import GradedDim
 from hilbtaut.series import TruncSeries
 from hilbtaut.verify import DEFAULT_SEED
@@ -158,6 +157,26 @@ def test_a_missing_cohomology_table_degrades_the_rows_to_euler_only(capsys, tmp_
         assert row["graded"] is None
         assert row["notes"] == [
             "euler only: no cohomology table for 'dual(H)' (class [-1]); "
+            "graded formulas need user-supplied tables"
+        ]
+
+
+def test_a_missing_hom_table_names_its_hom_key_in_the_euler_only_note(capsys, tmp_path):
+    # Hom*(H, G) is neither H*(G) nor H*(H^dual), so its key is hom(H,G)
+    data = json.loads(cli.geometry.packaged_profile("k3.json").read_text())
+    data["surface"]["bundles"] = {"H": [1], "G": [3]}
+    path = tmp_path / "k3_g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "ExtEF", "--E", "H", "--F", "G", "--n", "1",
+        "--format", "json", "--surface", str(path),
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert rows and all(row["graded"] is None for row in rows)
+    for row in rows:
+        assert row["notes"] == [
+            "euler only: no cohomology table for 'hom(H,G)' (class [2]); "
             "graded formulas need user-supplied tables"
         ]
 
@@ -465,7 +484,22 @@ def test_an_odd_bundle_is_rejected_at_load_naming_its_key(capsys, tmp_path, argv
         (
             {"surface": {**K3_LATTICE, "chi_O": "2"}},
             ["--formula", "cohF", "--n", "1", "--surface"],
-            "surface.chi_O must be an integer, got '2'",
+            'surface.chi_O must be an integer, got "2"',
+        ),
+        (
+            {"surface": {**K3_LATTICE, "chi_Omega": None}},
+            ["--formula", "rank3_check", "--surface"],
+            "surface.chi_Omega must be an integer, got null",
+        ),
+        (
+            {"surface": {**K3_LATTICE, "bundles": None}},
+            ["--formula", "rank3_check", "--surface"],
+            "surface.bundles must be a JSON object, got null",
+        ),
+        (
+            {"surface": {**K3_LATTICE, "canonical": [True]}},
+            ["--formula", "rank3_check", "--surface"],
+            "surface.canonical must be an integer, got true",
         ),
         (
             {"surface": {**K3_LATTICE, "cohomology": {"H": [4]}}},
@@ -520,7 +554,8 @@ def test_an_odd_bundle_is_rejected_at_load_naming_its_key(capsys, tmp_path, argv
         ),
     ],
     ids=["surface_O_not_zero", "curve_O_not_trivial", "cohomology_key_unknown_bundle",
-         "chi_O_a_string", "cohomology_table_a_list", "canonical_missing",
+         "chi_O_a_string", "chi_Omega_null", "bundles_null", "canonical_a_bool",
+         "cohomology_table_a_list", "canonical_missing",
          "picard_rank_zero", "gram_too_many_rows", "gram_row_too_short",
          "canonical_too_long", "genus_missing", "genus_negative",
          "surface_not_an_object", "jobs_not_a_list"],
@@ -585,8 +620,8 @@ def test_workers_below_one_are_rejected(capsys, command, workers):
 def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
     real = cli.formulas.bichar_closed
 
-    def lying(inp: BicharInput) -> int:
-        return real(inp) + 1
+    def lying(*args: int) -> int:
+        return real(*args) + 1
 
     monkeypatch.setattr(cli.formulas, "bichar_closed", lying)
     code, _, err = run_cli(

@@ -3,17 +3,26 @@ and the generating-function expansions that cross-check them."""
 
 from __future__ import annotations
 
+import inspect
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbtaut.graded import UNIT, ZERO, GradedDim, lambda_scalar, s_scalar
+from hilbtaut.graded import (
+    UNIT,
+    ZERO,
+    GradedDim,
+    lambda_scalar,
+    s_scalar,
+    sym_powers,
+    wedge_powers,
+)
 from hilbtaut.formulas import (
     VARIANTS,
-    BicharInput,
     MissingTableError,
     Rank3Check,
-    WHomInput,
     bichar_closed,
     bichar_from_series,
     bichar_product,
@@ -22,6 +31,7 @@ from hilbtaut.formulas import (
     curve_series,
     negative_index_suppressed,
     rank3_check,
+    role_bundles,
     taut_formula,
     tensor_euler_closed,
     tensor_euler_from_series,
@@ -34,6 +44,7 @@ from hilbtaut.formulas import (
 )
 from hilbtaut.geometry import load_config, packaged_profile, variant_tables
 from hilbtaut.oracle import invariant_dim
+from hilbtaut.series import TruncSeries
 
 K3_POINT = GradedDim({0: 1, 2: 1})
 K3_TABLES = {
@@ -55,39 +66,38 @@ chis = st.integers(min_value=-4, max_value=4)
 # -- the master formula ---------------------------------------------------------
 
 
+def w_hom_at(n, e, f, hom_ef, coh_e_dual, coh_f, coh_o):
+    """The single ``w_hom`` cell (n, e, f) of four tables."""
+    return w_hom_cells(n, hom_ef, coh_e_dual, coh_f, coh_o)(n, e, f)
+
+
 def test_w_hom_two_points_structure_sheaf_tables():
-    inp = WHomInput(n=2, e=1, f=1, hom_ef=K3_POINT, coh_e_dual=K3_POINT,
-                    coh_f=K3_POINT, coh_o=K3_POINT)
-    assert dict(w_hom(inp).items()) == {0: 2, 2: 4, 4: 2}
+    got = w_hom_at(2, 1, 1, K3_POINT, K3_POINT, K3_POINT, K3_POINT)
+    assert dict(got.items()) == {0: 2, 2: 4, 4: 2}
 
 
 def test_w_hom_full_overlap_forces_top_term():
     # e = n and f = 0 leaves the single summand with the exterior power
     # of the dual slot; for a two-dimensional odd space that has dim 3.
-    inp = WHomInput(n=2, e=2, f=0, hom_ef=ZERO, coh_e_dual=GradedDim({1: 2}),
-                    coh_f=ZERO, coh_o=K3_POINT)
-    assert dict(w_hom(inp).items()) == {2: 3}
-    again = WHomInput(n=2, e=2, f=0, hom_ef=ZERO, coh_e_dual=K3_POINT,
-                      coh_f=ZERO, coh_o=K3_POINT)
-    assert dict(w_hom(again).items()) == {2: 1}
+    got = w_hom_at(2, 2, 0, ZERO, GradedDim({1: 2}), ZERO, K3_POINT)
+    assert dict(got.items()) == {2: 3}
+    again = w_hom_at(2, 2, 0, ZERO, K3_POINT, ZERO, K3_POINT)
+    assert dict(again.items()) == {2: 1}
 
 
 def test_w_hom_window_can_be_empty():
     # e + f - n > min(e, f) happens only outside the input contract, but
     # a zero table in an active slot empties the sum legitimately.
-    inp = WHomInput(n=3, e=2, f=2, hom_ef=ZERO, coh_e_dual=ZERO,
-                    coh_f=ZERO, coh_o=UNIT)
-    assert w_hom(inp) == ZERO
+    assert w_hom_at(3, 2, 2, ZERO, ZERO, ZERO, UNIT) == ZERO
 
 
 def test_w_hom_four_points_trivial_tables():
     line = GradedDim({0: 1})
-    inp = WHomInput(n=4, e=2, f=2, hom_ef=line, coh_e_dual=line,
-                    coh_f=line, coh_o=line)
+    got = w_hom_at(4, 2, 2, line, line, line, line)
     # Value fixed by the group-averaging oracle: the i = 0 summand dies
     # because the exterior square of a one-dimensional even space is zero.
-    assert dict(w_hom(inp).items()) == {0: 2}
-    assert w_hom(inp) == invariant_dim(4, line, line, line, line)[4, 2, 2]
+    assert dict(got.items()) == {0: 2}
+    assert got == invariant_dim(4, line, line, line, line)[4, 2, 2]
 
 
 def test_w_hom_agrees_with_group_averaging_on_mixed_tables():
@@ -98,16 +108,8 @@ def test_w_hom_agrees_with_group_averaging_on_mixed_tables():
     for n in (2, 3):
         for e in range(n + 1):
             for f in range(n + 1):
-                inp = WHomInput(n=n, e=e, f=f, hom_ef=hom, coh_e_dual=dual,
-                                coh_f=tgt, coh_o=point)
-                assert w_hom(inp) == invariant_dim(n, hom, dual, tgt, point)[n, e, f]
-
-
-def test_w_hom_input_validation():
-    with pytest.raises(ValueError):
-        WHomInput(n=0, e=0, f=0, hom_ef=ZERO, coh_e_dual=ZERO, coh_f=ZERO, coh_o=UNIT)
-    with pytest.raises(ValueError):
-        WHomInput(n=2, e=3, f=0, hom_ef=ZERO, coh_e_dual=ZERO, coh_f=ZERO, coh_o=UNIT)
+                got = w_hom_at(n, e, f, hom, dual, tgt, point)
+                assert got == invariant_dim(n, hom, dual, tgt, point)[n, e, f]
 
 
 @pytest.mark.parametrize(
@@ -143,6 +145,27 @@ def test_w_hom_cells_reject_out_of_range_cells(n, e, f, message):
     cells = w_hom_cells(3, K3_POINT, K3_POINT, K3_POINT, K3_POINT)
     with pytest.raises(ValueError, match=message):
         cells(n, e, f)
+
+
+def test_w_hom_input_validation():
+    powers = tuple(
+        powers_of(3, K3_POINT) for powers_of in (sym_powers, wedge_powers, wedge_powers, sym_powers)
+    )
+    # n is checked first, then e and f, then the top the powers reach
+    for (n, e, f), message in [
+        ((0, 0, 0), "n must be positive, got 0"),
+        ((0, 1, 0), "n must be positive, got 0"),
+        ((2, 3, 0), "need 0 <= e, f <= n, got n=2, e=3, f=0"),
+        ((5, 6, 0), "need 0 <= e, f <= n, got n=5, e=6, f=0"),
+        ((5, 0, 0), "n=5 is above the top n=3 these powers reach"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            w_hom(powers, n, e, f)
+        assert str(err.value) == message
+
+
+def test_w_hom_takes_only_powers_and_a_cell():
+    assert list(inspect.signature(w_hom).parameters) == ["powers", "n", "e", "f"]
 
 
 # -- named variants --------------------------------------------------------------
@@ -243,7 +266,7 @@ def test_negative_index_flag_only_fires_at_top_wedge():
 
 
 def test_bichar_frozen_k3_value():
-    assert bichar_closed(BicharInput(2, 1, 1, 2, 2, 2, 2)) == 8
+    assert bichar_closed(2, 1, 1, 2, 2, 2, 2) == 8
 
 
 def test_bichar_matches_graded_euler():
@@ -251,15 +274,20 @@ def test_bichar_matches_graded_euler():
         for k in range(n + 1):
             for l in range(n + 1):
                 graded = taut_formula("Extwedgewedge", n, k=k, l=l, tables=K3_TABLES)
-                closed = bichar_closed(BicharInput(n, k, l, 2, 2, 2, 2))
+                closed = bichar_closed(n, k, l, 2, 2, 2, 2)
                 assert graded.euler() == closed
 
 
 def test_bichar_input_validation():
-    with pytest.raises(ValueError):
-        BicharInput(2, 3, 0, 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        BicharInput(-1, 0, 0, 1, 1, 1, 1)
+    # n is checked before k and l
+    for (n, k, l), message in [
+        ((2, 3, 0), "need 0 <= k, l <= n, got n=2, k=3, l=0"),
+        ((-1, 0, 0), "n must be non-negative, got -1"),
+        ((-1, 1, 0), "n must be non-negative, got -1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            bichar_closed(n, k, l, 1, 1, 1, 1)
+        assert str(err.value) == message
 
 
 def test_bichar_series_equals_product_form():
@@ -272,7 +300,7 @@ def test_bichar_series_coefficients_match_closed_form():
     for n in range(5):
         for k in range(n + 1):
             for l in range(n + 1):
-                closed = bichar_closed(BicharInput(n, k, l, 2, 4, 4, 2))
+                closed = bichar_closed(n, k, l, 2, 4, 4, 2)
                 assert bichar_from_series(series, n, k, l) == closed
 
 
@@ -286,9 +314,7 @@ def test_bichar_three_way_agreement(chi_kl, chi_k_dual, chi_l, chi_o):
     for n in range(n_max + 1):
         for k in range(n + 1):
             for l in range(n + 1):
-                closed = bichar_closed(
-                    BicharInput(n, k, l, chi_kl, chi_k_dual, chi_l, chi_o)
-                )
+                closed = bichar_closed(n, k, l, chi_kl, chi_k_dual, chi_l, chi_o)
                 assert bichar_from_series(series, n, k, l) == closed
 
 
@@ -369,7 +395,7 @@ def test_curve_two_points_differs_from_surface_count():
     # All four Euler characteristics equal to one: two points on a curve
     # give one section, two points on a surface give two.
     assert curve_bichar(2, 1, 1, 1, 1) == 1
-    assert bichar_closed(BicharInput(2, 1, 1, 1, 1, 1, 1)) == 2
+    assert bichar_closed(2, 1, 1, 1, 1, 1, 1) == 2
 
 
 def test_curve_one_point_is_the_hom_space():
@@ -408,3 +434,38 @@ def test_rank3_naive_is_lambda_square():
         check = rank3_check(chi_o, 7)
         assert check.naive == lambda_scalar(2, chi_o)
         assert check.value == check.naive - 7
+
+
+# -- library input rejections ---------------------------------------------------------
+
+# Q^1 carries 1/2, which no Euler number can be
+HALF_AT_Q = TruncSeries({"Q": 2, "u": 1, "v": 1}, {(1, 0, 0): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: role_bundles("nosuch", {}), "unknown table role 'nosuch'"),
+        (lambda: bichar_series(1, 1, 1, 1, n_max=-1), "n_max must be non-negative, got -1"),
+        (
+            lambda: tensor_euler_series([1], 1, 1, n_max=-1, k_max=0),
+            "n_max and k_max must be non-negative",
+        ),
+        (lambda: curve_series(1, 1, 1, 1, n_max=0), "n_max must be positive, got 0"),
+        (
+            lambda: bichar_from_series(HALF_AT_Q, 1, 0, 0),
+            "non-integer coefficient 1/2 at Q^1 u^0 v^0",
+        ),
+        (
+            lambda: tensor_euler_from_series(HALF_AT_Q, 1, 0),
+            "non-integer coefficient 1/2 at Q^1 u^0",
+        ),
+    ],
+    ids=["role_bundles_unknown_role", "bichar_series_negative_n_max",
+         "tensor_euler_series_negative_n_max", "curve_series_zero_n_max",
+         "bichar_from_series_fraction", "tensor_euler_from_series_fraction"],
+)
+def test_library_calls_reject_bad_input_with_one_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,20 @@ def test_chi_tensor_powers_from_lattice():
 def test_chi_tensor_powers_rejects_classes_of_different_lengths():
     with pytest.raises(ValueError):
         chi_tensor_powers(PLANE, (0, 0), (1,), 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chi_tensor_powers(K3, (0,), (1,), -1), "k must be non-negative, got -1"),
+        (lambda: pairing(K3, (1, 2), (1,)), "class length must equal picard_rank=1"),
+    ],
+    ids=["chi_tensor_powers_negative_k", "pairing_long_class"],
+)
+def test_lattice_calls_reject_bad_input_with_one_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_chi_omega_is_derived_from_the_lattice():
@@ -268,6 +283,14 @@ def test_surface_rejects_non_integer_dimensions(key, table):
     data["cohomology"][key] = table
     with pytest.raises(ConfigError, match="must be int"):
         surface_from_json(data)
+
+
+def test_a_non_json_library_value_is_named_by_its_repr():
+    # surface_from_json also takes Python mappings that never were JSON
+    data = {**good_surface_json(), "chi_O": Fraction(2)}
+    with pytest.raises(ConfigError) as err:
+        surface_from_json(data)
+    assert str(err.value) == 'surface.chi_O must be an integer, got "Fraction(2, 1)"'
 
 
 def test_surface_rejects_wrong_vector_length():

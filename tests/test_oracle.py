@@ -229,6 +229,12 @@ def test_enumeration_bound_enforced():
         orbit_decomposition(ENUM_BOUND + 1, 1, 1)
 
 
+def test_orbit_decomposition_rejects_an_index_above_n():
+    with pytest.raises(ValueError) as err:
+        orbit_decomposition(3, 4, 0)
+    assert str(err.value) == "need 0 <= e, f <= n, got n=3, e=4, f=0"
+
+
 def test_index_pair_round_trip():
     pair = IndexPair.from_indices([0, 2], [1, 2, 3])
     assert pair.first_indices() == (0, 2)

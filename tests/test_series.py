@@ -90,6 +90,36 @@ def test_constructor_rejects_a_coefficient_that_is_not_an_int_or_a_fraction(valu
         TruncSeries.variable("Q", {"Q": 3}) + value
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: TruncSeries({"Q": 0}),
+            ValueError,
+            "truncation order for Q must be a positive int, got 0",
+        ),
+        (lambda: TruncSeries({"Q": 2}, {(0, 0): 1}), ValueError, "bad exponent tuple (0, 0)"),
+        (
+            lambda: TruncSeries({"Q": 2}, {(2, 0, 0): 1}),
+            ValueError,
+            "exponents (2, 0, 0) exceed truncation orders (2, 1, 1)",
+        ),
+        (lambda: TruncSeries.const(1, ORDERS).coeff(Q=-1), ValueError, "negative exponent for Q"),
+        (
+            lambda: TruncSeries.const(1, ORDERS).int_pow(1.5),
+            TypeError,
+            "exponent must be int, got 1.5",
+        ),
+    ],
+    ids=["order_zero", "short_exponent_tuple", "exponent_past_order", "coeff_negative_exponent",
+         "int_pow_float"],
+)
+def test_bad_input_is_rejected_with_one_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 

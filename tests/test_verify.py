@@ -149,7 +149,7 @@ def test_three_way_check_names_the_first_wrong_quadruple_and_cell(monkeypatch):
     bad = failing(run_suite("appendix", nmax=3, count=2), "three_way_agreement")
     rng = random.Random(DEFAULT_SEED)
     chis = [rng.randint(-6, 6) for _ in range(4)]
-    closed = formulas.bichar_closed(formulas.BicharInput(2, 1, 1, *chis))
+    closed = formulas.bichar_closed(2, 1, 1, *chis)
     assert bad == {
         "chis": chis, "n": 2, "k": 1, "l": 1,
         "closed": closed, "exp_form": closed, "product_form": closed + 1,
