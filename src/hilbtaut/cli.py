@@ -134,11 +134,23 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
         raise UsageError(f"{formula} needs n >= 1")
     surface = _load_part(profile, "surface", formula, names)
     n_top = n_range[1]
+    cells = [
+        (n, k, l, *formulas.wedge_indices(formula, k, l))
+        for n in range(n_range[0], n_top + 1)
+        for k in (_expand(k_range or (0, None), n) if uses_k else [None])
+        for l in (_expand(l_range or (0, None), n) if uses_l else [None])
+    ]
     chis = geometry.variant_chis(surface, roles, names)
     slot_chis = tuple(chis[r] for r in roles)
     # one expansion and one set of powers per job: truncating at the
-    # job's largest n leaves every lower coefficient and power unchanged
-    series = formulas.bichar_series(*slot_chis, n_max=n_top)
+    # cells' largest n, e and f leaves every coefficient they read and
+    # every power unchanged
+    series = formulas.bichar_series(
+        *slot_chis,
+        n_max=n_top,
+        k_max=max((e for _, _, _, e, _ in cells), default=0),
+        l_max=max((f for _, _, _, _, f in cells), default=0),
+    )
     job_notes = []
     try:
         tables = geometry.variant_tables(surface, roles, names)
@@ -153,32 +165,29 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
         "chis": {role: chis[role] for role in sorted(set(roles))},
     }
     rows = []
-    for n in range(n_range[0], n_top + 1):
-        for k in _expand(k_range or (0, None), n) if uses_k else [None]:
-            for l in _expand(l_range or (0, None), n) if uses_l else [None]:
-                e, f = formulas.wedge_indices(formula, k, l)
-                euler = formulas.bichar_closed(n, e, f, *slot_chis)
-                graded = None
-                cross_checks = []
-                if graded_at is not None:
-                    graded = graded_at(n, e, f)
-                    cross_checks.append(["bichar_closed", graded.euler() == euler])
-                series_value = formulas.bichar_from_series(series, n, e, f)
-                cross_checks.append(["bichar_series", series_value == euler])
-                notes = list(job_notes)
-                if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
-                    notes.append("vanishing symmetric power of negative index suppressed (k = n)")
-                rows.append({
-                    "formula_id": formula,
-                    "n": n,
-                    "k": k,
-                    "l": l,
-                    "euler": euler,
-                    "graded": graded.to_json() if graded is not None else None,
-                    "cross_checks": cross_checks,
-                    "inputs": inputs,
-                    "notes": notes,
-                })
+    for n, k, l, e, f in cells:
+        euler = formulas.bichar_closed(n, e, f, *slot_chis)
+        graded = None
+        cross_checks = []
+        if graded_at is not None:
+            graded = graded_at(n, e, f)
+            cross_checks.append(["bichar_closed", graded.euler() == euler])
+        series_value = formulas.bichar_from_series(series, n, e, f)
+        cross_checks.append(["bichar_series", series_value == euler])
+        notes = list(job_notes)
+        if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
+            notes.append("vanishing symmetric power of negative index suppressed (k = n)")
+        rows.append({
+            "formula_id": formula,
+            "n": n,
+            "k": k,
+            "l": l,
+            "euler": euler,
+            "graded": graded.to_json() if graded is not None else None,
+            "cross_checks": cross_checks,
+            "inputs": inputs,
+            "notes": notes,
+        })
     return rows
 
 

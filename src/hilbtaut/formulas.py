@@ -11,19 +11,12 @@ suites compare against it and against the brute-force oracles.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graded import (
-    ZERO,
-    GradedDim,
-    lambda_scalar,
-    s_scalar,
-    sym_powers,
-    tensor_all,
-    wedge_powers,
-)
+from .graded import GradedDim, lambda_scalar, s_scalar, sym_powers, wedge_powers
 
 # Not called here: the benchmark harness's tracer test resolves sym_power
 # through this module.
@@ -34,9 +27,97 @@ class MissingTableError(KeyError):
     """A formula variant was asked to run without one of its inputs."""
 
 
-#: S^0..S^top(hom_ef), W^0..W^top(coh_e_dual), W^0..W^top(coh_f) and
-#: S^0..S^top(coh_o) of one set of ``w_hom`` tables, built by ``w_hom_cells``
-Powers = tuple[list[GradedDim], list[GradedDim], list[GradedDim], list[GradedDim]]
+class Powers:
+    """The powers of four ``w_hom`` tables up to n = ``top``, packed as ints.
+
+    ``hom_ef`` and ``coh_o`` give S^0..S^top, ``coh_e_dual`` and
+    ``coh_f`` give W^0..W^top, each from one pass over its table.  Every
+    power is a Poincare polynomial with non-negative coefficients, and a
+    tensor product multiplies Poincare polynomials with no sign, so a
+    power is packed as the one int sum m_d 2^(w (d - low)), with low the
+    lowest degree in its list (never positive: S^0 = W^0 is the unit),
+    and a tensor product is one int multiply.
+
+    The width w is the bit length of a bound on any coefficient of any
+    cell, so no coefficient carries into its neighbour and the packing
+    is exact.  A coefficient of a cell is at most the cell's total
+    dimension, at most sum_i tot(A_i) tot(B_e-i) tot(C_f-i) tot(D_n+i-e-f)
+    over the four lists A, B, C, D.  Each of the four indices takes a
+    different value for every i, so for each list X that sum is at most
+    the sum of tot over X times the largest tot of each other list; w
+    comes from the least of these four bounds.  The products of two
+    powers that a cell reads, ``ad(i, j)`` = S^i(hom_ef) S^j(coh_o) and
+    ``bc(b, c)`` = W^b(coh_e_dual) W^c(coh_f), are each formed once, when
+    first read.
+    """
+
+    __slots__ = ("top", "width", "low", "_lists", "_size", "_ad", "_bc")
+
+    def __init__(
+        self,
+        top: int,
+        hom_ef: GradedDim,
+        coh_e_dual: GradedDim,
+        coh_f: GradedDim,
+        coh_o: GradedDim,
+    ):
+        lists = (
+            sym_powers(top, hom_ef),
+            wedge_powers(top, coh_e_dual),
+            wedge_powers(top, coh_f),
+            sym_powers(top, coh_o),
+        )
+        self.top = top
+        self._size = size = top + 1
+        self._ad: list[int | None] = [None] * size * size
+        self._bc: list[int | None] = [None] * size * size
+        # a negative top gives empty lists, which no cell reads
+        totals = [[p.total_dim() for p in powers] for powers in lists]
+        largest = [max(t, default=0) for t in totals]
+        bound = min(
+            sum(totals[x]) * math.prod(largest[:x] + largest[x + 1:]) for x in range(4)
+        )
+        self.width = width = bound.bit_length()
+        lows = [min((d for p in powers for d in p), default=0) for powers in lists]
+        self.low = sum(lows)
+        self._lists = tuple(
+            [sum(m << width * (d - low) for d, m in p.items()) for p in powers]
+            for powers, low in zip(lists, lows)
+        )
+
+    def ad(self, i: int, j: int) -> int:
+        """S^i(hom_ef) (x) S^j(coh_o), packed."""
+        key = i * self._size + j
+        value = self._ad[key]
+        if value is None:
+            sym_hom, _, _, sym_o = self._lists
+            value = self._ad[key] = sym_hom[i] * sym_o[j]
+        return value
+
+    def bc(self, b: int, c: int) -> int:
+        """W^b(coh_e_dual) (x) W^c(coh_f), packed."""
+        key = b * self._size + c
+        value = self._bc[key]
+        if value is None:
+            _, wedge_source, wedge_target, _ = self._lists
+            value = self._bc[key] = wedge_source[b] * wedge_target[c]
+        return value
+
+    def unpack(self, packed: int) -> GradedDim:
+        """The graded space of a packed sum of four-way products."""
+        width = self.width
+        mask = (1 << width) - 1
+        degree = self.low
+        dims = {}
+        while packed:
+            # skip a run of zero coefficients in one shift
+            skip = ((packed & -packed).bit_length() - 1) // width
+            packed >>= skip * width
+            degree += skip
+            dims[degree] = packed & mask
+            packed >>= width
+            degree += 1
+        return GradedDim(dims)
 
 
 def w_hom(powers: Powers, n: int, e: int, f: int) -> GradedDim:
@@ -48,22 +129,21 @@ def w_hom(powers: Powers, n: int, e: int, f: int) -> GradedDim:
             (x) S^(n+i-e-f)(coh_o)
 
     with S and W the super symmetric and exterior powers, read off the
-    ``powers`` of the four tables.  An empty range yields the zero space.
+    packed ``powers`` of the four tables as ``ad(i, n+i-e-f)`` times
+    ``bc(e-i, f-i)``.  An empty range yields the zero space.
     ValueError for n < 1, e or f outside 0..n, or n above the powers' top.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= e <= n or not 0 <= f <= n:
         raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
-    sym_hom, wedge_source, wedge_target, sym_o = powers
-    if n >= len(sym_o):
-        raise ValueError(f"n={n} is above the top n={len(sym_o) - 1} these powers reach")
-    out = ZERO
+    if n > powers.top:
+        raise ValueError(f"n={n} is above the top n={powers.top} these powers reach")
+    ad, bc = powers.ad, powers.bc
+    total = 0
     for i in range(max(0, e + f - n), min(e, f) + 1):
-        out = out + tensor_all(
-            [sym_hom[i], wedge_source[e - i], wedge_target[f - i], sym_o[n + i - e - f]]
-        )
-    return out
+        total += ad(i, n - e - f + i) * bc(e - i, f - i)
+    return powers.unpack(total)
 
 
 def w_hom_cells(
@@ -78,16 +158,10 @@ def w_hom_cells(
     ``hom_ef`` is the graded Hom-space between the two inducing objects,
     ``coh_e_dual`` the cohomology of the dual of the source, ``coh_f``
     that of the target and ``coh_o`` that of the structure sheaf.
-    Builds S^0..S^n_top of ``hom_ef`` and ``coh_o`` and W^0..W^n_top of
-    ``coh_e_dual`` and ``coh_f`` in one pass per table, and returns the
+    Packs their powers up to n_top once (``Powers``) and returns the
     function that hands them to ``w_hom`` at a cell.
     """
-    powers = (
-        sym_powers(n_top, hom_ef),
-        wedge_powers(n_top, coh_e_dual),
-        wedge_powers(n_top, coh_f),
-        sym_powers(n_top, coh_o),
-    )
+    powers = Powers(n_top, hom_ef, coh_e_dual, coh_f, coh_o)
 
     def cell(n: int, e: int, f: int) -> GradedDim:
         return w_hom(powers, n, e, f)
@@ -229,21 +303,36 @@ def bichar_closed(
     return total
 
 
-def _bichar_orders(n_max: int) -> dict[str, int]:
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    return {"Q": n_max + 1, "u": n_max + 1, "v": n_max + 1}
+def _bichar_orders(
+    n_max: int, k_max: int | None = None, l_max: int | None = None
+) -> dict[str, int]:
+    # the orders of Q, u and v; k_max and l_max default to n_max
+    k_max = n_max if k_max is None else k_max
+    l_max = n_max if l_max is None else l_max
+    for name, value in (("n_max", n_max), ("k_max", k_max), ("l_max", l_max)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    return {"Q": n_max + 1, "u": l_max + 1, "v": k_max + 1}
 
 
 def bichar_series(
-    chi_kl: int, chi_k_dual: int, chi_l: int, chi_o: int, n_max: int
+    chi_kl: int,
+    chi_k_dual: int,
+    chi_l: int,
+    chi_o: int,
+    n_max: int,
+    k_max: int | None = None,
+    l_max: int | None = None,
 ) -> TruncSeries:
     """Generating function of the wedge-vs-wedge Euler pairings.
 
     exp of sum over r >= 1 of
     [chi_kl (vuQ)^r - chi_k_dual (vQ)^r - chi_l (uQ)^r + chi_o Q^r] / r,
-    truncated past Q^n_max.  Up to the sign (-1)^(k+l), the coefficient
-    of v^k u^l Q^n is bichar_closed at (n, k, l).
+    truncated past Q^n_max, v^k_max and u^l_max (k_max and l_max default
+    to n_max).  Up to the sign (-1)^(k+l), the coefficient of v^k u^l Q^n
+    is bichar_closed at (n, k, l).  Truncation is by a monomial ideal and
+    the expansion only adds exponents, so lower orders of u and v leave
+    every coefficient they keep unchanged.
 
     The argument's coefficients are written down monomial by monomial
     (exponents ordered Q, u, v) and ``TruncSeries.exp`` expands it by
@@ -251,6 +340,8 @@ def bichar_series(
     Neither step uses the product form of ``bichar_product``, so the two
     stay independent checks of each other.
     """
+    orders = _bichar_orders(n_max, k_max, l_max)
+    tops = (orders["Q"], orders["u"], orders["v"])
     coeffs: dict[tuple[int, int, int], Fraction] = {}
     for r in range(1, n_max + 1):
         for exps, chi in (
@@ -259,8 +350,9 @@ def bichar_series(
             ((r, r, 0), -chi_l),
             ((r, 0, 0), chi_o),
         ):
-            coeffs[exps] = Fraction(chi, r)
-    return TruncSeries(_bichar_orders(n_max), coeffs).exp()
+            if all(x < top for x, top in zip(exps, tops)):
+                coeffs[exps] = Fraction(chi, r)
+    return TruncSeries(orders, coeffs).exp()
 
 
 def bichar_product(

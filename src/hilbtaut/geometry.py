@@ -383,12 +383,15 @@ class Config:
     jobs: tuple[Mapping[str, object], ...] = ()
 
 
+#: the directory of the example profiles shipped with the package
+_PROFILES = Path(__file__).parent / "profiles"
+
+
 def packaged_profile(name: str) -> Path:
     """Path of one of the example profiles shipped with the package."""
-    root = Path(__file__).resolve().parent / "profiles"
-    candidate = root / name
+    candidate = _PROFILES / name
     if not candidate.is_file():
-        shipped = sorted(p.name for p in root.glob("*.json"))
+        shipped = sorted(p.name for p in _PROFILES.glob("*.json"))
         raise ConfigError(f"no packaged profile {name!r}; shipped: {shipped}")
     return candidate
 
@@ -408,11 +411,20 @@ def resolve_profile(spec: str, base: Path = Path()) -> Path:
 
 
 def _nested_section(
-    value: object, field: str, parse: Callable, path: Path, chain: tuple[Path, ...]
+    value: object, field: str, parse: Callable, path: Path, referenced_from: tuple[Path, ...]
 ):
     """A config section is either an inline object or a profile reference,
-    which is resolved from the directory of ``path``, the file holding it."""
+    which is resolved from the directory of ``path``, the file holding it.
+
+    ``referenced_from`` lists the real paths of the profiles whose
+    references led to ``path``; a reference from a profile already on
+    that chain closes a cycle.  Only this check reads a real path.
+    """
     if isinstance(value, str):
+        chain = (*referenced_from, path.resolve())
+        if chain[-1] in referenced_from:
+            cycle = " -> ".join(str(p) for p in chain[referenced_from.index(chain[-1]):])
+            raise ConfigError(f"config {path} references itself: {cycle}")
         loaded = load_config(resolve_profile(value, path.parent), referenced_from=chain)
         part = getattr(loaded, field)
         if part is None:
@@ -426,14 +438,11 @@ def _nested_section(
 def load_config(path: str | Path, referenced_from: tuple[Path, ...] = ()) -> Config:
     """Load a JSON profile: {"surface": ..., "curve": ..., "jobs": [...]}.
 
-    ``referenced_from`` lists the profiles whose references led here; a
-    profile that is already on that chain is a reference cycle.
+    ``referenced_from`` lists the real paths of the profiles whose
+    references led here; a reference from a profile that is already on
+    that chain is a reference cycle.
     """
     path = Path(path)
-    chain = (*referenced_from, path.resolve())
-    if chain[-1] in referenced_from:
-        cycle = " -> ".join(str(p) for p in chain[referenced_from.index(chain[-1]):])
-        raise ConfigError(f"config {path} references itself: {cycle}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -452,9 +461,11 @@ def load_config(path: str | Path, referenced_from: tuple[Path, ...] = ()) -> Con
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
     surface = curve = None
     if "surface" in data:
-        surface = _nested_section(data["surface"], "surface", surface_from_json, path, chain)
+        surface = _nested_section(
+            data["surface"], "surface", surface_from_json, path, referenced_from
+        )
     if "curve" in data:
-        curve = _nested_section(data["curve"], "curve", curve_from_json, path, chain)
+        curve = _nested_section(data["curve"], "curve", curve_from_json, path, referenced_from)
     jobs = data.get("jobs", [])
     if not isinstance(jobs, list) or not all(isinstance(j, Mapping) for j in jobs):
         raise ConfigError("config field 'jobs' must be a list of objects")

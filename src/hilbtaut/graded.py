@@ -83,7 +83,14 @@ class GradedDim:
         return GradedDim(out)
 
     def tensor(self, other: "GradedDim") -> "GradedDim":
-        """Tensor product: Poincare polynomials multiply."""
+        """Tensor product: Poincare polynomials multiply.
+
+        No code in the package calls it: ``formulas.Powers`` multiplies
+        packed ints instead.  It stays because the benchmark's layer
+        tracer names it (``perfbench/tracing.py``), and
+        ``tests/test_tracing_names.py`` requires every name it traces to
+        exist.
+        """
         out: dict[int, int] = {}
         for d1, m1 in self._dims.items():
             for d2, m2 in other._dims.items():
@@ -113,15 +120,6 @@ UNIT = GradedDim({0: 1})
 
 #: the zero space
 ZERO = GradedDim()
-
-
-def tensor_all(spaces: Iterable[GradedDim]) -> GradedDim:
-    out = UNIT
-    for space in spaces:
-        out = out.tensor(space)
-        if not out:
-            return ZERO
-    return out
 
 
 def lambda_scalar(k: int, chi: int) -> int:

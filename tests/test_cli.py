@@ -636,9 +636,9 @@ def test_table_expands_the_bichar_series_once_per_job(capsys, monkeypatch, n_ran
     real = cli.formulas.bichar_series
     calls = []
 
-    def counting(*chis, n_max):
-        calls.append(n_max)
-        return real(*chis, n_max=n_max)
+    def counting(*chis, n_max, k_max, l_max):
+        calls.append((n_max, k_max, l_max))
+        return real(*chis, n_max=n_max, k_max=k_max, l_max=l_max)
 
     monkeypatch.setattr(cli.formulas, "bichar_series", counting)
     code, _, _ = run_cli(
@@ -646,7 +646,16 @@ def test_table_expands_the_bichar_series_once_per_job(capsys, monkeypatch, n_ran
         "--E", "H", "--L", "H", "--n", n_range, "--k", "0..n",
     )
     assert code == 0
-    assert calls == [5]
+    # ExtEwedge is (e, f) = (1, k): v to order 1, u to the top n
+    assert calls == [(5, 1, 5)]
+
+
+def test_a_table_whose_ranges_select_no_cell_prints_only_the_header(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "Extwedgewedge", "--surface", "p2.json",
+        "--K", "H", "--L", "H", "--n", "1..2", "--k", "3..4", "--l", "0..n",
+    )
+    assert (code, out, err) == (0, ",".join(CSV_HEADER) + "\n", "")
 
 
 def count_power_passes(monkeypatch):

@@ -4,6 +4,7 @@ and the generating-function expansions that cross-check them."""
 from __future__ import annotations
 
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from hilbtaut.graded import (
 from hilbtaut.formulas import (
     VARIANTS,
     MissingTableError,
+    Powers,
     Rank3Check,
     bichar_closed,
     bichar_from_series,
@@ -129,6 +131,74 @@ def test_w_hom_cells_match_group_averaging_on_profile_tables(profile, names):
                 assert cells(n, e, f) == averages[n, e, f], (n, e, f)
 
 
+def dict_tensor(a, b):
+    """Poincare polynomials (degree -> dim dicts) multiplied by a double loop."""
+    out = {}
+    for d1, m1 in a.items():
+        for d2, m2 in b.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + m1 * m2
+    return out
+
+
+def dict_cell(n, e, f, powers):
+    """The ``w_hom`` cell (n, e, f) summed term by term in plain dicts.
+
+    ``powers`` holds S^j(hom_ef), W^j(coh_e_dual), W^j(coh_f) and
+    S^j(coh_o) as degree -> dim dicts, j = 0..n or beyond.
+    """
+    sym_hom, wedge_source, wedge_target, sym_o = powers
+    total = {}
+    for i in range(max(0, e + f - n), min(e, f) + 1):
+        term = {0: 1}
+        for factor in (sym_hom[i], wedge_source[e - i], wedge_target[f - i], sym_o[n + i - e - f]):
+            term = dict_tensor(term, factor)
+        for d, m in term.items():
+            total[d] = total.get(d, 0) + m
+    return {d: m for d, m in total.items() if m}
+
+
+def check_every_cell(top, tables):
+    """Compare every ``w_hom_cells`` cell up to ``top`` with ``dict_cell``;
+    returns the largest coefficient seen."""
+    powers = [
+        [dict(p.items()) for p in powers_of(top, table)]
+        for powers_of, table in zip((sym_powers, wedge_powers, wedge_powers, sym_powers), tables)
+    ]
+    cells = w_hom_cells(top, *tables)
+    widest = 0
+    for n in range(1, top + 1):
+        for e in range(n + 1):
+            for f in range(n + 1):
+                expected = dict_cell(n, e, f, powers)
+                assert dict(cells(n, e, f).items()) == expected, (tables, n, e, f)
+                widest = max([widest, *expected.values()])
+    return widest
+
+
+def test_packed_cells_match_a_dict_sum_on_random_tables():
+    rng = random.Random(20161612)
+    for _ in range(12):
+        tables = []
+        for _ in range(4):
+            dims = {}
+            for _ in range(rng.randint(0, 8)):
+                d = rng.randint(-3, 3)
+                dims[d] = dims.get(d, 0) + 1
+            tables.append(GradedDim(dims))
+        check_every_cell(6, tables)
+
+
+def test_packed_cells_hold_coefficients_past_32_bits():
+    tables = [
+        GradedDim({0: 1000, 1: 3}),
+        GradedDim({-2: 40, 1: 5}),
+        GradedDim({0: 30, -1: 2}),
+        GradedDim({-1: 600, 2: 7}),
+    ]
+    # S^6 of a 1000-dimensional even space alone is C(1005, 6)
+    assert check_every_cell(6, tables).bit_length() > 32
+
+
 @pytest.mark.parametrize(
     "n, e, f, message",
     [
@@ -148,9 +218,7 @@ def test_w_hom_cells_reject_out_of_range_cells(n, e, f, message):
 
 
 def test_w_hom_input_validation():
-    powers = tuple(
-        powers_of(3, K3_POINT) for powers_of in (sym_powers, wedge_powers, wedge_powers, sym_powers)
-    )
+    powers = Powers(3, K3_POINT, K3_POINT, K3_POINT, K3_POINT)
     # n is checked first, then e and f, then the top the powers reach
     for (n, e, f), message in [
         ((0, 0, 0), "n must be positive, got 0"),
@@ -316,6 +384,23 @@ def test_bichar_three_way_agreement(chi_kl, chi_k_dual, chi_l, chi_o):
             for l in range(n + 1):
                 closed = bichar_closed(n, k, l, chi_kl, chi_k_dual, chi_l, chi_o)
                 assert bichar_from_series(series, n, k, l) == closed
+
+
+def test_bichar_series_truncated_in_u_and_v_keeps_every_coefficient():
+    rng = random.Random(1612)
+    n_max = 5
+    for _ in range(6):
+        chis_ = [rng.randint(-5, 5) for _ in range(4)]
+        full = bichar_series(*chis_, n_max=n_max)
+        for a, b in [(0, 0), (0, 3), (2, 0), (1, 5), (4, 2), (5, 5)]:
+            cut = bichar_series(*chis_, n_max=n_max, k_max=a, l_max=b)
+            assert cut.orders == (n_max + 1, b + 1, a + 1)
+            for n in range(n_max + 1):
+                for k in range(a + 1):
+                    for l in range(b + 1):
+                        assert cut.coeff(Q=n, u=l, v=k) == full.coeff(Q=n, u=l, v=k), (
+                            chis_, a, b, n, k, l
+                        )
 
 
 def test_bichar_zeroth_coefficients_are_point_counts():

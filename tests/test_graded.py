@@ -17,7 +17,6 @@ from hilbtaut.graded import (
     s_scalar,
     sym_power,
     sym_powers,
-    tensor_all,
     wedge_power,
     wedge_powers,
 )
@@ -73,10 +72,6 @@ def test_tensor_convolves_degrees():
     assert dict(a.tensor(b).items()) == {0: 1, 1: 2, 2: 1}
     assert a.tensor(ZERO) == ZERO
     assert a.tensor(UNIT) == a
-
-
-def test_tensor_all_empty_is_unit():
-    assert tensor_all([]) == UNIT
 
 
 def test_immutable_and_hashable():
