@@ -27,7 +27,6 @@ import io
 import json
 import sys
 from collections.abc import Callable, Sequence
-from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 from . import formulas, geometry, oracle, verify
@@ -142,6 +141,7 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
     ]
     chis = geometry.variant_chis(surface, roles, names)
     slot_chis = tuple(chis[r] for r in roles)
+    euler_at = formulas.bichar_cells(n_top, *slot_chis)
     # one expansion and one set of powers per job: truncating at the
     # cells' largest n, e and f leaves every coefficient they read and
     # every power unchanged
@@ -166,7 +166,7 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
     }
     rows = []
     for n, k, l, e, f in cells:
-        euler = formulas.bichar_closed(n, e, f, *slot_chis)
+        euler = euler_at(n, e, f)
         graded = None
         cross_checks = []
         if graded_at is not None:
@@ -269,7 +269,8 @@ TABLE_FORMULAS = tuple(TABLE_JOBS)
 def _render_graded(graded: dict | None) -> str:
     if graded is None:
         return ""
-    return ";".join(f"d{d}:{graded[d]}" for d in sorted(graded, key=int))
+    # GradedDim.to_json lists its degrees in order
+    return ";".join(f"d{d}:{m}" for d, m in graded.items())
 
 
 def _render_checks(checks: list) -> str:
@@ -310,7 +311,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         try:
-            Path(out).write_text(text)
+            with open(out, "w") as file:
+                file.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
 
@@ -449,9 +451,9 @@ def run_jobs(config_path: str) -> int:
         if command in ("table", "series") and not ({"surface", "curve"} & set(entry)):
             wants_curve = command == "table" and entry.get("formula") == "curve_bichar"
             if wants_curve and config.curve is not None:
-                argv.extend(("--curve", str(resolved)))
+                argv.extend(("--curve", resolved))
             elif not wants_curve and config.surface is not None:
-                argv.extend(("--surface", str(resolved)))
+                argv.extend(("--surface", resolved))
         args = _read_args(argv)
         if args is None:
             try:

@@ -117,7 +117,8 @@ class Powers:
             dims[degree] = packed & mask
             packed >>= width
             degree += 1
-        return GradedDim(dims)
+        # every value is a positive int: no check to repeat
+        return GradedDim.wrap(dims)
 
 
 def w_hom(powers: Powers, n: int, e: int, f: int) -> GradedDim:
@@ -279,28 +280,45 @@ def negative_index_suppressed(variant: str, n: int, k: int = 0, l: int = 0) -> b
 # -- Euler characteristic of Hom between two wedge powers ---------------
 
 
-def bichar_closed(
-    n: int, k: int, l: int, chi_kl: int, chi_k_dual: int, chi_l: int, chi_o: int
-) -> int:
-    """Euler pairing of two wedge powers of tautological line bundles.
+def bichar_cells(
+    n_top: int, chi_kl: int, chi_k_dual: int, chi_l: int, chi_o: int
+) -> Callable[[int, int, int], int]:
+    """The Euler pairings (n, k, l) of two wedge powers of tautological
+    line bundles, n = 0..n_top.
 
     Sum over i from max(0, k+l-n) to min(k, l) of
     s^i(chi_kl) * lambda^(k-i)(chi_k_dual) * lambda^(l-i)(chi_l)
-    * s^(n+i-k-l)(chi_o).
+    * s^(n+i-k-l)(chi_o).  Lists the four scalar operations up to n_top
+    once and returns the function that sums one cell from them.
+    ValueError for n < 0, k or l outside 0..n, or n above n_top.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if not 0 <= k <= n or not 0 <= l <= n:
-        raise ValueError(f"need 0 <= k, l <= n, got n={n}, k={k}, l={l}")
-    total = 0
-    for i in range(max(0, k + l - n), min(k, l) + 1):
-        total += (
-            s_scalar(i, chi_kl)
-            * lambda_scalar(k - i, chi_k_dual)
-            * lambda_scalar(l - i, chi_l)
-            * s_scalar(n + i - k - l, chi_o)
-        )
-    return total
+    indices = range(n_top + 1)
+    sym_kl = [s_scalar(i, chi_kl) for i in indices]
+    wedge_k_dual = [lambda_scalar(i, chi_k_dual) for i in indices]
+    wedge_l = [lambda_scalar(i, chi_l) for i in indices]
+    sym_o = [s_scalar(i, chi_o) for i in indices]
+
+    def cell(n: int, k: int, l: int) -> int:
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        if not 0 <= k <= n or not 0 <= l <= n:
+            raise ValueError(f"need 0 <= k, l <= n, got n={n}, k={k}, l={l}")
+        if n > n_top:
+            raise ValueError(f"n={n} is above the top n={n_top} these lists reach")
+        total = 0
+        for i in range(max(0, k + l - n), min(k, l) + 1):
+            total += sym_kl[i] * wedge_k_dual[k - i] * wedge_l[l - i] * sym_o[n + i - k - l]
+        return total
+
+    return cell
+
+
+def bichar_closed(
+    n: int, k: int, l: int, chi_kl: int, chi_k_dual: int, chi_l: int, chi_o: int
+) -> int:
+    """Euler pairing of two wedge powers of tautological line bundles:
+    ``bichar_cells`` at n_top = n."""
+    return bichar_cells(n, chi_kl, chi_k_dual, chi_l, chi_o)(n, k, l)
 
 
 def _bichar_orders(
@@ -379,11 +397,10 @@ def bichar_product(
 
 def bichar_from_series(series: TruncSeries, n: int, k: int, l: int) -> int:
     """Read one Euler pairing off either generating function."""
-    coeff = series.coeff(Q=n, u=l, v=k)
-    if coeff.denominator != 1:
+    coeff = series.coeff_at(n, l, k)
+    if type(coeff) is not int:
         raise ValueError(f"non-integer coefficient {coeff} at Q^{n} u^{l} v^{k}")
-    sign = -1 if (k + l) % 2 else 1
-    return sign * coeff.numerator
+    return -coeff if (k + l) % 2 else coeff
 
 
 # -- Euler characteristic of a tensor with one wedge power --------------
@@ -479,10 +496,10 @@ def tensor_euler_series(
 
 
 def tensor_euler_from_series(series: TruncSeries, n: int, k: int) -> int:
-    coeff = series.coeff(Q=n, u=k)
-    if coeff.denominator != 1:
+    coeff = series.coeff_at(n, k)
+    if type(coeff) is not int:
         raise ValueError(f"non-integer coefficient {coeff} at Q^{n} u^{k}")
-    return coeff.numerator
+    return coeff
 
 
 # -- curves and the rank 3 comparison -----------------------------------

@@ -12,10 +12,11 @@ bundle is looked up, not computed by negating degrees.
 from __future__ import annotations
 
 import json
+import os
 import re
+import types
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
-from pathlib import Path
+from typing import NamedTuple
 
 from .formulas import role_bundles
 from .graded import GradedDim
@@ -32,17 +33,19 @@ class NonIntegralError(ValueError):
 #: a line bundle class: its coordinates in the profile's Picard sublattice
 LatticeClass = tuple[int, ...]
 
+#: the default of a record's map field: empty, and shared, so read-only
+_NO_ENTRIES: Mapping = types.MappingProxyType({})
 
-@dataclass(frozen=True)
-class SurfaceData:
+
+class SurfaceData(NamedTuple):
     """Lattice and cohomology data of a surface of Picard rank len(canonical)."""
 
     chi_o: int
     gram: tuple[tuple[int, ...], ...]
     canonical: LatticeClass
-    bundles: Mapping[str, LatticeClass] = field(default_factory=dict)
+    bundles: Mapping[str, LatticeClass] = _NO_ENTRIES
     # each cohomology table under its Hom class, filled by surface_from_json
-    class_tables: Mapping[LatticeClass, GradedDim] = field(default_factory=dict)
+    class_tables: Mapping[LatticeClass, GradedDim] = _NO_ENTRIES
 
     @property
     def chi_omega(self) -> int:
@@ -57,22 +60,16 @@ class SurfaceData:
         raise ConfigError(f"unknown bundle {name!r}; profile has {sorted(self.bundles)}")
 
 
-@dataclass(frozen=True)
-class CurveBundle:
+class CurveBundle(NamedTuple):
     rank: int
     degree: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ConfigError(f"bundle rank must be positive, got {self.rank}")
 
-
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(NamedTuple):
     """Genus and named bundles of a smooth projective curve profile."""
 
     genus: int
-    bundles: Mapping[str, CurveBundle] = field(default_factory=dict)
+    bundles: Mapping[str, CurveBundle] = _NO_ENTRIES
 
     def bundle(self, name: str) -> CurveBundle:
         if name in self.bundles:
@@ -354,10 +351,11 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
             )
         rank = _as_int(spec["rank"], f"curve.bundles[{name!r}].rank")
         degree = _as_int(spec["degree"], f"curve.bundles[{name!r}].degree")
-        try:
-            bundles[name] = CurveBundle(rank, degree)
-        except ConfigError as exc:
-            raise ConfigError(f"curve.bundles[{name!r}]: {exc}") from None
+        if rank < 1:
+            raise ConfigError(
+                f"curve.bundles[{name!r}]: bundle rank must be positive, got {rank}"
+            )
+        bundles[name] = CurveBundle(rank, degree)
     structure = bundles.get("O", CurveBundle(1, 0))
     if structure != CurveBundle(1, 0):
         raise ConfigError(
@@ -376,31 +374,30 @@ def curve_from_json(data: Mapping[str, object]) -> CurveData:
     return curve
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     surface: SurfaceData | None = None
     curve: CurveData | None = None
     jobs: tuple[Mapping[str, object], ...] = ()
 
 
 #: the directory of the example profiles shipped with the package
-_PROFILES = Path(__file__).parent / "profiles"
+_PROFILES = os.path.join(os.path.dirname(__file__), "profiles")
 
 
-def packaged_profile(name: str) -> Path:
+def packaged_profile(name: str) -> str:
     """Path of one of the example profiles shipped with the package."""
-    candidate = _PROFILES / name
-    if not candidate.is_file():
-        shipped = sorted(p.name for p in _PROFILES.glob("*.json"))
+    candidate = os.path.join(_PROFILES, name)
+    if not os.path.isfile(candidate):
+        shipped = sorted(entry for entry in os.listdir(_PROFILES) if entry.endswith(".json"))
         raise ConfigError(f"no packaged profile {name!r}; shipped: {shipped}")
     return candidate
 
 
-def resolve_profile(spec: str, base: Path = Path()) -> Path:
+def resolve_profile(spec: str, base: str = "") -> str:
     """Interpret a profile argument as a path, else as a packaged name.
     A relative path is read from ``base``, by default the working directory."""
-    path = base / spec
-    if path.is_file():
+    path = os.path.join(base, spec)
+    if os.path.isfile(path):
         return path
     try:
         return packaged_profile(spec)
@@ -411,7 +408,7 @@ def resolve_profile(spec: str, base: Path = Path()) -> Path:
 
 
 def _nested_section(
-    value: object, field: str, parse: Callable, path: Path, referenced_from: tuple[Path, ...]
+    value: object, field: str, parse: Callable, path: str, referenced_from: tuple[str, ...]
 ):
     """A config section is either an inline object or a profile reference,
     which is resolved from the directory of ``path``, the file holding it.
@@ -421,11 +418,13 @@ def _nested_section(
     that chain closes a cycle.  Only this check reads a real path.
     """
     if isinstance(value, str):
-        chain = (*referenced_from, path.resolve())
+        chain = (*referenced_from, os.path.realpath(path))
         if chain[-1] in referenced_from:
-            cycle = " -> ".join(str(p) for p in chain[referenced_from.index(chain[-1]):])
+            cycle = " -> ".join(chain[referenced_from.index(chain[-1]):])
             raise ConfigError(f"config {path} references itself: {cycle}")
-        loaded = load_config(resolve_profile(value, path.parent), referenced_from=chain)
+        loaded = load_config(
+            resolve_profile(value, os.path.dirname(path)), referenced_from=chain
+        )
         part = getattr(loaded, field)
         if part is None:
             raise ConfigError(f"profile {value!r} does not define a {field}")
@@ -435,16 +434,19 @@ def _nested_section(
     return parse(value)
 
 
-def load_config(path: str | Path, referenced_from: tuple[Path, ...] = ()) -> Config:
+def load_config(path: str | os.PathLike, referenced_from: tuple[str, ...] = ()) -> Config:
     """Load a JSON profile: {"surface": ..., "curve": ..., "jobs": [...]}.
 
     ``referenced_from`` lists the real paths of the profiles whose
     references led here; a reference from a profile that is already on
     that chain is a reference cycle.
     """
-    path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        # decoded here: json.loads would take bytes in UTF-16 or UTF-32 too
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
+        # line ends as a text-mode read gives them, so JSON error positions match
+        data = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -35,6 +35,14 @@ class GradedDim:
                 store[degree] = store.get(degree, 0) + dim
         object.__setattr__(self, "_dims", store)
 
+    @classmethod
+    def wrap(cls, dims: dict[int, int]) -> "GradedDim":
+        """The space of ``dims`` itself, neither checked nor copied: every
+        value must be a positive int, and no one may change the dict."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "_dims", dims)
+        return space
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GradedDim is immutable")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graded import ZERO, GradedDim
 
@@ -125,9 +125,9 @@ def invariant_dim(
 # -- orbit structure of pairs of subsets -------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class IndexPair:
-    """A pair of subsets of range(n), stored as bitmasks."""
+class IndexPair(NamedTuple):
+    """A pair of subsets of range(n), stored as bitmasks; pairs order
+    and hash as the tuple (first_mask, second_mask)."""
 
     first_mask: int
     second_mask: int
@@ -150,8 +150,7 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask & (1 << i))
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     representative: IndexPair
     size: int
     stabilizer_order: int

@@ -3,8 +3,9 @@
 Coefficients are exact rationals.  Inside a series an integral
 coefficient is held as an int and any other as a Fraction; the two mix
 exactly, and the generating functions this package expands have
-integral coefficients, so their arithmetic runs on ints.  The public
-accessors return Fraction either way.
+integral coefficients, so their arithmetic runs on ints.  ``coeff``,
+``terms`` and ``constant_term`` return Fraction either way;
+``coeff_at`` returns a coefficient as it is held.
 
 Every series carries one truncation order per variable; exponents
 greater than or equal to the order are discarded, so an order of 1
@@ -124,15 +125,21 @@ class TruncSeries:
         unknown = set(exponents) - set(VARIABLES)
         if unknown:
             raise ValueError(f"unknown series variables {sorted(unknown)}")
-        exps = tuple(exponents.get(n, 0) for n in VARIABLES)
-        for name, e, o in zip(VARIABLES, exps, self.orders):
-            if e < 0:
-                raise ValueError(f"negative exponent for {name}")
-            if e >= o:
-                raise ValueError(
-                    f"coefficient of {name}^{e} lies beyond truncation order {o}"
-                )
-        return Fraction(self._coeffs.get(exps, 0))
+        return Fraction(self.coeff_at(*(exponents.get(n, 0) for n in VARIABLES)))
+
+    def coeff_at(self, q: int, u: int = 0, v: int = 0) -> Coeff:
+        """Coefficient of Q^q u^u v^v as the series holds it: an int when
+        integral, else a Fraction.  Checked as ``coeff`` checks."""
+        order_q, order_u, order_v = self.orders
+        if not (0 <= q < order_q and 0 <= u < order_u and 0 <= v < order_v):
+            for name, e, o in zip(VARIABLES, (q, u, v), self.orders):
+                if e < 0:
+                    raise ValueError(f"negative exponent for {name}")
+                if e >= o:
+                    raise ValueError(
+                        f"coefficient of {name}^{e} lies beyond truncation order {o}"
+                    )
+        return self._coeffs.get((q, u, v), 0)
 
     def terms(self) -> list[tuple[Exponents, Fraction]]:
         """Nonzero terms sorted lexicographically by exponents."""
@@ -160,7 +167,8 @@ class TruncSeries:
         if not self._coeffs:
             return "0"
         pieces = []
-        for exps, coeff in self.terms():
+        # an int prints as its Fraction does
+        for exps, coeff in sorted(self._coeffs.items()):
             mono = self._monomial_str(exps)
             pieces.append(f"{coeff} * {mono}" if mono else str(coeff))
         return " + ".join(pieces)
@@ -175,7 +183,7 @@ class TruncSeries:
             "orders": {n: o for n, o in zip(VARIABLES, self.orders)},
             "terms": [
                 {"monomial": self._monomial_str(exps) or "1", "coeff": str(coeff)}
-                for exps, coeff in self.terms()
+                for exps, coeff in sorted(self._coeffs.items())
             ],
         }
 

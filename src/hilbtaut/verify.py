@@ -116,10 +116,11 @@ def _three_way_mismatch(quad: tuple[int, int, int, int], nmax: int) -> dict | No
     """First (n, k, l) where closed sum, exp form and product form differ."""
     exp_form = formulas.bichar_series(*quad, n_max=nmax)
     product_form = formulas.bichar_product(*quad, n_max=nmax)
+    closed_at = formulas.bichar_cells(nmax, *quad)
     for n in range(nmax + 1):
         for k in range(n + 1):
             for l in range(n + 1):
-                closed = formulas.bichar_closed(n, k, l, *quad)
+                closed = closed_at(n, k, l)
                 from_exp = formulas.bichar_from_series(exp_form, n, k, l)
                 from_product = formulas.bichar_from_series(product_form, n, k, l)
                 if not closed == from_exp == from_product:

@@ -163,7 +163,7 @@ def test_a_missing_cohomology_table_degrades_the_rows_to_euler_only(capsys, tmp_
 
 def test_a_missing_hom_table_names_its_hom_key_in_the_euler_only_note(capsys, tmp_path):
     # Hom*(H, G) is neither H*(G) nor H*(H^dual), so its key is hom(H,G)
-    data = json.loads(cli.geometry.packaged_profile("k3.json").read_text())
+    data = json.loads(Path(cli.geometry.packaged_profile("k3.json")).read_text())
     data["surface"]["bundles"] = {"H": [1], "G": [3]}
     path = tmp_path / "k3_g.json"
     path.write_text(json.dumps(data))
@@ -182,7 +182,7 @@ def test_a_missing_hom_table_names_its_hom_key_in_the_euler_only_note(capsys, tm
 
 
 def _k3_with_hom_h_h(tmp_path, table):
-    data = json.loads(cli.geometry.packaged_profile("k3.json").read_text())
+    data = json.loads(Path(cli.geometry.packaged_profile("k3.json")).read_text())
     data["surface"]["cohomology"]["hom(H,H)"] = table
     path = tmp_path / "k3_hom_h_h.json"
     path.write_text(json.dumps(data))
@@ -585,11 +585,12 @@ def test_table_rejects_a_profile_at_load_naming_its_key(
         ),
         ({"profile.json": b"[" * 100_000}, "nests too deeply"),
         ({"profile.json": b'{"surface": "\xff"}'}, "is not UTF-8"),
+        ({"profile.json": '{"surface": "k3.json"}'.encode("utf-16")}, "is not UTF-8 text"),
         ({"profile.json": b"[1]"}, "must be a JSON object"),
         ({"profile.json": b'{"surface": '}, "is not valid JSON: "),
     ],
-    ids=["self_reference", "reference_cycle", "deep_nesting", "not_utf8", "not_an_object",
-         "not_json"],
+    ids=["self_reference", "reference_cycle", "deep_nesting", "not_utf8", "utf16",
+         "not_an_object", "not_json"],
 )
 def test_table_rejects_an_unloadable_profile_naming_the_file(
     capsys, tmp_path, monkeypatch, files, fragment
@@ -618,12 +619,13 @@ def test_workers_below_one_are_rejected(capsys, command, workers):
 
 
 def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
-    real = cli.formulas.bichar_closed
+    real = cli.formulas.bichar_cells
 
-    def lying(*args: int) -> int:
-        return real(*args) + 1
+    def lying(*args: int):
+        cell = real(*args)
+        return lambda n, k, l: cell(n, k, l) + 1
 
-    monkeypatch.setattr(cli.formulas, "bichar_closed", lying)
+    monkeypatch.setattr(cli.formulas, "bichar_cells", lying)
     code, _, err = run_cli(
         capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1"
     )
@@ -786,6 +788,20 @@ def test_importing_the_cli_loads_no_process_pool():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_pathlib():
+    # each costs every fresh start its import; -S keeps site hooks from
+    # importing them first
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hilbtaut.cli; "
+        "print(sorted({'dataclasses', 'pathlib'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_the_module_entry_point_runs_the_cli():
@@ -1222,6 +1238,16 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target, reason)
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 2 and out == ""
     assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
+def test_out_with_a_trailing_slash_names_a_directory(capsys, tmp_path):
+    target = f"{tmp_path}/x.csv/"
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "rank3_check", "--surface", "k3.json", "--out", target
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {target}: Is a directory\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 # -- run command --------------------------------------------------------------------

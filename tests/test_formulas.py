@@ -25,6 +25,7 @@ from hilbtaut.formulas import (
     MissingTableError,
     Powers,
     Rank3Check,
+    bichar_cells,
     bichar_closed,
     bichar_from_series,
     bichar_product,
@@ -355,6 +356,23 @@ def test_bichar_input_validation():
     ]:
         with pytest.raises(ValueError) as err:
             bichar_closed(n, k, l, 1, 1, 1, 1)
+        assert str(err.value) == message
+
+
+def test_bichar_cells_of_one_job_agree_with_bichar_closed_below_their_top():
+    for chis_ in [(2, 2, 2, 2), (1, 0, 3, 1), (-2, 3, -1, 2)]:
+        cell = bichar_cells(5, *chis_)
+        for n in range(6):
+            for k in range(n + 1):
+                for l in range(n + 1):
+                    assert cell(n, k, l) == bichar_closed(n, k, l, *chis_)
+    for (n, k, l), message in [
+        ((6, 0, 0), "n=6 is above the top n=5 these lists reach"),
+        ((2, 3, 0), "need 0 <= k, l <= n, got n=2, k=3, l=0"),
+        ((-1, 0, 0), "n must be non-negative, got -1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            bichar_cells(5, 1, 1, 1, 1)(n, k, l)
         assert str(err.value) == message
 
 

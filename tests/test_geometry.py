@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,7 +184,7 @@ def test_every_hom_space_resolves_to_the_table_of_its_class(profile):
 
 
 def _k3_with_hom_h_h(tmp_path, table):
-    data = json.loads(packaged_profile("k3.json").read_text())
+    data = json.loads(Path(packaged_profile("k3.json")).read_text())
     data["surface"]["cohomology"]["hom(H,H)"] = table
     path = tmp_path / "k3_hom_h_h.json"
     path.write_text(json.dumps(data))
@@ -352,8 +353,9 @@ def test_packaged_k3_matches_fixture():
 def test_resolve_profile_prefers_files(tmp_path):
     target = tmp_path / "k3.json"
     target.write_text(json.dumps({"surface": good_surface_json()}))
-    assert resolve_profile(str(target)) == target
+    assert resolve_profile(str(target)) == str(target)
     assert resolve_profile("k3.json") == packaged_profile("k3.json")
+    assert type(packaged_profile("k3.json")) is str
     with pytest.raises(ConfigError):
         resolve_profile("does_not_exist.json")
 
@@ -363,11 +365,30 @@ def test_resolve_profile_reads_a_relative_path_from_its_base(tmp_path, monkeypat
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "mine.json").write_text("{}")
     (tmp_path / "k3.json").write_text("{}")
-    assert resolve_profile("mine.json", tmp_path / "sub") == tmp_path / "sub" / "mine.json"
-    assert resolve_profile("k3.json", tmp_path / "sub") == packaged_profile("k3.json")
-    assert resolve_profile("k3.json") == Path("k3.json")
+    sub = str(tmp_path / "sub")
+    assert resolve_profile("mine.json", sub) == os.path.join(sub, "mine.json")
+    assert resolve_profile("sub/mine.json", str(tmp_path)) == str(tmp_path / "sub" / "mine.json")
+    assert resolve_profile("k3.json", sub) == packaged_profile("k3.json")
+    assert resolve_profile("k3.json") == "k3.json"
     with pytest.raises(ConfigError):
         resolve_profile("mine.json")
+
+
+def test_a_profile_with_crlf_line_ends_loads(tmp_path):
+    text = Path(packaged_profile("k3.json")).read_text()
+    path = tmp_path / "k3_crlf.json"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert load_config(path) == load_config(packaged_profile("k3.json"))
+
+
+def test_a_json_error_in_a_crlf_profile_gives_the_position_text_mode_gives(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{\r\n  "surface":\r\n}\r\n')
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == (
+        f"config {path} is not valid JSON: Expecting value: line 3 column 1 (char 15)"
+    )
 
 
 def test_config_accepts_string_profile_references(tmp_path):

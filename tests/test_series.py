@@ -380,6 +380,22 @@ def test_public_coefficients_are_fractions(integral):
         assert type(series.coeff(Q=3, u=2, v=1)) is Fraction
 
 
+def test_coeff_at_gives_a_coefficient_as_the_series_holds_it():
+    orders = {"Q": 3, "u": 2, "v": 2}
+    series = TruncSeries(orders, {(1, 1, 0): Fraction(4, 2), (2, 0, 1): Fraction(1, 3)})
+    assert type(series.coeff_at(1, 1)) is int and series.coeff_at(1, 1) == 2
+    assert series.coeff_at(2, 0, 1) == Fraction(1, 3)
+    assert series.coeff_at(0) == 0
+    for exponents, message in [
+        ((-1,), "negative exponent for Q"),
+        ((0, 2), "coefficient of u^2 lies beyond truncation order 2"),
+        ((3, -1, 5), "coefficient of Q^3 lies beyond truncation order 3"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            series.coeff_at(*exponents)
+        assert str(err.value) == message
+
+
 def test_integral_coefficient_given_as_int_or_fraction_is_one_series():
     orders = {"Q": 3, "u": 2}
     plain = TruncSeries(orders, {(0, 0, 0): 5, (1, 1, 0): -2})
