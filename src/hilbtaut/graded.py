@@ -159,11 +159,13 @@ def _power_layers(k: int, space: GradedDim, sym: bool) -> list[dict[int, int]]:
     # z-expansion of the d-th layer.  For sym: even layers contribute
     # (1-z t^d)^(-m) and odd layers (1+z t^d)^m; for wedge the roles swap.
     # Layers are dicts degree -> coefficient, indexed by z-power, truncated
-    # past z^k; {} is a zero layer.  Negative k gives no layers.
+    # past z^k; {} is a zero layer.  Every term added is a positive int,
+    # so each layer is a fresh dict of positive ints, fit for
+    # GradedDim.wrap.  Negative k gives no layers.
     if k < 0:
         return []
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
-    for d, m in space.items():
+    for d, m in space._dims.items():
         bosonic = (d % 2 == 0) == sym
         if bosonic:
             factor = [s_scalar(j, m) for j in range(k + 1)]
@@ -190,7 +192,7 @@ def sym_power(k: int, space: GradedDim) -> GradedDim:
     """
     if k < 0:
         return ZERO
-    return GradedDim(_power_layers(k, space, sym=True)[k])
+    return GradedDim.wrap(_power_layers(k, space, sym=True)[k])
 
 
 def wedge_power(k: int, space: GradedDim) -> GradedDim:
@@ -201,7 +203,7 @@ def wedge_power(k: int, space: GradedDim) -> GradedDim:
     """
     if k < 0:
         return ZERO
-    return GradedDim(_power_layers(k, space, sym=False)[k])
+    return GradedDim.wrap(_power_layers(k, space, sym=False)[k])
 
 
 def sym_powers(k: int, space: GradedDim) -> list[GradedDim]:
@@ -209,7 +211,7 @@ def sym_powers(k: int, space: GradedDim) -> list[GradedDim]:
 
     Negative k gives the empty list.
     """
-    return [GradedDim(layer) for layer in _power_layers(k, space, sym=True)]
+    return [GradedDim.wrap(layer) for layer in _power_layers(k, space, sym=True)]
 
 
 def wedge_powers(k: int, space: GradedDim) -> list[GradedDim]:
@@ -217,4 +219,4 @@ def wedge_powers(k: int, space: GradedDim) -> list[GradedDim]:
 
     Negative k gives the empty list.
     """
-    return [GradedDim(layer) for layer in _power_layers(k, space, sym=False)]
+    return [GradedDim.wrap(layer) for layer in _power_layers(k, space, sym=False)]

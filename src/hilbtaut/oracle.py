@@ -119,7 +119,8 @@ def invariant_dim(
     for n, average in enumerate(averages):
         for (e, f, d), c in average.items():
             dims[n, e, f][d] = c
-    return {key: GradedDim(table) for key, table in dims.items()}
+    # each table is fresh and holds only the non-zero quotients
+    return {key: GradedDim.wrap(table) for key, table in dims.items()}
 
 
 # -- orbit structure of pairs of subsets -------------------------------
@@ -178,14 +179,18 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
         rotate = [(m << 1 | m >> (n - 1)) & full for m in masks]  # point i goes to i + 1 mod n
         swap = [m ^ 3 if (m ^ m >> 1) & 1 else m for m in masks]  # points 0 and 1 trade places
         generators = (rotate, swap)
-    first_masks = [sum(1 << i for i in comb) for comb in itertools.combinations(range(n), e)]
-    second_masks = [sum(1 << i for i in comb) for comb in itertools.combinations(range(n), f)]
-    pairs = sorted((fm, sm) for fm in first_masks for sm in second_masks)
+    first_masks, second_masks = (
+        sorted(sum(1 << i for i in comb) for comb in itertools.combinations(range(n), size))
+        for size in (e, f)
+    )
 
     order = math.factorial(n)
     seen: set[tuple[int, int]] = set()
     orbits: list[Orbit] = []
-    for pair in pairs:
+    count = 0
+    # the product of two sorted lists streams the pairs in increasing order
+    for pair in itertools.product(first_masks, second_masks):
+        count += 1
         if pair in seen:
             continue
         frontier = [pair]
@@ -204,7 +209,7 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
             raise ConsistencyError(f"orbit size {size} does not divide group order {order}")
         orbits.append(Orbit(representative=IndexPair(*pair), size=size, stabilizer_order=quot))
 
-    if sum(o.size for o in orbits) != len(pairs):
+    if sum(o.size for o in orbits) != count:
         raise ConsistencyError("orbit sizes do not add up to the number of pairs")
     return tuple(orbits)
 
@@ -242,7 +247,8 @@ def _enumerate_powers(top: int, space: GradedDim, sym: bool) -> list[GradedDim]:
             extend(pos if repeatable else pos + 1, size + 1, degree + d)
 
     extend(0, 0, 0)
-    return [GradedDim(layer) for layer in counts]
+    # each layer is fresh and counts every monomial it holds at least once
+    return [GradedDim.wrap(layer) for layer in counts]
 
 
 def oracle_sym_powers(top: int, space: GradedDim) -> list[GradedDim]:

@@ -19,6 +19,7 @@ import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 from . import formulas, geometry, oracle
 from .graded import (
@@ -420,22 +421,24 @@ def suite_orbits(seed: int = DEFAULT_SEED, nmax: int = 7) -> dict:
 @functools.cache
 def _mask_images(n: int) -> tuple[tuple[int, ...], ...]:
     # for every permutation of range(n), the image of every mask below
-    # 2^n, each built from the mask without its lowest bit; n! 2^n
-    # entries kept per n, and the reference check asks only n <= 5
+    # 2^n, built by doubling: once the masks below 2^i are mapped, those
+    # with bit i set map to the same images joined with 1 << perm[i];
+    # n! 2^n entries kept per n, and the reference check asks only n <= 5
     images = []
     for perm in itertools.permutations(range(n)):
-        image = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        image = [0]
+        for point in perm:
+            bit = 1 << point
+            image += [m | bit for m in image]
         images.append(tuple(image))
     return tuple(images)
 
 
 def _orbit_of(n: int, pair: oracle.IndexPair) -> oracle.IndexPair:
     # minimal pair in the full-group orbit: a minimum over all of S_n
-    fm, sm = pair.first_mask, pair.second_mask
-    return oracle.IndexPair(*min((image[fm], image[sm]) for image in _mask_images(n)))
+    images = _mask_images(n)
+    first, second = itemgetter(pair.first_mask), itemgetter(pair.second_mask)
+    return oracle.IndexPair(*min(zip(map(first, images), map(second, images))))
 
 
 _RUNNERS = {

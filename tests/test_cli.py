@@ -1025,7 +1025,8 @@ def test_verify_rejects_inapplicable_knobs(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, nmax", [("whom_oracle", "9"), ("orbits", "13")]
+    "suite, nmax",
+    [("whom_oracle", str(oracle.AVERAGING_BOUND + 1)), ("orbits", str(oracle.ENUM_BOUND + 1))],
 )
 def test_verify_size_bound_is_a_usage_error(capsys, suite, nmax):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--nmax", nmax)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +222,36 @@ def test_representatives_are_minimal_and_distinct():
             _moved(orbit, p) for p in permutations(range(4))
         )
         assert smallest == orbit
+
+
+def _full_group_orbits(n: int, e: int, f: int) -> list[tuple[tuple[int, int], int]]:
+    """(minimal pair, size) of every orbit, in increasing order, with
+    each permutation applied to the masks bit by bit."""
+
+    def moved(mask: int, perm: tuple[int, ...]) -> int:
+        return sum(1 << perm[i] for i in range(n) if mask >> i & 1)
+
+    perms = list(permutations(range(n)))
+    masks = {
+        size: [sum(1 << i for i in comb) for comb in combinations(range(n), size)]
+        for size in (e, f)
+    }
+    minimum: dict[tuple[int, int], tuple[int, int]] = {}
+    for pair in sorted((fm, sm) for fm in masks[e] for sm in masks[f]):
+        if pair not in minimum:
+            # the images of one pair under all of S_n are its whole orbit
+            orbit = {(moved(pair[0], p), moved(pair[1], p)) for p in perms}
+            least = min(orbit)
+            minimum.update(dict.fromkeys(orbit, least))
+    return sorted(Counter(minimum.values()).items())
+
+
+def test_orbits_are_the_full_group_partition_on_every_cell_up_to_six_points():
+    for n in range(7):
+        for e, f in product(range(n + 1), repeat=2):
+            orbits = orbit_decomposition(n, e, f)
+            streamed = [(tuple(o.representative), o.size) for o in orbits]
+            assert streamed == _full_group_orbits(n, e, f), (n, e, f)
 
 
 def test_enumeration_bound_enforced():

@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from hilbtaut import formulas, verify
-from hilbtaut.graded import GradedDim
+from hilbtaut import formulas, oracle, verify
+from hilbtaut.graded import GradedDim, sym_power, sym_powers, wedge_power, wedge_powers
 from hilbtaut.oracle import POWER_EXPONENT_BOUND, IndexPair, orbit_decomposition
 from hilbtaut.series import TruncSeries
 from hilbtaut.verify import (
@@ -256,6 +256,17 @@ def test_orbit_of_is_the_minimum_over_every_permutation():
             assert verify._orbit_of(n, pair) == naive
 
 
+def test_mask_images_follow_the_per_mask_definition():
+    for n in range(6):
+        perms = list(itertools.permutations(range(n)))
+        images = verify._mask_images(n)
+        assert len(images) == len(perms)
+        for perm, image in zip(perms, images):
+            # the OR of distinct bits is their sum
+            by_bits = [sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
+            assert list(image) == by_bits, perm
+
+
 def test_reference_pair_check_names_the_first_pair_off_its_orbit(monkeypatch):
     orbit_of = verify._orbit_of
     stray = standard_pair(1, 1, 0)
@@ -277,3 +288,42 @@ def test_reference_pair_check_names_a_malformed_pair(monkeypatch):
     )
     bad = failing(run_suite("orbits", nmax=4), "reference_pairs_covered")
     assert bad == {"n": 2, "e": 1, "f": 1, "i": 0, "pair": [[0], [0]]}
+
+
+# -- the wrap contract at the power and averaging call sites -------------
+
+
+def _assert_fresh_positive_tables(spaces: list[GradedDim]) -> None:
+    """Each space holds only positive int dimensions, equals its checked
+    copy, and owns its table: no two spaces share one dict."""
+    for space in spaces:
+        assert all(type(d) is int and type(m) is int and m > 0 for d, m in space.items())
+        assert space == GradedDim(dict(space.items()))
+    assert len({id(space._dims) for space in spaces}) == len(spaces)
+
+
+def test_closed_and_enumerated_powers_keep_the_wrap_contract():
+    edge_spaces = [
+        GradedDim({0: oracle.POWER_DIM_BOUND}),
+        GradedDim({1: oracle.POWER_DIM_BOUND}),
+        GradedDim({0: 4, 1: 4}),
+        GradedDim({-1: 3, 0: 2, 3: 3}),
+    ]
+    top = POWER_EXPONENT_BOUND
+    for space in [*verify._all_spaces((-2, -1, 0, 1, 2, 3), 4), *edge_spaces]:
+        powers = [
+            *sym_powers(top, space),
+            *wedge_powers(top, space),
+            *(sym_power(k, space) for k in range(top + 1)),
+            *(wedge_power(k, space) for k in range(top + 1)),
+            *oracle.oracle_sym_powers(top, space),
+            *oracle.oracle_wedge_powers(top, space),
+        ]
+        _assert_fresh_positive_tables(powers)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_group_averages_keep_the_wrap_contract(seed):
+    rng = random.Random(seed)
+    spaces = [random_space(rng) for _ in range(4)]
+    _assert_fresh_positive_tables(list(oracle.invariant_dim(5, *spaces).values()))
