@@ -218,7 +218,7 @@ def _curve_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ra
         if n == 2:
             expected = -curve.genus * chis["chi_ef"] + chis["chi_e_dual"] * chis["chi_f"]
             cross_checks.append(["quadratic_simplification", value == expected])
-        cross_checks.append(["curve_series", series.coeff(Q=n) == value])
+        cross_checks.append(["curve_series", series.coeff_at(n) == value])
         rows.append({
             "formula_id": "curve_bichar",
             "n": n,

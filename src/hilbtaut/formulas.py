@@ -21,7 +21,7 @@ from .graded import GradedDim, lambda_scalar, s_scalar, sym_powers, wedge_powers
 # Not called here: the benchmark harness's tracer test resolves sym_power
 # through this module.
 from .graded import sym_power  # noqa: F401
-from .series import TruncSeries
+from .series import TruncSeries, _narrow
 
 class MissingTableError(KeyError):
     """A formula variant was asked to run without one of its inputs."""
@@ -359,8 +359,10 @@ def bichar_series(
     stay independent checks of each other.
     """
     orders = _bichar_orders(n_max, k_max, l_max)
-    tops = (orders["Q"], orders["u"], orders["v"])
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
+    u_top, v_top = orders["u"], orders["v"]
+    # every exponent below its order, every value nonzero and an int
+    # wherever chi / r is integral: the rule of TruncSeries.wrap
+    coeffs: dict[tuple[int, int, int], int | Fraction] = {}
     for r in range(1, n_max + 1):
         for exps, chi in (
             ((r, r, r), chi_kl),
@@ -368,9 +370,11 @@ def bichar_series(
             ((r, r, 0), -chi_l),
             ((r, 0, 0), chi_o),
         ):
-            if all(x < top for x, top in zip(exps, tops)):
-                coeffs[exps] = Fraction(chi, r)
-    return TruncSeries(orders, coeffs).exp()
+            if exps[1] < u_top and exps[2] < v_top:
+                value = _narrow(Fraction(chi, r))
+                if value:
+                    coeffs[exps] = value
+    return TruncSeries.wrap(orders, coeffs).exp()
 
 
 def bichar_product(

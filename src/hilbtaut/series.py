@@ -56,13 +56,17 @@ def _narrow(value: Coeff) -> Coeff:
     return value.numerator if value.denominator == 1 else value
 
 
-def _quotient(value: Coeff, div: Coeff) -> Coeff:
-    # value / div, exactly; an int wherever it is integral
-    if type(value) is int and type(div) is int:
-        q, r = divmod(value, div)
-        if not r:
-            return q
-    return _narrow(Fraction(value, div))
+def _monomial(q: int, u: int, v: int) -> str:
+    # "Q^q u^u v^v" without its zero exponents; "" for the constant
+    return ((f" Q^{q}" if q else "") + (f" u^{u}" if u else "") + (f" v^{v}" if v else ""))[1:]
+
+
+def _wrapped(orders: tuple[int, int, int], coeffs: dict[Exponents, Coeff]) -> "TruncSeries":
+    # the series of coeffs itself, under the rule of TruncSeries.wrap
+    series = object.__new__(TruncSeries)
+    object.__setattr__(series, "orders", orders)
+    object.__setattr__(series, "_coeffs", coeffs)
+    return series
 
 
 class TruncSeries:
@@ -100,6 +104,14 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def wrap(cls, orders: Mapping[str, int], coeffs: dict[Exponents, Coeff]) -> "TruncSeries":
+        """The series of ``coeffs`` itself, neither checked nor copied:
+        every exponent must lie inside the orders, every value must be
+        nonzero and an int wherever it is integral, and no one may
+        change the dict.  Only the orders are checked."""
+        return _wrapped(_normalize_orders(orders), coeffs)
 
     @classmethod
     def const(cls, value: Coeff, orders: Mapping[str, int]) -> "TruncSeries":
@@ -159,17 +171,13 @@ class TruncSeries:
     def __hash__(self) -> int:
         return hash((self.orders, frozenset(self._coeffs.items())))
 
-    def _monomial_str(self, exps: Exponents) -> str:
-        parts = [f"{n}^{e}" for n, e in zip(VARIABLES, exps) if e]
-        return " ".join(parts)
-
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
         pieces = []
         # an int prints as its Fraction does
         for exps, coeff in sorted(self._coeffs.items()):
-            mono = self._monomial_str(exps)
+            mono = _monomial(*exps)
             pieces.append(f"{coeff} * {mono}" if mono else str(coeff))
         return " + ".join(pieces)
 
@@ -182,7 +190,7 @@ class TruncSeries:
         return {
             "orders": {n: o for n, o in zip(VARIABLES, self.orders)},
             "terms": [
-                {"monomial": self._monomial_str(exps) or "1", "coeff": str(coeff)}
+                {"monomial": _monomial(*exps) or "1", "coeff": str(coeff)}
                 for exps, coeff in sorted(self._coeffs.items())
             ],
         }
@@ -218,7 +226,7 @@ class TruncSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return self._raw({e: -c for e, c in self._coeffs.items()})
+        return _wrapped(self.orders, {e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: object) -> "TruncSeries":
         rhs = self._coerce(other)
@@ -237,29 +245,35 @@ class TruncSeries:
         if rhs is None:
             return NotImplemented
         out: dict[Exponents, Coeff] = {}
-        self._add_products(out, self._coeffs.items(), rhs._coeffs.items())
+        self._add_products(out, self._limited(self._coeffs.items(), 1), rhs._coeffs.items())
         return self._raw(out)
 
     __rmul__ = __mul__
 
-    def _add_products(self, out: dict, left: Iterable, right: Iterable) -> None:
-        # adds every product of a term of left and a term of right into
-        # out, dropping exponents past the orders; right must be re-iterable
+    def _limited(self, terms: Iterable, scale: int) -> list[tuple]:
+        # each term (q, u, v), c as (q, u, v, scale c, oq - q, ou - u, ov - v):
+        # a product with (q2, u2, v2) survives truncation exactly when
+        # q2, u2 and v2 lie below those three limits
         oq, ou, ov = self.orders
-        for (q1, u1, v1), c1 in left:
+        return [
+            (q, u, v, _narrow(scale * c), oq - q, ou - u, ov - v)
+            for (q, u, v), c in terms
+        ]
+
+    @staticmethod
+    def _add_products(out: dict, left: list[tuple], right: Iterable) -> None:
+        # adds every product of a term of left, as _limited gives it, and
+        # a term of right into out, dropping exponents past the orders;
+        # right must be re-iterable
+        for q1, u1, v1, c1, lq, lu, lv in left:
             for (q2, u2, v2), c2 in right:
-                q, u, v = q1 + q2, u1 + u2, v1 + v2
-                if q < oq and u < ou and v < ov:
-                    out[q, u, v] = out.get((q, u, v), 0) + c1 * c2
+                if q2 < lq and u2 < lu and v2 < lv:
+                    exps = q1 + q2, u1 + u2, v1 + v2
+                    out[exps] = out.get(exps, 0) + c1 * c2
 
     def _raw(self, coeffs: dict[Exponents, Coeff]) -> "TruncSeries":
-        # internal constructor bypassing per-term validation
-        result = object.__new__(TruncSeries)
-        object.__setattr__(result, "orders", self.orders)
-        object.__setattr__(
-            result, "_coeffs", {e: _narrow(c) for e, c in coeffs.items() if c}
-        )
-        return result
+        # internal constructor: drops zeros and narrows, nothing else
+        return _wrapped(self.orders, {e: _narrow(c) for e, c in coeffs.items() if c})
 
     def _degree_recurrence(
         self, start: Coeff, lead: Coeff, weight: Callable[[int, int], int]
@@ -273,30 +287,53 @@ class TruncSeries:
         # the recurrence.  Q-degree parts waste no term pairs on the u
         # and v orders.  Truncation is by a monomial ideal, which every
         # Euler operator preserves, so dropping every exponent past its
-        # order at each step is exact.  Integral values stay ints, and
-        # the division by lead d stays in ints wherever it is exact
-        # (exp(Q) has coefficients 1/d!, so it is not always).
+        # order at each step is exact.  Only the degrees j that S has are
+        # visited, and weight(d, j) is asked only when R_{d-j} is nonzero.
+        # Integral values stay ints, and the division by lead d stays in
+        # ints wherever it is exact (exp(Q) has coefficients 1/d!, so it
+        # is not always).
         start, lead = _narrow(start), _narrow(lead)
         by_q = all(exps[0] for exps in self._coeffs if exps != (0, 0, 0))
         weights = (1, 0, 0) if by_q else (1, 1, 1)
         top = sum(w * (o - 1) for w, o in zip(weights, self.orders))
-        by_degree: list[list[tuple[Exponents, Coeff]]] = [[] for _ in range(top + 1)]
+        by_degree: dict[int, list[tuple[Exponents, Coeff]]] = {}
         for exps, coeff in self._coeffs.items():
-            by_degree[sum(w * e for w, e in zip(weights, exps))].append((exps, coeff))
-        weighted: dict[tuple[int, int], list[tuple[Exponents, Coeff]]] = {}
+            degree = sum(w * e for w, e in zip(weights, exps))
+            if degree:
+                by_degree.setdefault(degree, []).append((exps, coeff))
+        degrees = sorted(by_degree)
+        weighted: dict[tuple[int, int], list[tuple]] = {}
         parts: list[dict[Exponents, Coeff]] = [{(0, 0, 0): start}]
+        result = {(0, 0, 0): start}
         for d in range(1, top + 1):
             part: dict[Exponents, Coeff] = {}
-            for j in range(1, d + 1):
-                w = weight(d, j)
-                if not w or not by_degree[j]:
+            for j in degrees:
+                if j > d:
+                    break
+                earlier = parts[d - j]
+                if not earlier:
                     continue
-                if (j, w) not in weighted:
-                    weighted[j, w] = [(e, _narrow(w * c)) for e, c in by_degree[j]]
-                self._add_products(part, weighted[j, w], parts[d - j].items())
+                w = weight(d, j)
+                if not w:
+                    continue
+                terms = weighted.get((j, w))
+                if terms is None:
+                    terms = weighted[j, w] = self._limited(by_degree[j], w)
+                self._add_products(part, terms, earlier.items())
             div = lead * d
-            parts.append({e: _quotient(c, div) for e, c in part.items() if c})
-        return self._raw({e: c for part in parts for e, c in part.items()})
+            exact = type(div) is int
+            divided = {}
+            for exps, c in part.items():
+                if not c:
+                    continue
+                if exact and type(c) is int:
+                    quo, rem = divmod(c, div)
+                    c = Fraction(c, div) if rem else quo
+                else:
+                    c = _narrow(Fraction(c, div))
+                divided[exps] = result[exps] = c
+            parts.append(divided)
+        return _wrapped(self.orders, result)
 
     def int_pow(self, exponent: int) -> "TruncSeries":
         """Integer power; negative exponents invert the truncated series.
@@ -344,7 +381,7 @@ class TruncSeries:
 
             d F_d = sum_{j=1..d} j G_j F_{d-j},   F_0 = 1.
         """
-        if self.constant_term() != 0:
+        if (0, 0, 0) in self._coeffs:
             raise SeriesDomainError(
                 f"exp needs zero constant term, got {self.constant_term()}"
             )

@@ -96,7 +96,7 @@ def _harmonic_mismatch() -> dict | None:
     exponentiated = harmonic.exp()
     geometric = (TruncSeries.const(1, orders) - TruncSeries.variable("Q", orders)).int_pow(-1)
     for j in range(K_MAX + 1):
-        if exponentiated.coeff(Q=j) != geometric.coeff(Q=j):
+        if exponentiated.coeff_at(j) != geometric.coeff_at(j):
             return {"Q_power": j}
     return None
 
@@ -108,7 +108,7 @@ def _scalar_rule_mismatch(rule: Callable[[int, int], int], sign: int, chi: int) 
     base = TruncSeries.const(1, orders) + sign * TruncSeries.variable("Q", orders)
     series = base.int_pow(sign * chi)
     for k in range(K_MAX + 1):
-        if series.coeff(Q=k) != rule(k, chi):
+        if series.coeff_at(k) != rule(k, chi):
             return {"chi": chi, "k": k}
     return None
 

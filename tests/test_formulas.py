@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,7 @@ from hilbtaut.formulas import (
 )
 from hilbtaut.geometry import load_config, packaged_profile, variant_tables
 from hilbtaut.oracle import invariant_dim
-from hilbtaut.series import TruncSeries
+from hilbtaut.series import VARIABLES, NonUnitWarning, TruncSeries
 
 K3_POINT = GradedDim({0: 1, 2: 1})
 K3_TABLES = {
@@ -428,6 +429,119 @@ def test_bichar_zeroth_coefficients_are_point_counts():
         assert bichar_from_series(series, n, 0, 0) == s_scalar(n, 2)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_bichar_series_rejects_a_float_chi(n_max):
+    # a float chi fails in Fraction(chi, r), a zero one too
+    for chis_ in [(2, 2.0, 1, 1), (2, 0.0, 1, 1)]:
+        with pytest.raises(TypeError, match="Rational instances"):
+            bichar_series(*chis_, n_max=n_max)
+    assert bichar_series(Fraction(4, 2), 2, 1, 1, n_max=n_max) == bichar_series(2, 2, 1, 1, n_max=n_max)
+
+
+def _checked_bichar_series(chis, n_max, k_max, l_max):
+    """bichar_series' argument as Fractions through the checking
+    constructor, zeros and all, expanded by exp."""
+    chi_kl, chi_k_dual, chi_l, chi_o = chis
+    coeffs = {}
+    for r in range(1, n_max + 1):
+        for exps, chi in (
+            ((r, r, r), chi_kl), ((r, 0, r), -chi_k_dual), ((r, r, 0), -chi_l), ((r, 0, 0), chi_o),
+        ):
+            if exps[1] <= l_max and exps[2] <= k_max:
+                coeffs[exps] = Fraction(chi, r)
+    return TruncSeries({"Q": n_max + 1, "u": l_max + 1, "v": k_max + 1}, coeffs).exp()
+
+
+def _sample_quadruples(seed, count):
+    """Every chi in -4..4 in each slot with the other three at 1, in all
+    four slots at once, and ``count`` seeded quadruples from that range."""
+    rng = random.Random(seed)
+    quads = {(v, v, v, v) for v in range(-4, 5)}
+    quads |= {tuple(v if i == slot else 1 for i in range(4)) for v in range(-4, 5) for slot in range(4)}
+    quads |= {tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(count)}
+    return sorted(quads)
+
+
+@pytest.mark.parametrize("n_max", range(9))
+def test_bichar_series_equals_the_checked_construction(n_max):
+    rng = random.Random(n_max)
+    for chis_ in _sample_quadruples(n_max, 40):
+        expected = _checked_bichar_series(chis_, n_max, n_max, n_max)
+        assert bichar_series(*chis_, n_max=n_max) == expected, chis_
+        k_max, l_max = rng.randint(0, n_max), rng.randint(0, n_max)
+        expected = _checked_bichar_series(chis_, n_max, k_max, l_max)
+        assert bichar_series(*chis_, n_max=n_max, k_max=k_max, l_max=l_max) == expected, chis_
+
+
+# -- the wrap contract of the series the expansions build ---------------------------
+
+
+def _assert_wrap_contract(series_list):
+    """Each series holds only nonzero values, an int wherever a value is
+    integral, exponents inside its orders, and equals its checked copy;
+    and each owns its dict: no two series share one."""
+    for series in series_list:
+        for exps, value in series._coeffs.items():
+            assert type(value) is int or (type(value) is Fraction and value.denominator != 1)
+            assert value != 0
+            assert len(exps) == 3 and all(0 <= e < o for e, o in zip(exps, series.orders))
+        assert series == TruncSeries(dict(zip(VARIABLES, series.orders)), dict(series._coeffs))
+    assert len({id(series._coeffs) for series in series_list}) == len(series_list)
+
+
+def test_expansions_keep_the_wrap_contract(monkeypatch):
+    # every series handed to TruncSeries.wrap (the argument bichar_series
+    # writes down) and every series bichar_series, tensor_euler_series,
+    # exp and int_pow return
+    made = []
+    wrap = TruncSeries.wrap
+
+    def recording_wrap(orders, coeffs):
+        made.append(wrap(orders, coeffs))
+        return made[-1]
+
+    monkeypatch.setattr(TruncSeries, "wrap", staticmethod(recording_wrap))
+    rng = random.Random(2406)
+    for n_max in range(9):
+        for chis_ in [(0, 0, 0, 0), (2, 4, 4, 2), (4, -4, 0, 3), (-3, 2, 1, -1)]:
+            made.append(bichar_series(*chis_, n_max=n_max))
+            made.append(bichar_series(*chis_, n_max=n_max, k_max=n_max // 2, l_max=1))
+        chi_flp = [rng.choice([0, 0, 1, -2, 5]) for _ in range(n_max + 1)]
+        made.append(tensor_euler_series(chi_flp, rng.randint(-3, 3), rng.randint(-3, 3), n_max, n_max))
+    orders = {"Q": 5, "u": 3, "v": 2}
+    for base in [
+        {(1, 0, 0): Fraction(1, 2), (1, 1, 1): 2, (2, 0, 1): Fraction(-4, 3)},
+        {(0, 1, 0): 3, (1, 0, 1): Fraction(1, 3)},
+        {(1, 0, 0): 1, (2, 2, 0): Fraction(1, 6)},
+    ]:
+        g = TruncSeries(orders, base)
+        made += [g, g.exp()]
+        for c0 in (1, -1, 2, Fraction(1, 2)):
+            s = g + c0
+            made.append(s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonUnitWarning)
+                made += [s.int_pow(a) for a in range(-3, 4)]
+        made += [g.int_pow(a) for a in range(4)]
+    _assert_wrap_contract(made)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{(1, 0, 0): 0}, {(1, 0, 0): Fraction(4, 1)}, {(3, 0, 0): 1}],
+    ids=["zero", "integral_fraction", "exponent_past_order"],
+)
+def test_wrap_contract_check_rejects_a_broken_series(coeffs):
+    with pytest.raises(AssertionError):
+        _assert_wrap_contract([TruncSeries.wrap({"Q": 3}, coeffs)])
+
+
+def test_wrap_contract_check_rejects_a_shared_dict():
+    coeffs = {(1, 0, 0): 1}
+    with pytest.raises(AssertionError):
+        _assert_wrap_contract([TruncSeries.wrap({"Q": 3}, coeffs), TruncSeries.wrap({"Q": 3}, coeffs)])
+
+
 # -- Euler characteristics for a tensor product with a wedge power ------------------
 
 
@@ -452,6 +566,13 @@ def test_tensor_euler_series_matches_closed_form():
         for k in range(n + 1):
             closed = tensor_euler_closed(n, k, chi_flp, 3, 1)
             assert tensor_euler_from_series(series, n, k) == closed
+
+
+@pytest.mark.parametrize("value", [2.0, 0.0])
+def test_tensor_euler_series_rejects_a_float_chi_flp(value):
+    # the correction sum goes through the checking constructor
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        tensor_euler_series([1, value, 6], 1, 1, n_max=2, k_max=2)
 
 
 def test_tensor_euler_rejects_short_tables():

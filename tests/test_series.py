@@ -210,6 +210,28 @@ def local_product(a, b, top):
     return {e: c for e, c in out.items() if c}
 
 
+def local_powers(base, top, count):
+    """base^0 .. base^(count - 1) as coefficient dicts, by local_product."""
+    powers = [{(0, 0, 0): 1}]
+    while len(powers) < count:
+        powers.append(local_product(powers[-1], base, top))
+    return powers
+
+
+def assert_int_pow_matches_local_reference(s, top):
+    """s^a for a = 0..4 against repeated local products and, with a
+    nonzero constant term, s^-a for a = 1..4 as the inverse of those."""
+    powers = local_powers(dict(s.terms()), top, 5)
+    for a in range(5):
+        assert dict(s.int_pow(a).terms()) == powers[a]
+    if not s.constant_term():
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitWarning)
+        for a in range(1, 5):
+            assert local_product(dict(s.int_pow(-a).terms()), powers[a], top) == {(0, 0, 0): 1}
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("c0", [1, -1, 2, Fraction(1, 3), 0])
 def test_int_pow_matches_local_convolution(seed, c0):
@@ -221,19 +243,7 @@ def test_int_pow_matches_local_convolution(seed, c0):
         exps = tuple(rng.randrange(o) for o in top)
         coeffs[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     coeffs[(0, 0, 0)] = c0
-    s = TruncSeries(orders, coeffs)
-    base = dict(s.terms())
-    power = {(0, 0, 0): Fraction(1)}
-    for a in range(5):
-        assert dict(s.int_pow(a).terms()) == power
-        power = local_product(power, base, top)
-    if c0 == 0:
-        return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonUnitWarning)
-        for a in (-1, -2, -3):
-            inverse, direct = dict(s.int_pow(a).terms()), dict(s.int_pow(-a).terms())
-            assert local_product(inverse, direct, top) == {(0, 0, 0): 1}
+    assert_int_pow_matches_local_reference(TruncSeries(orders, coeffs), top)
 
 
 # -- exp ----------------------------------------------------------------------
@@ -338,6 +348,57 @@ def test_a_term_without_q_grades_the_recurrence_by_total_degree():
     one = TruncSeries.const(1, orders)
     assert (u + q).exp() == u.exp() * q.exp()
     assert (one + u + q).int_pow(-1) * (one + u + q) == one
+
+
+# -- exp and int_pow on the shapes the CLI expands ----------------------------
+
+#: Q-degree arguments with u and v orders below the Q order, as in
+#: bichar_series(..., n_max=11, k_max=1, l_max=1), and a square one
+CLI_ORDERS = [{"Q": 12, "u": 2, "v": 2}, {"Q": 10, "u": 4, "v": 3}, {"Q": 7, "u": 7, "v": 7}]
+CLI_IDS = ["Q12_u2_v2", "Q10_u4_v3", "Q7_u7_v7"]
+
+
+def q_degree_argument(top, chis):
+    """sum_r [c1 (Q u v)^r - c2 (Q v)^r - c3 (Q u)^r + c4 Q^r] / r, truncated
+    at top, as Fractions: the argument bichar_series expands."""
+    c1, c2, c3, c4 = chis
+    coeffs = {}
+    for r in range(1, top[0]):
+        for exps, chi in (((r, r, r), c1), ((r, 0, r), -c2), ((r, r, 0), -c3), ((r, 0, 0), c4)):
+            if all(e < o for e, o in zip(exps, top)):
+                coeffs[exps] = Fraction(chi, r)
+    return coeffs
+
+
+@pytest.mark.parametrize("orders", CLI_ORDERS, ids=CLI_IDS)
+@pytest.mark.parametrize("chis", [(2, 4, 4, 2), (3, 1, 0, -2), (-1, -3, 2, 1)])
+def test_exp_matches_local_reference_on_cli_shapes(orders, chis):
+    top = tuple(orders[name] for name in VARIABLES)
+    g = TruncSeries(orders, q_degree_argument(top, chis))
+    assert dict(g.exp().terms()) == local_exp(dict(g.terms()), top)
+
+
+@pytest.mark.parametrize("orders", CLI_ORDERS, ids=CLI_IDS)
+def test_int_pow_matches_local_reference_on_cli_shapes(orders):
+    # the binomial bases of bichar_product and tensor_euler_series:
+    # 1 - m and 1 + m for m = vuQ, vQ, uQ and Q
+    top = tuple(orders[name] for name in VARIABLES)
+    for monomial in [(1, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 0)]:
+        for sign in (-1, 1):
+            s = TruncSeries(orders, {(0, 0, 0): 1, monomial: sign})
+            assert_int_pow_matches_local_reference(s, top)
+
+
+@pytest.mark.parametrize("c0", [1, -1, 2, Fraction(-3, 2)], ids=["1", "-1", "2", "-3/2"])
+def test_int_pow_matches_local_reference_by_total_degree(c0):
+    # bare u carries no Q, so the recurrence grades by total degree;
+    # rational coefficients, and constants that are not units
+    orders = {"Q": 4, "u": 3, "v": 2}
+    top = (4, 3, 2)
+    s = TruncSeries(
+        orders, {(0, 0, 0): c0, (0, 1, 0): Fraction(1, 2), (1, 0, 1): -3, (2, 1, 0): Fraction(5, 3)}
+    )
+    assert_int_pow_matches_local_reference(s, top)
 
 
 # -- rendering ----------------------------------------------------------------
