@@ -123,9 +123,6 @@ class GradedDim:
             raise ValueError(f"bad graded dimension table {data!r}: {exc}") from None
 
 
-#: the unit for tensor: a single even line in degree 0
-UNIT = GradedDim({0: 1})
-
 #: the zero space
 ZERO = GradedDim()
 

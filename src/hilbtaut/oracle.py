@@ -7,12 +7,15 @@ closed formulas elsewhere in the package must reproduce these numbers
 exactly.  The group averages for all n up to a bound come from one
 integer recurrence, the cycle-index exponential formula (Macdonald,
 *Symmetric Functions and Hall Polynomials*, §I.2), fed only by the
-trace of a single cycle; beyond that the only concessions to speed are
-hard size bounds.
+trace of a single cycle.  The orbit closure reads its two generators
+and its subsets, grouped by size, from tables built once per n and
+shared by every (e, f) cell.  Beyond those, the only concessions to
+speed are hard size bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -157,6 +160,25 @@ class Orbit(NamedTuple):
     stabilizer_order: int
 
 
+@functools.cache
+def _pair_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    # the two generators tabulated over all 2^n masks, and the masks
+    # grouped by bit count, each group in increasing order; tuples, so
+    # no caller can reorder or extend what every (e, f) cell reads, and
+    # orbit_decomposition checks n first, so at most ENUM_BOUND + 1 entries
+    masks = range(1 << n)
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for m in masks:
+        by_size[m.bit_count()].append(m)
+    generators: tuple[tuple[int, ...], ...] = ()
+    if n >= 2:
+        full = (1 << n) - 1
+        rotate = tuple((m << 1 | m >> (n - 1)) & full for m in masks)  # point i goes to i + 1 mod n
+        swap = tuple(m ^ 3 if (m ^ m >> 1) & 1 else m for m in masks)  # points 0 and 1 trade places
+        generators = (rotate, swap)
+    return generators, tuple(map(tuple, by_size))
+
+
 def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
     """Split all (e, f)-subset pairs into symmetric group orbits.
 
@@ -171,18 +193,8 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
     if n > ENUM_BOUND:
         raise SizeBoundError(f"n={n} exceeds enumeration bound {ENUM_BOUND}")
 
-    # each generator tabulated once over all 2^n masks
-    generators: tuple[list[int], ...] = ()
-    if n >= 2:
-        full = (1 << n) - 1
-        masks = range(1 << n)
-        rotate = [(m << 1 | m >> (n - 1)) & full for m in masks]  # point i goes to i + 1 mod n
-        swap = [m ^ 3 if (m ^ m >> 1) & 1 else m for m in masks]  # points 0 and 1 trade places
-        generators = (rotate, swap)
-    first_masks, second_masks = (
-        sorted(sum(1 << i for i in comb) for comb in itertools.combinations(range(n), size))
-        for size in (e, f)
-    )
+    generators, by_size = _pair_tables(n)
+    first_masks, second_masks = by_size[e], by_size[f]
 
     order = math.factorial(n)
     seen: set[tuple[int, int]] = set()

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbtaut.graded import (
-    UNIT,
     ZERO,
     GradedDim,
     lambda_scalar,
@@ -92,7 +91,7 @@ def test_w_hom_full_overlap_forces_top_term():
 def test_w_hom_window_can_be_empty():
     # e + f - n > min(e, f) happens only outside the input contract, but
     # a zero table in an active slot empties the sum legitimately.
-    assert w_hom_at(3, 2, 2, ZERO, ZERO, ZERO, UNIT) == ZERO
+    assert w_hom_at(3, 2, 2, ZERO, ZERO, ZERO, GradedDim({0: 1})) == ZERO
 
 
 def test_w_hom_four_points_trivial_tables():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbtaut.graded import (
-    UNIT,
     ZERO,
     GradedDim,
     lambda_scalar,
@@ -22,6 +21,9 @@ from hilbtaut.graded import (
 )
 from hilbtaut.oracle import oracle_sym_power, oracle_wedge_power
 from hilbtaut.series import TruncSeries
+
+#: the unit for tensor: a single even line in degree 0
+UNIT = GradedDim({0: 1})
 
 # Keep total dimension within the reach of the basis-enumeration oracle.
 small_spaces = st.dictionaries(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbtaut.graded import UNIT, ZERO, GradedDim
+from hilbtaut.graded import ZERO, GradedDim
 from hilbtaut.oracle import (
     AVERAGING_BOUND,
     ENUM_BOUND,
@@ -22,6 +22,7 @@ from hilbtaut.oracle import (
     IndexPair,
     SizeBoundError,
     _cycle_trace,
+    _pair_tables,
     invariant_dim,
     oracle_sym_power,
     oracle_sym_powers,
@@ -52,7 +53,7 @@ def test_invariants_for_one_point_are_the_whole_space():
 
 def test_invariants_of_two_even_lines():
     # Sym^2 of a trivial line is again a line.
-    assert invariant_dim(2, ZERO, ZERO, ZERO, EVEN_LINE)[2, 0, 0] == UNIT
+    assert invariant_dim(2, ZERO, ZERO, ZERO, EVEN_LINE)[2, 0, 0] == EVEN_LINE
 
 
 def test_invariants_match_symmetric_square_of_k3_point():
@@ -161,7 +162,7 @@ def test_every_n_e_f_up_to_n_max_is_returned_zero_spaces_included():
     assert sorted(got) == [
         (n, e, f) for n in range(4) for e in range(n + 1) for f in range(n + 1)
     ]
-    assert got[0, 0, 0] == UNIT
+    assert got[0, 0, 0] == EVEN_LINE
     assert got[2, 2, 0] == ZERO  # the exterior square of an even line
     assert got[3, 0, 3] == ZERO  # the second space is zero
 
@@ -224,13 +225,14 @@ def test_representatives_are_minimal_and_distinct():
         assert smallest == orbit
 
 
+def _moved_mask(mask: int, perm: tuple[int, ...]) -> int:
+    """``mask`` with bit i sent to bit perm[i]."""
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
 def _full_group_orbits(n: int, e: int, f: int) -> list[tuple[tuple[int, int], int]]:
     """(minimal pair, size) of every orbit, in increasing order, with
     each permutation applied to the masks bit by bit."""
-
-    def moved(mask: int, perm: tuple[int, ...]) -> int:
-        return sum(1 << perm[i] for i in range(n) if mask >> i & 1)
-
     perms = list(permutations(range(n)))
     masks = {
         size: [sum(1 << i for i in comb) for comb in combinations(range(n), size)]
@@ -240,7 +242,7 @@ def _full_group_orbits(n: int, e: int, f: int) -> list[tuple[tuple[int, int], in
     for pair in sorted((fm, sm) for fm in masks[e] for sm in masks[f]):
         if pair not in minimum:
             # the images of one pair under all of S_n are its whole orbit
-            orbit = {(moved(pair[0], p), moved(pair[1], p)) for p in perms}
+            orbit = {(_moved_mask(pair[0], p), _moved_mask(pair[1], p)) for p in perms}
             least = min(orbit)
             minimum.update(dict.fromkeys(orbit, least))
     return sorted(Counter(minimum.values()).items())
@@ -263,6 +265,45 @@ def test_orbit_decomposition_rejects_an_index_above_n():
     with pytest.raises(ValueError) as err:
         orbit_decomposition(3, 4, 0)
     assert str(err.value) == "need 0 <= e, f <= n, got n=3, e=4, f=0"
+
+
+def test_pair_tables_hold_the_generators_and_the_masks_every_cell_reads():
+    cells = [(n, e, f) for n in range(7) for e, f in product(range(n + 1), repeat=2)]
+    _pair_tables.cache_clear()
+    increasing = [orbit_decomposition(*cell) for cell in cells]
+    decreasing = [orbit_decomposition(*cell) for cell in reversed(cells)][::-1]
+    _pair_tables.cache_clear()
+    fresh = [orbit_decomposition(*cell) for cell in cells]
+    assert increasing == decreasing == fresh
+
+    # read after every cell above has used the tables of n <= 6
+    for n in range(9):
+        generators, by_size = _pair_tables(n)
+        masks = range(1 << n)
+        if n < 2:
+            assert generators == ()
+        else:
+            rotate, swap = generators
+            # point i goes to i + 1 mod n; points 0 and 1 trade places
+            perms = (tuple((i + 1) % n for i in range(n)), (1, 0, *range(2, n)))
+            for image, perm in zip((rotate, swap), perms):
+                assert sorted(image) == list(masks)
+                assert all(image[m].bit_count() == m.bit_count() for m in masks)
+                assert list(image) == [_moved_mask(m, perm) for m in masks]
+        assert len(by_size) == n + 1
+        for size, group in enumerate(by_size):
+            # a tuple, so no cell can sort or extend what the others read
+            assert isinstance(group, tuple)
+            assert group == tuple(m for m in masks if m.bit_count() == size)
+
+
+def test_orbit_bounds_are_checked_before_any_tabulation():
+    _pair_tables.cache_clear()
+    with pytest.raises(SizeBoundError):
+        orbit_decomposition(ENUM_BOUND + 1, 0, 0)
+    with pytest.raises(ValueError):
+        orbit_decomposition(3, 4, 0)
+    assert _pair_tables.cache_info().currsize == 0
 
 
 def test_index_pair_round_trip():
@@ -315,8 +356,8 @@ def test_power_bounds_enforced():
 
 
 def test_zero_power_is_unit():
-    assert oracle_sym_power(0, ZERO) == UNIT
-    assert oracle_wedge_power(0, GradedDim({2: 1})) == UNIT
+    assert oracle_sym_power(0, ZERO) == EVEN_LINE
+    assert oracle_wedge_power(0, GradedDim({2: 1})) == EVEN_LINE
 
 
 def _counted_power(k: int, space: GradedDim, sym: bool) -> GradedDim:
@@ -350,7 +391,7 @@ def test_enumerated_powers_match_a_combinations_count_on_every_sweep_space():
 def test_power_lists_bounds_and_negative_top():
     for powers in (oracle_sym_powers, oracle_wedge_powers):
         assert powers(-1, GradedDim({0: POWER_DIM_BOUND + 1})) == []
-        assert powers(0, ZERO) == [UNIT]
+        assert powers(0, ZERO) == [EVEN_LINE]
         with pytest.raises(SizeBoundError):
             powers(0, GradedDim({0: POWER_DIM_BOUND + 1}))
         with pytest.raises(SizeBoundError):
