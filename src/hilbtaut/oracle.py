@@ -199,7 +199,7 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
     order = math.factorial(n)
     seen: set[tuple[int, int]] = set()
     orbits: list[Orbit] = []
-    count = 0
+    count = covered = 0
     # the product of two sorted lists streams the pairs in increasing order
     for pair in itertools.product(first_masks, second_masks):
         count += 1
@@ -216,12 +216,13 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
                     frontier.append(nxt)
         seen |= members
         size = len(members)
+        covered += size
         quot, rem = divmod(order, size)
         if rem != 0:
             raise ConsistencyError(f"orbit size {size} does not divide group order {order}")
         orbits.append(Orbit(representative=IndexPair(*pair), size=size, stabilizer_order=quot))
 
-    if sum(o.size for o in orbits) != count:
+    if covered != count:
         raise ConsistencyError("orbit sizes do not add up to the number of pairs")
     return tuple(orbits)
 

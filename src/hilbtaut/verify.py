@@ -349,9 +349,7 @@ def expected_orbit_profile(n: int, e: int, f: int) -> dict[int, int]:
 def standard_pair(e: int, f: int, i: int) -> oracle.IndexPair:
     """The reference pair with overlap i: the first e points against the
     first i points joined with the f - i points after position e."""
-    first = range(e)
-    second = list(range(i)) + list(range(e, e + f - i))
-    return oracle.IndexPair.from_indices(first, second)
+    return oracle.IndexPair((1 << e) - 1, (1 << i) - 1 | ((1 << (f - i)) - 1) << e)
 
 
 def _stabilizer_mismatch(
@@ -359,8 +357,9 @@ def _stabilizer_mismatch(
 ) -> dict | None:
     """First orbit whose size and stabilizer order do not multiply to n!,
     else the first overlap whose stabilizer order is not the expected one."""
+    order = math.factorial(cell["n"])
     for i, orbit in seen.items():
-        if orbit.size * orbit.stabilizer_order != math.factorial(cell["n"]):
+        if orbit.size * orbit.stabilizer_order != order:
             stabilizer = orbit.stabilizer_order
             return {**cell, "i": i, "size": orbit.size, "stabilizer_order": stabilizer}
     for i, stab in expected.items():
@@ -375,11 +374,12 @@ def _reference_mismatch(cell: dict, seen: dict[int, oracle.Orbit]) -> dict | Non
     n, e, f = cell["n"], cell["e"], cell["f"]
     for i in sorted(seen):
         pair = standard_pair(e, f, i)
-        first, second = pair.first_indices(), pair.second_indices()
-        if (pair.overlap(), len(first), len(second)) != (i, e, f) or (
+        first, second = pair
+        if (pair.overlap(), first.bit_count(), second.bit_count()) != (i, e, f) or (
             n <= 5 and _orbit_of(n, pair) != seen[i].representative
         ):
-            return {**cell, "i": i, "pair": [list(first), list(second)]}
+            indices = [list(pair.first_indices()), list(pair.second_indices())]
+            return {**cell, "i": i, "pair": indices}
     return None
 
 
@@ -435,10 +435,13 @@ def _mask_images(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _orbit_of(n: int, pair: oracle.IndexPair) -> oracle.IndexPair:
-    # minimal pair in the full-group orbit: a minimum over all of S_n
+    # minimal pair in the full-group orbit, a lexicographic minimum over
+    # all of S_n: the least first image, then the least second image among
+    # the permutations that reach it
     images = _mask_images(n)
-    first, second = itemgetter(pair.first_mask), itemgetter(pair.second_mask)
-    return oracle.IndexPair(*min(zip(map(first, images), map(second, images))))
+    first, second = pair
+    least = min(map(itemgetter(first), images))
+    return oracle.IndexPair(least, min(image[second] for image in images if image[first] == least))
 
 
 _RUNNERS = {

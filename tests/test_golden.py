@@ -74,6 +74,7 @@ def _invocations() -> dict[str, list[str]]:
     cases["verify_tensor_euler.json"] = ["verify", "--suite", "tensor_euler", "--nmax", "3", "--count", "3"]
     cases["verify_graded_powers.json"] = ["verify", "--suite", "graded_powers", "--count", "10"]
     cases["verify_orbits.json"] = ["verify", "--suite", "orbits", "--nmax", "4"]
+    cases["verify_orbits_nmax7.json"] = ["verify", "--suite", "orbits", "--nmax", "7"]
     cases["run_jobs.txt"] = ["run", "--config", str(GOLDEN / "run_jobs_config.json")]
     return cases
 

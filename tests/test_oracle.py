@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbtaut import oracle
 from hilbtaut.graded import ZERO, GradedDim
 from hilbtaut.oracle import (
     AVERAGING_BOUND,
@@ -304,6 +305,28 @@ def test_orbit_bounds_are_checked_before_any_tabulation():
     with pytest.raises(ValueError):
         orbit_decomposition(3, 4, 0)
     assert _pair_tables.cache_info().currsize == 0
+
+
+def test_an_orbit_size_that_does_not_divide_n_factorial_is_an_error(monkeypatch):
+    _, by_size = _pair_tables(4)
+    # a 5-cycle on five of the six two-point masks, the sixth fixed
+    cycle = (3, 5, 6, 9, 10)
+    image = list(range(16))
+    for source, target in zip(cycle, cycle[1:] + cycle[:1]):
+        image[source] = target
+    monkeypatch.setattr(oracle, "_pair_tables", lambda n: ((tuple(image),), by_size))
+    with pytest.raises(ConsistencyError, match="orbit size 5 does not divide group order 24"):
+        orbit_decomposition(4, 2, 0)
+
+
+def test_an_orbit_that_leaves_its_cell_is_an_error(monkeypatch):
+    _, by_size = _pair_tables(2)
+    # sends the one-point mask 1 to the two-point mask 3 and back: the
+    # orbit of (1, 0) has size 2, which divides 2!, but holds a pair
+    # outside the (1, 0) cell, so the sizes exceed the cell's two pairs
+    monkeypatch.setattr(oracle, "_pair_tables", lambda n: (((0, 3, 2, 1),), by_size))
+    with pytest.raises(ConsistencyError, match="orbit sizes do not add up"):
+        orbit_decomposition(2, 1, 0)
 
 
 def test_index_pair_round_trip():

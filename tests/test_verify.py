@@ -80,12 +80,15 @@ def test_expected_orbit_profile_matches_enumeration():
 
 
 def test_standard_pair_hits_every_overlap():
-    n, e, f = 6, 3, 2
-    for i in range(max(0, e + f - n), min(e, f) + 1):
-        pair = standard_pair(e, f, i)
-        assert len(pair.first_indices()) == e
-        assert len(pair.second_indices()) == f
-        assert pair.overlap() == i
+    for n in range(9):
+        for e, f in itertools.product(range(n + 1), repeat=2):
+            for i in range(max(0, e + f - n), min(e, f) + 1):
+                pair = standard_pair(e, f, i)
+                by_indices = IndexPair.from_indices(range(e), [*range(i), *range(e, e + f - i)])
+                assert pair == by_indices, (n, e, f, i)
+                assert len(pair.first_indices()) == e
+                assert len(pair.second_indices()) == f
+                assert pair.overlap() == i
 
 
 def test_orbit_sizes_follow_from_stabilizers():
@@ -254,6 +257,30 @@ def test_orbit_of_is_the_minimum_over_every_permutation():
                 for perm in itertools.permutations(range(n))
             )
             assert verify._orbit_of(n, pair) == naive
+
+
+def test_orbit_of_is_the_minimum_over_every_permutation_on_five_points():
+    # the reference pairs only, as every pair at n = 5 is slow by brute
+    # force; each is already its orbit's minimum, so its mirror image,
+    # point p sent to n - 1 - p, is checked too: there many permutations
+    # reach the least first image, and only the least second image
+    # among them gives the orbit minimum
+    n = 5
+    perms = list(itertools.permutations(range(n)))
+
+    def moved(pair, perm):
+        return IndexPair.from_indices(
+            [perm[point] for point in pair.first_indices()],
+            [perm[point] for point in pair.second_indices()],
+        )
+
+    for e, f in itertools.product(range(n + 1), repeat=2):
+        for i in range(max(0, e + f - n), min(e, f) + 1):
+            pair = standard_pair(e, f, i)
+            naive = min(moved(pair, perm) for perm in perms)
+            assert verify._orbit_of(n, pair) == naive, (e, f, i)
+            mirrored = moved(pair, perms[-1])
+            assert verify._orbit_of(n, mirrored) == naive, (e, f, i)
 
 
 def test_mask_images_follow_the_per_mask_definition():
