@@ -38,15 +38,9 @@ SERIES_FORMULAS = ("bichar", "tensor_euler")
 
 CSV_HEADER = ["formula_id", "n", "k", "l", "euler", "graded", "cross_checks"]
 
-#: cross-checks that compare two formulas which must agree; a failure is
-#: an internal inconsistency, not a property of the input
-MUST_AGREE_CHECKS = {
-    "bichar_closed",
-    "bichar_series",
-    "curve_series",
-    "equals_chi_ef",
-    "quadratic_simplification",
-}
+#: cross-checks that record an observation and may read "fail"; a failure
+#: of any other check is an internal inconsistency, not a property of the input
+RECORD_CHECKS = {"lambda_sq_conjecture"}
 
 class UsageError(ValueError):
     """Bad command line input; maps to exit code 2."""
@@ -339,7 +333,7 @@ def run_table(args: argparse.Namespace) -> int:
     )
     for row in rows:
         for name, ok in row["cross_checks"]:
-            if not ok and name in MUST_AGREE_CHECKS:
+            if not ok and name not in RECORD_CHECKS:
                 raise oracle.ConsistencyError(
                     f"cross-check {name} failed at "
                     f"(formula={row['formula_id']}, n={row['n']}, "

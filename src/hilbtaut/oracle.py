@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
 from typing import NamedTuple
 
 from .graded import ZERO, GradedDim
@@ -135,10 +134,6 @@ class IndexPair(NamedTuple):
 
     first_mask: int
     second_mask: int
-
-    @classmethod
-    def from_indices(cls, first: Sequence[int], second: Sequence[int]) -> "IndexPair":
-        return cls(sum(1 << i for i in set(first)), sum(1 << i for i in set(second)))
 
     def first_indices(self) -> tuple[int, ...]:
         return _mask_indices(self.first_mask)

@@ -12,14 +12,12 @@ assert on them directly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from operator import itemgetter
 
 from . import formulas, geometry, oracle
 from .graded import (
@@ -370,14 +368,13 @@ def _stabilizer_mismatch(
 
 def _reference_mismatch(cell: dict, seen: dict[int, oracle.Orbit]) -> dict | None:
     """First overlap, in increasing order, whose ``standard_pair`` is
-    malformed or, for n <= 5, lies outside the enumerated orbit."""
-    n, e, f = cell["n"], cell["e"], cell["f"]
+    malformed or is not the enumerated orbit's representative."""
+    e, f = cell["e"], cell["f"]
     for i in sorted(seen):
         pair = standard_pair(e, f, i)
         first, second = pair
-        if (pair.overlap(), first.bit_count(), second.bit_count()) != (i, e, f) or (
-            n <= 5 and _orbit_of(n, pair) != seen[i].representative
-        ):
+        sizes = (pair.overlap(), first.bit_count(), second.bit_count())
+        if sizes != (i, e, f) or pair != seen[i].representative:
             indices = [list(pair.first_indices()), list(pair.second_indices())]
             return {**cell, "i": i, "pair": indices}
     return None
@@ -416,32 +413,6 @@ def suite_orbits(seed: int = DEFAULT_SEED, nmax: int = 7) -> dict:
     verdict = _verdict("orbits", seed, {"nmax": nmax}, checks)
     verdict["cells"] = len(cells)
     return verdict
-
-
-@functools.cache
-def _mask_images(n: int) -> tuple[tuple[int, ...], ...]:
-    # for every permutation of range(n), the image of every mask below
-    # 2^n, built by doubling: once the masks below 2^i are mapped, those
-    # with bit i set map to the same images joined with 1 << perm[i];
-    # n! 2^n entries kept per n, and the reference check asks only n <= 5
-    images = []
-    for perm in itertools.permutations(range(n)):
-        image = [0]
-        for point in perm:
-            bit = 1 << point
-            image += [m | bit for m in image]
-        images.append(tuple(image))
-    return tuple(images)
-
-
-def _orbit_of(n: int, pair: oracle.IndexPair) -> oracle.IndexPair:
-    # minimal pair in the full-group orbit, a lexicographic minimum over
-    # all of S_n: the least first image, then the least second image among
-    # the permutations that reach it
-    images = _mask_images(n)
-    first, second = pair
-    least = min(map(itemgetter(first), images))
-    return oracle.IndexPair(least, min(image[second] for image in images if image[first] == least))
 
 
 _RUNNERS = {

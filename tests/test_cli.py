@@ -405,8 +405,7 @@ def test_table_rejects_a_degree_key_that_is_not_a_plain_integer(capsys, tmp_path
 
 
 @pytest.mark.parametrize(
-    "section, field", [("surface", "bundles"), ("surface", "cohomology"),
-                       ("curve", "bundles"), ("curve", "cohomology")]
+    "section, field", [("surface", "bundles"), ("surface", "cohomology"), ("curve", "bundles")]
 )
 def test_table_rejects_a_profile_section_that_is_not_an_object(
     capsys, tmp_path, section, field
@@ -423,6 +422,17 @@ def test_table_rejects_a_profile_section_that_is_not_an_object(
     )
     assert code == 2 and out == ""
     assert err == f"error: {section}.{field} must be a JSON object, got [1]\n"
+
+
+def test_table_rejects_a_curve_profile_with_cohomology_tables(capsys, tmp_path):
+    # no curve row reads a cohomology table, so a curve profile holds none
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"curve": {"genus": 0, "cohomology": {"O": {"0": 1}}}}))
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "curve_bichar", "--curve", str(path), "--n", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: unknown curve fields ['cohomology']\n"
 
 
 def test_table_rejects_a_curve_bundle_of_rank_below_one_naming_its_key(capsys, tmp_path):
@@ -631,6 +641,25 @@ def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
     )
     assert code == 1
     assert "consistency failure" in err
+
+
+def test_a_failed_check_not_declared_a_record_is_exit_one(capsys, monkeypatch):
+    job = cli.TABLE_JOBS["cohF"]
+
+    def with_unlisted_check(*args):
+        rows = job(*args)
+        rows[0]["cross_checks"].append(["unlisted_check", False])
+        return rows
+
+    monkeypatch.setitem(cli.TABLE_JOBS, "cohF", with_unlisted_check)
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "consistency failure: cross-check unlisted_check failed at "
+        "(formula=cohF, n=1, k=None, l=None)\n"
+    )
 
 
 @pytest.mark.parametrize("n_range", ["1..5", "3..5"])

@@ -306,7 +306,6 @@ def test_curve_round_trip():
         {
             "genus": 0,
             "bundles": {"P": {"rank": 1, "degree": 1}},
-            "cohomology": {"O": {"0": 1}},
         }
     )
     assert curve.genus == 0
@@ -319,16 +318,6 @@ def test_curve_round_trip():
 def test_curve_rejects_unknown_fields():
     with pytest.raises(ConfigError):
         curve_from_json({"genus": 0, "gram": [[1]]})
-
-
-def test_curve_bad_dimension_names_its_cohomology_key():
-    with pytest.raises(ConfigError, match=r"^curve\.cohomology\['O'\]: .*must be int"):
-        curve_from_json({"genus": 0, "cohomology": {"O": {"0": 1.5}}})
-
-
-def test_curve_rejects_euler_mismatch():
-    with pytest.raises(ConfigError):
-        curve_from_json({"genus": 0, "cohomology": {"O": {"0": 2}}})
 
 
 # -- packaged profiles and configs -------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Iterable
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -37,9 +38,14 @@ EVEN_LINE = GradedDim({0: 1})
 K3_POINT = GradedDim({0: 1, 2: 1})
 
 
+def from_indices(first: Iterable[int], second: Iterable[int]) -> IndexPair:
+    """The pair of subsets holding the given points."""
+    return IndexPair(sum(1 << i for i in set(first)), sum(1 << i for i in set(second)))
+
+
 def _moved(pair: IndexPair, perm: tuple[int, ...]) -> IndexPair:
     """``pair`` with point i sent to perm[i]."""
-    return IndexPair.from_indices(
+    return from_indices(
         [perm[i] for i in pair.first_indices()], [perm[i] for i in pair.second_indices()]
     )
 
@@ -330,7 +336,7 @@ def test_an_orbit_that_leaves_its_cell_is_an_error(monkeypatch):
 
 
 def test_index_pair_round_trip():
-    pair = IndexPair.from_indices([0, 2], [1, 2, 3])
+    pair = from_indices([0, 2], [1, 2, 3])
     assert pair.first_indices() == (0, 2)
     assert pair.second_indices() == (1, 2, 3)
     assert pair.overlap() == 1
@@ -344,7 +350,7 @@ def test_index_pair_apply_is_an_action(n, data):
     first = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
     second = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
     perm = tuple(data.draw(st.permutations(range(n))))
-    pair = IndexPair.from_indices(sorted(first), sorted(second))
+    pair = from_indices(sorted(first), sorted(second))
     moved = _moved(pair, perm)
     assert moved.first_indices() == tuple(sorted(perm[i] for i in first))
     assert moved.second_indices() == tuple(sorted(perm[i] for i in second))

@@ -23,6 +23,18 @@ from hilbtaut.verify import (
 )
 
 
+def from_indices(first, second):
+    """The pair of subsets holding the given points."""
+    return IndexPair(sum(1 << i for i in set(first)), sum(1 << i for i in set(second)))
+
+
+def _moved(pair, perm):
+    """``pair`` with point i sent to perm[i]."""
+    return from_indices(
+        [perm[i] for i in pair.first_indices()], [perm[i] for i in pair.second_indices()]
+    )
+
+
 def test_parallel_map_preserves_order():
     items = list(range(-6, 7))
     assert parallel_map(abs, items) == [abs(i) for i in items]
@@ -84,7 +96,7 @@ def test_standard_pair_hits_every_overlap():
         for e, f in itertools.product(range(n + 1), repeat=2):
             for i in range(max(0, e + f - n), min(e, f) + 1):
                 pair = standard_pair(e, f, i)
-                by_indices = IndexPair.from_indices(range(e), [*range(i), *range(e, e + f - i)])
+                by_indices = from_indices(range(e), [*range(i), *range(e, e + f - i)])
                 assert pair == by_indices, (n, e, f, i)
                 assert len(pair.first_indices()) == e
                 assert len(pair.second_indices()) == f
@@ -245,65 +257,65 @@ def test_orbit_checks_name_the_first_wrong_cell(monkeypatch, profile, name, expe
     assert bad == {"n": 3, "e": 1, "f": 1, **expected}
 
 
+def naive_orbit_minimum(n, pair):
+    """The least image of ``pair`` over every permutation of range(n)."""
+    return min(_moved(pair, perm) for perm in itertools.permutations(range(n)))
+
+
 def test_orbit_of_is_the_minimum_over_every_permutation():
+    # standard_pair is pinned to its orbit's minimum here, once, so the
+    # suite need only compare it with the enumerated representative
     for n in range(5):
         for first, second in itertools.product(range(1 << n), repeat=2):
             pair = IndexPair(first, second)
-            naive = min(
-                IndexPair.from_indices(
-                    [perm[i] for i in pair.first_indices()],
-                    [perm[i] for i in pair.second_indices()],
-                )
-                for perm in itertools.permutations(range(n))
-            )
-            assert verify._orbit_of(n, pair) == naive
+            e, f = first.bit_count(), second.bit_count()
+            assert naive_orbit_minimum(n, pair) == standard_pair(e, f, pair.overlap()), pair
 
 
 def test_orbit_of_is_the_minimum_over_every_permutation_on_five_points():
     # the reference pairs only, as every pair at n = 5 is slow by brute
-    # force; each is already its orbit's minimum, so its mirror image,
-    # point p sent to n - 1 - p, is checked too: there many permutations
-    # reach the least first image, and only the least second image
-    # among them gives the orbit minimum
+    # force; each mirror image, point p sent to n - 1 - p, must lead back
+    # to the same minimum
     n = 5
-    perms = list(itertools.permutations(range(n)))
-
-    def moved(pair, perm):
-        return IndexPair.from_indices(
-            [perm[point] for point in pair.first_indices()],
-            [perm[point] for point in pair.second_indices()],
-        )
-
+    mirror = tuple(reversed(range(n)))
     for e, f in itertools.product(range(n + 1), repeat=2):
         for i in range(max(0, e + f - n), min(e, f) + 1):
             pair = standard_pair(e, f, i)
-            naive = min(moved(pair, perm) for perm in perms)
-            assert verify._orbit_of(n, pair) == naive, (e, f, i)
-            mirrored = moved(pair, perms[-1])
-            assert verify._orbit_of(n, mirrored) == naive, (e, f, i)
-
-
-def test_mask_images_follow_the_per_mask_definition():
-    for n in range(6):
-        perms = list(itertools.permutations(range(n)))
-        images = verify._mask_images(n)
-        assert len(images) == len(perms)
-        for perm, image in zip(perms, images):
-            # the OR of distinct bits is their sum
-            by_bits = [sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
-            assert list(image) == by_bits, perm
+            assert naive_orbit_minimum(n, pair) == pair, (e, f, i)
+            assert naive_orbit_minimum(n, _moved(pair, mirror)) == pair, (e, f, i)
 
 
 def test_reference_pair_check_names_the_first_pair_off_its_orbit(monkeypatch):
-    orbit_of = verify._orbit_of
-    stray = standard_pair(1, 1, 0)
-
-    def altered(n, pair):
-        return standard_pair(1, 1, 1) if (n, pair) == (3, stray) else orbit_of(n, pair)
-
-    monkeypatch.setattr(verify, "_orbit_of", altered)
+    # (2, 1) is in the right orbit and well formed, but not its minimum
+    pair_for = verify.standard_pair
+    monkeypatch.setattr(
+        verify,
+        "standard_pair",
+        lambda e, f, i: IndexPair(2, 1) if (e, f, i) == (1, 1, 0) else pair_for(e, f, i),
+    )
     bad = failing(run_suite("orbits", nmax=4), "reference_pairs_covered")
-    assert bad == {"n": 3, "e": 1, "f": 1, "i": 0, "pair": [[0], [1]]}
+    assert bad == {"n": 2, "e": 1, "f": 1, "i": 0, "pair": [[1], [0]]}
+
+
+def test_reference_pair_check_names_an_oracle_representative_off_the_minimum(monkeypatch):
+    # every representative at (6, 2, 2) moved up one point stays in its
+    # orbit with its size and stabilizer, but is no longer the minimum
+    decompose = oracle.orbit_decomposition
+
+    def shifted(n, e, f):
+        orbits = decompose(n, e, f)
+        if (n, e, f) != (6, 2, 2):
+            return orbits
+        return tuple(
+            orbit._replace(representative=IndexPair(*(mask << 1 for mask in orbit.representative)))
+            for orbit in orbits
+        )
+
+    monkeypatch.setattr(oracle, "orbit_decomposition", shifted)
+    verdict = run_suite("orbits", nmax=6)
+    assert [check["pass"] for check in verdict["checks"]] == [True, True, False]
+    bad = failing(verdict, "reference_pairs_covered")
+    assert bad == {"n": 6, "e": 2, "f": 2, "i": 0, "pair": [[0, 1], [2, 3]]}
 
 
 def test_reference_pair_check_names_a_malformed_pair(monkeypatch):
