@@ -45,13 +45,10 @@ class Powers:
     over the four lists A, B, C, D.  Each of the four indices takes a
     different value for every i, so for each list X that sum is at most
     the sum of tot over X times the largest tot of each other list; w
-    comes from the least of these four bounds.  The products of two
-    powers that a cell reads, ``ad(i, j)`` = S^i(hom_ef) S^j(coh_o) and
-    ``bc(b, c)`` = W^b(coh_e_dual) W^c(coh_f), are each formed once, when
-    first read.
+    comes from the least of these four bounds.
     """
 
-    __slots__ = ("top", "width", "low", "_lists", "_size", "_ad", "_bc")
+    __slots__ = ("top", "width", "low", "_lists")
 
     def __init__(
         self,
@@ -68,9 +65,6 @@ class Powers:
             sym_powers(top, coh_o),
         )
         self.top = top
-        self._size = size = top + 1
-        self._ad: list[int | None] = [None] * size * size
-        self._bc: list[int | None] = [None] * size * size
         # a negative top gives empty lists, which no cell reads
         totals = [[p.total_dim() for p in powers] for powers in lists]
         largest = [max(t, default=0) for t in totals]
@@ -84,24 +78,6 @@ class Powers:
             [sum(m << width * (d - low) for d, m in p.items()) for p in powers]
             for powers, low in zip(lists, lows)
         )
-
-    def ad(self, i: int, j: int) -> int:
-        """S^i(hom_ef) (x) S^j(coh_o), packed."""
-        key = i * self._size + j
-        value = self._ad[key]
-        if value is None:
-            sym_hom, _, _, sym_o = self._lists
-            value = self._ad[key] = sym_hom[i] * sym_o[j]
-        return value
-
-    def bc(self, b: int, c: int) -> int:
-        """W^b(coh_e_dual) (x) W^c(coh_f), packed."""
-        key = b * self._size + c
-        value = self._bc[key]
-        if value is None:
-            _, wedge_source, wedge_target, _ = self._lists
-            value = self._bc[key] = wedge_source[b] * wedge_target[c]
-        return value
 
     def unpack(self, packed: int) -> GradedDim:
         """The graded space of a packed sum of four-way products."""
@@ -129,9 +105,9 @@ def w_hom(powers: Powers, n: int, e: int, f: int) -> GradedDim:
         S^i(hom_ef) (x) W^(e-i)(coh_e_dual) (x) W^(f-i)(coh_f)
             (x) S^(n+i-e-f)(coh_o)
 
-    with S and W the super symmetric and exterior powers, read off the
-    packed ``powers`` of the four tables as ``ad(i, n+i-e-f)`` times
-    ``bc(e-i, f-i)``.  An empty range yields the zero space.
+    with S and W the super symmetric and exterior powers, each summand
+    one product of the four packed ``powers``.  An empty range yields
+    the zero space.
     ValueError for n < 1, e or f outside 0..n, or n above the powers' top.
     """
     if n < 1:
@@ -140,10 +116,10 @@ def w_hom(powers: Powers, n: int, e: int, f: int) -> GradedDim:
         raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
     if n > powers.top:
         raise ValueError(f"n={n} is above the top n={powers.top} these powers reach")
-    ad, bc = powers.ad, powers.bc
+    sym_hom, wedge_source, wedge_target, sym_o = powers._lists
     total = 0
     for i in range(max(0, e + f - n), min(e, f) + 1):
-        total += ad(i, n - e - f + i) * bc(e - i, f - i)
+        total += sym_hom[i] * wedge_source[e - i] * wedge_target[f - i] * sym_o[n - e - f + i]
     return powers.unpack(total)
 
 

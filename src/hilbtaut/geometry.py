@@ -433,11 +433,8 @@ def load_config(path: str | os.PathLike, referenced_from: tuple[str, ...] = ()) 
     that chain is a reference cycle.
     """
     try:
-        # decoded here: json.loads would take bytes in UTF-16 or UTF-32 too
-        with open(path, "rb") as file:
-            text = file.read().decode("utf-8")
-        # line ends as a text-mode read gives them, so JSON error positions match
-        data = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+        with open(path, encoding="utf-8") as file:
+            data = json.loads(file.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -200,6 +200,17 @@ def test_packed_cells_hold_coefficients_past_32_bits():
     assert check_every_cell(6, tables).bit_length() > 32
 
 
+def test_packed_cells_match_a_dict_sum_on_k3_tables_up_to_ten_points():
+    # the tables O, H and dual(H) of the packaged K3 in every Extwedgewedge
+    # slot they fill; at n = 10 a cell sums up to six four-way products
+    surface = load_config(packaged_profile("k3.json")).surface
+    roles = variant_signature("Extwedgewedge")[2]
+    for k in ("O", "H"):
+        for l in ("O", "H"):
+            tables = variant_tables(surface, roles, {"E": "O", "F": "O", "K": k, "L": l})
+            check_every_cell(10, [tables[role] for role in roles])
+
+
 @pytest.mark.parametrize(
     "n, e, f, message",
     [
