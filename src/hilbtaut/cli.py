@@ -31,6 +31,7 @@ from typing import NamedTuple, NoReturn
 
 from . import formulas, geometry, oracle, verify
 from .geometry import ConfigError
+from .graded import GradedDim
 
 DEFAULT_SEED = verify.DEFAULT_SEED
 
@@ -112,6 +113,18 @@ def _load_part(
     return data
 
 
+def _row(
+    formula: str, n: int, euler: int, cross_checks: list, inputs: dict, notes: list[str],
+    k: int | None = None, l: int | None = None, graded: GradedDim | None = None,
+) -> dict:
+    """One table row, as ``rows_to_csv``, ``rows_to_json`` and ``run_table`` read it."""
+    return {
+        "formula_id": formula, "n": n, "k": k, "l": l, "euler": euler,
+        "graded": None if graded is None else graded.to_json(),
+        "cross_checks": cross_checks, "inputs": inputs, "notes": notes,
+    }
+
+
 def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ranges) -> list[dict]:
     n_range, k_range, l_range = ranges
     e_spec, f_spec, roles = formulas.variant_signature(formula)
@@ -171,17 +184,7 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
         notes = list(job_notes)
         if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
             notes.append("vanishing symmetric power of negative index suppressed (k = n)")
-        rows.append({
-            "formula_id": formula,
-            "n": n,
-            "k": k,
-            "l": l,
-            "euler": euler,
-            "graded": graded.to_json() if graded is not None else None,
-            "cross_checks": cross_checks,
-            "inputs": inputs,
-            "notes": notes,
-        })
+        rows.append(_row(formula, n, euler, cross_checks, inputs, notes, k=k, l=l, graded=graded))
     return rows
 
 
@@ -213,17 +216,7 @@ def _curve_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ra
             expected = -curve.genus * chis["chi_ef"] + chis["chi_e_dual"] * chis["chi_f"]
             cross_checks.append(["quadratic_simplification", value == expected])
         cross_checks.append(["curve_series", series.coeff_at(n) == value])
-        rows.append({
-            "formula_id": "curve_bichar",
-            "n": n,
-            "k": None,
-            "l": None,
-            "euler": value,
-            "graded": None,
-            "cross_checks": cross_checks,
-            "inputs": inputs,
-            "notes": [],
-        })
+        rows.append(_row("curve_bichar", n, value, cross_checks, inputs, []))
     return rows
 
 
@@ -233,21 +226,18 @@ def _rank3_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ra
         raise UsageError("rank3_check takes no --n/--k/--l ranges")
     surface = _load_part(profile, "surface", formula, names)
     result = formulas.rank3_check(surface.chi_o, surface.chi_omega)
-    return [{
-        "formula_id": "rank3_check",
-        "n": 2,
-        "k": None,
-        "l": None,
-        "euler": result.value,
-        "graded": None,
-        "cross_checks": [["lambda_sq_conjecture", result.value == result.naive]],
-        "inputs": {
+    return [_row(
+        "rank3_check",
+        2,
+        result.value,
+        [["lambda_sq_conjecture", result.value == result.naive]],
+        {
             "chi_O": surface.chi_o,
             "chi_Omega": surface.chi_omega,
             "naive": result.naive,
         },
-        "notes": ["the lambda_sq_conjecture check records the naive prediction"],
-    }]
+        ["the lambda_sq_conjecture check records the naive prediction"],
+    )]
 
 
 #: formula id -> the job that checks the table's ranges before it loads

@@ -27,7 +27,8 @@ class GradedDim:
         items = dims.items() if isinstance(dims, Mapping) else dims
         store: dict[int, int] = {}
         for degree, dim in items:
-            if not isinstance(degree, int) or not isinstance(dim, int):
+            ints = isinstance(degree, int) and isinstance(dim, int)
+            if not ints or isinstance(degree, bool) or isinstance(dim, bool):
                 raise TypeError(f"degrees and dimensions must be int, got {degree!r}: {dim!r}")
             if dim < 0:
                 raise ValueError(f"dimension in degree {degree} is negative: {dim}")

@@ -3,9 +3,9 @@
 Coefficients are exact rationals.  Inside a series an integral
 coefficient is held as an int and any other as a Fraction; the two mix
 exactly, and the generating functions this package expands have
-integral coefficients, so their arithmetic runs on ints.  ``coeff``,
-``terms`` and ``constant_term`` return Fraction either way;
-``coeff_at`` returns a coefficient as it is held.
+integral coefficients, so their arithmetic runs on ints.  ``terms``
+and ``constant_term`` return Fraction either way; ``coeff_at`` returns
+a coefficient as it is held.
 
 Every series carries one truncation order per variable; exponents
 greater than or equal to the order are discarded, so an order of 1
@@ -128,20 +128,10 @@ class TruncSeries:
 
     # -- inspection ---------------------------------------------------
 
-    def coeff(self, **exponents: int) -> Fraction:
-        """Coefficient of the monomial with the named exponents.
-
-        Unnamed variables default to exponent 0.  Asking past a
-        truncation order is an error: that coefficient was discarded.
-        """
-        unknown = set(exponents) - set(VARIABLES)
-        if unknown:
-            raise ValueError(f"unknown series variables {sorted(unknown)}")
-        return Fraction(self.coeff_at(*(exponents.get(n, 0) for n in VARIABLES)))
-
     def coeff_at(self, q: int, u: int = 0, v: int = 0) -> Coeff:
         """Coefficient of Q^q u^u v^v as the series holds it: an int when
-        integral, else a Fraction.  Checked as ``coeff`` checks."""
+        integral, else a Fraction.  A negative exponent is an error, and so
+        is one past its truncation order: that coefficient was discarded."""
         order_q, order_u, order_v = self.orders
         if not (0 <= q < order_q and 0 <= u < order_u and 0 <= v < order_v):
             for name, e, o in zip(VARIABLES, (q, u, v), self.orders):

@@ -837,17 +837,20 @@ def test_the_module_entry_point_runs_the_cli():
     src = str(Path(cli.__file__).resolve().parents[1])
     golden = Path(__file__).resolve().parent / "golden" / "table_rank3_check_k3.csv"
 
-    def run(*argv):
+    def run(module, *argv):
         return subprocess.run(
-            [sys.executable, "-m", "hilbtaut", *argv], env={**os.environ, "PYTHONPATH": src},
+            [sys.executable, "-m", module, *argv], env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
         )
 
-    result = run("table", "--formula", "rank3_check", "--surface", "k3.json")
+    result = run("hilbtaut", "table", "--formula", "rank3_check", "--surface", "k3.json")
     assert result.returncode == 0 and result.stdout == golden.read_bytes()
-    result = run("table", "--formula", "rank3_check", "--surface", "nosuch.json")
+    result = run("hilbtaut", "table", "--formula", "rank3_check", "--surface", "nosuch.json")
     assert result.returncode == 2 and result.stdout == b""
     assert result.stderr.count(b"\n") == 1 and result.stderr.startswith(b"error: ")
+    # without cli.py's __main__ block this would exit 0 and print nothing
+    result = run("hilbtaut.cli", "--help")
+    assert result.returncode == 0 and result.stdout.startswith(b"usage: hilbtaut ")
 
 
 # -- reading the command line -------------------------------------------------------

@@ -427,7 +427,7 @@ def test_bichar_series_truncated_in_u_and_v_keeps_every_coefficient():
             for n in range(n_max + 1):
                 for k in range(a + 1):
                     for l in range(b + 1):
-                        assert cut.coeff(Q=n, u=l, v=k) == full.coeff(Q=n, u=l, v=k), (
+                        assert cut.coeff_at(n, l, k) == full.coeff_at(n, l, k), (
                             chis_, a, b, n, k, l
                         )
 
@@ -646,10 +646,10 @@ def test_curve_frozen_small_table():
 @given(chis=st.tuples(*[st.integers(min_value=-5, max_value=5)] * 4))
 def test_curve_series_coefficients_are_curve_bichar(chis):
     series = curve_series(*chis, n_max=9)
-    assert [series.coeff(Q=n) for n in range(1, 10)] == [
+    assert [series.coeff_at(n) for n in range(1, 10)] == [
         curve_bichar(n, *chis) for n in range(1, 10)
     ]
-    assert series.coeff() == 0
+    assert series.coeff_at(0) == 0
 
 
 def test_curve_rejects_bad_n():

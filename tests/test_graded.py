@@ -83,6 +83,13 @@ def test_immutable_and_hashable():
     assert len({GradedDim({0: 1}), GradedDim({0: 1}), GradedDim({1: 1})}) == 2
 
 
+@pytest.mark.parametrize("dims", [{True: 1}, {0: True}], ids=["bool_degree", "bool_dimension"])
+def test_constructor_rejects_a_bool_degree_or_dimension(dims):
+    # each once loaded silently: True as degree "True" in to_json, as dimension 1
+    with pytest.raises(TypeError, match="degrees and dimensions must be int, got "):
+        GradedDim(dims)
+
+
 def test_json_round_trip():
     space = GradedDim({-2: 1, 0: 4, 5: 2})
     assert GradedDim.from_json(space.to_json()) == space
@@ -146,7 +153,7 @@ def test_scalar_rules_are_the_series_coefficients_for_either_sign(k, chi):
     one, q = TruncSeries.const(1, orders), TruncSeries.variable("Q", orders)
     expected = (0, 0)
     if k >= 0:
-        expected = ((one + q).int_pow(chi).coeff(Q=k), (one - q).int_pow(-chi).coeff(Q=k))
+        expected = ((one + q).int_pow(chi).coeff_at(k), (one - q).int_pow(-chi).coeff_at(k))
     values = (lambda_scalar(k, chi), s_scalar(k, chi))
     assert values == expected
     assert all(type(v) is int for v in values)
