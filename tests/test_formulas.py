@@ -464,15 +464,22 @@ def _checked_bichar_series(chis, n_max, k_max, l_max):
 
 def _sample_quadruples(seed, count):
     """Every chi in -4..4 in each slot with the other three at 1, in all
-    four slots at once, and ``count`` seeded quadruples from that range."""
+    four slots at once, ``count`` seeded quadruples from that range, one
+    ray's weight 0 beside three others that are not, and Fraction chis."""
     rng = random.Random(seed)
     quads = {(v, v, v, v) for v in range(-4, 5)}
     quads |= {tuple(v if i == slot else 1 for i in range(4)) for v in range(-4, 5) for slot in range(4)}
     quads |= {tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(count)}
+    quads |= {tuple(0 if i == slot else (3, -2, 5, -1)[i] for i in range(4)) for slot in range(4)}
+    quads |= {
+        (Fraction(1, 2), 2, Fraction(-3, 4), 1),
+        (Fraction(4, 2), Fraction(5, 3), -1, Fraction(-7, 2)),
+        (Fraction(-1, 3), 0, 0, Fraction(2, 5)),
+    }
     return sorted(quads)
 
 
-@pytest.mark.parametrize("n_max", range(9))
+@pytest.mark.parametrize("n_max", [*range(9), 12, 16])
 def test_bichar_series_equals_the_checked_construction(n_max):
     rng = random.Random(n_max)
     for chis_ in _sample_quadruples(n_max, 40):
@@ -500,9 +507,8 @@ def _assert_wrap_contract(series_list):
 
 
 def test_expansions_keep_the_wrap_contract(monkeypatch):
-    # every series handed to TruncSeries.wrap (the argument bichar_series
-    # writes down) and every series bichar_series, tensor_euler_series,
-    # exp and int_pow return
+    # every series handed to TruncSeries.wrap and every series
+    # bichar_series, tensor_euler_series, exp and int_pow return
     made = []
     wrap = TruncSeries.wrap
 
@@ -510,12 +516,17 @@ def test_expansions_keep_the_wrap_contract(monkeypatch):
         made.append(wrap(orders, coeffs))
         return made[-1]
 
+    def record_once(series):
+        # bichar_series returns the series it handed to wrap: one series, one dict
+        if not any(series is seen for seen in made):
+            made.append(series)
+
     monkeypatch.setattr(TruncSeries, "wrap", staticmethod(recording_wrap))
     rng = random.Random(2406)
     for n_max in range(9):
-        for chis_ in [(0, 0, 0, 0), (2, 4, 4, 2), (4, -4, 0, 3), (-3, 2, 1, -1)]:
-            made.append(bichar_series(*chis_, n_max=n_max))
-            made.append(bichar_series(*chis_, n_max=n_max, k_max=n_max // 2, l_max=1))
+        for chis_ in [(0, 0, 0, 0), (2, 4, 4, 2), (4, -4, 0, 3), (-3, 2, 1, -1), (Fraction(1, 2), 2, Fraction(-3, 2), 1)]:
+            record_once(bichar_series(*chis_, n_max=n_max))
+            record_once(bichar_series(*chis_, n_max=n_max, k_max=n_max // 2, l_max=1))
         chi_flp = [rng.choice([0, 0, 1, -2, 5]) for _ in range(n_max + 1)]
         made.append(tensor_euler_series(chi_flp, rng.randint(-3, 3), rng.randint(-3, 3), n_max, n_max))
     orders = {"Q": 5, "u": 3, "v": 2}
