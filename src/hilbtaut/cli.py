@@ -439,12 +439,12 @@ def run_jobs(config_path: str) -> int:
             elif not wants_curve and config.surface is not None:
                 argv.extend(("--surface", resolved))
         args = _read_args(argv)
-        if args is None:
-            try:
+        try:
+            if args is None:
                 args = _build_parser(_JobArgumentParser).parse_args(argv)
-            except UsageError as exc:
-                raise UsageError(f"jobs[{index}]: {exc}") from None
-        code = _run_args(args)
+            code = _run_args(args)
+        except ValueError as exc:
+            raise UsageError(f"jobs[{index}]: {exc}") from None
         if code != 0:
             return code
     return 0

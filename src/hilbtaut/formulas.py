@@ -86,11 +86,9 @@ class Powers:
         degree = self.low
         dims = {}
         while packed:
-            # skip a run of zero coefficients in one shift
-            skip = ((packed & -packed).bit_length() - 1) // width
-            packed >>= skip * width
-            degree += skip
-            dims[degree] = packed & mask
+            coeff = packed & mask
+            if coeff:
+                dims[degree] = coeff
             packed >>= width
             degree += 1
         # every value is a positive int: no check to repeat

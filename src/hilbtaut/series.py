@@ -270,29 +270,23 @@ class TruncSeries:
     ) -> "TruncSeries":
         # R with R_0 = start and, for every degree d >= 1,
         #   lead d R_d = sum_{j=1..d} weight(d, j) S_j R_{d-j},
-        # where S_j, R_d are the parts of degree j, d of S = self and R.
-        # The degree is the Q-degree when every non-constant term of S
-        # carries Q, and the total degree otherwise: either way S_0 is
-        # the constant term, and the Euler operator of that grading gives
-        # the recurrence.  Q-degree parts waste no term pairs on the u
-        # and v orders.  Truncation is by a monomial ideal, which every
-        # Euler operator preserves, so dropping every exponent past its
-        # order at each step is exact.  Only the degrees j that S has are
-        # visited, and weight(d, j) is asked only when R_{d-j} is nonzero.
-        # Integral values stay ints, and the division by lead d stays in
-        # ints wherever it is exact (exp(Q) has coefficients 1/d!, so it
-        # is not always).
+        # where S_j, R_d are the parts of total degree j, d of S = self
+        # and R: S_0 is the constant term, and the Euler operator (the sum
+        # of x dx over the variables) gives the recurrence.  Truncation is
+        # by a monomial ideal, which that operator preserves, so dropping
+        # every exponent past its order at each step is exact.  Only the
+        # degrees j that S has are visited, and weight(d, j) is asked only
+        # when R_{d-j} is nonzero.  Integral values stay ints, and the
+        # division by lead d stays in ints wherever it is exact (exp(Q)
+        # has coefficients 1/d!, so it is not always).
         start, lead = _narrow(start), _narrow(lead)
-        by_q = all(exps[0] for exps in self._coeffs if exps != (0, 0, 0))
-        weights = (1, 0, 0) if by_q else (1, 1, 1)
-        top = sum(w * (o - 1) for w, o in zip(weights, self.orders))
+        top = sum(o - 1 for o in self.orders)
         by_degree: dict[int, list[tuple[Exponents, Coeff]]] = {}
         for exps, coeff in self._coeffs.items():
-            degree = sum(w * e for w, e in zip(weights, exps))
+            degree = sum(exps)
             if degree:
                 by_degree.setdefault(degree, []).append((exps, coeff))
         degrees = sorted(by_degree)
-        weighted: dict[tuple[int, int], list[tuple]] = {}
         parts: list[dict[Exponents, Coeff]] = [{(0, 0, 0): start}]
         result = {(0, 0, 0): start}
         for d in range(1, top + 1):
@@ -304,12 +298,8 @@ class TruncSeries:
                 if not earlier:
                     continue
                 w = weight(d, j)
-                if not w:
-                    continue
-                terms = weighted.get((j, w))
-                if terms is None:
-                    terms = weighted[j, w] = self._limited(by_degree[j], w)
-                self._add_products(part, terms, earlier.items())
+                if w:
+                    self._add_products(part, self._limited(by_degree[j], w), earlier.items())
             div = lead * d
             exact = type(div) is int
             divided = {}
@@ -363,11 +353,9 @@ class TruncSeries:
         """Exponential; requires zero constant term.
 
         With G = self and F = exp(G), write G_j and F_d for the parts of
-        degree j and d: the Q-degree when every term of G carries Q, the
-        total degree otherwise.  The Euler operator of that grading
-        (Q dQ, or the sum of x dx over the variables) multiplies
-        degree-d parts by d and is a derivation, so E(F) = E(G) F gives
-        the recurrence
+        total degree j and d.  The Euler operator E, the sum of x dx over
+        the variables, multiplies degree-d parts by d and is a
+        derivation, so E(F) = E(G) F gives the recurrence
 
             d F_d = sum_{j=1..d} j G_j F_{d-j},   F_0 = 1.
         """

@@ -1011,7 +1011,7 @@ def test_a_run_job_that_names_the_wrong_profile_flag_exits_two(capsys, tmp_path)
     ))
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2 and out == ""
-    assert err == "error: cohF reads its profile from --surface, not --curve\n"
+    assert err == "error: jobs[0]: cohF reads its profile from --surface, not --curve\n"
 
 
 # -- verify command -----------------------------------------------------------------
@@ -1431,6 +1431,36 @@ def test_run_names_the_job_an_argument_error_comes_from(capsys, tmp_path, entry,
     path.write_text(json.dumps({"jobs": [entry]}))
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2 and out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize(
+    "jobs, message",
+    [
+        (
+            [
+                {"command": "table", "formula": "rank3_check"},
+                {"command": "table", "formula": "ExtEF", "n": "3..1"},
+            ],
+            "error: jobs[1]: --n: empty range '3..1'\n",
+        ),
+        (
+            [{"command": "verify", "suite": "orbits", "count": 3}],
+            "error: jobs[0]: orbits has no --count (it is exhaustive)\n",
+        ),
+        (
+            [{"command": "series", "formula": "tensor_euler", "n_max": -1}],
+            "error: jobs[0]: --n-max must be at least 0, got -1\n",
+        ),
+    ],
+    ids=["table_empty_range", "verify_count_of_orbits", "series_negative_n_max"],
+)
+def test_run_names_the_job_an_error_after_parsing_comes_from(capsys, tmp_path, jobs, message):
+    # these errors used to print without the job's index
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps({"surface": "k3.json", "jobs": jobs}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
     assert err == message
 
 

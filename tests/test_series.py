@@ -334,8 +334,8 @@ def test_exp_is_multiplicative():
 
 
 def test_a_term_without_q_grades_the_recurrence_by_total_degree():
-    # u carries no Q, so u + Q and 1 + u + Q take the total-degree
-    # recurrence while Q alone takes the Q-degree one
+    # u carries no Q, so the parts of u + Q and 1 + u + Q by total degree
+    # mix terms with and without Q
     orders = {"Q": 5, "u": 4}
     q = TruncSeries.variable("Q", orders)
     u = TruncSeries.variable("u", orders)
@@ -346,7 +346,7 @@ def test_a_term_without_q_grades_the_recurrence_by_total_degree():
 
 # -- exp and int_pow on the shapes the CLI expands ----------------------------
 
-#: Q-degree arguments with u and v orders below the Q order, as in
+#: orders with u and v below the Q order, as in
 #: bichar_series(..., n_max=11, k_max=1, l_max=1), and a square one
 CLI_ORDERS = [{"Q": 12, "u": 2, "v": 2}, {"Q": 10, "u": 4, "v": 3}, {"Q": 7, "u": 7, "v": 7}]
 CLI_IDS = ["Q12_u2_v2", "Q10_u4_v3", "Q7_u7_v7"]
@@ -354,7 +354,7 @@ CLI_IDS = ["Q12_u2_v2", "Q10_u4_v3", "Q7_u7_v7"]
 
 def q_degree_argument(top, chis):
     """sum_r [c1 (Q u v)^r - c2 (Q v)^r - c3 (Q u)^r + c4 Q^r] / r, truncated
-    at top, as Fractions: the argument bichar_series expands."""
+    at top, as Fractions: the logarithm of the series bichar_series gives."""
     c1, c2, c3, c4 = chis
     coeffs = {}
     for r in range(1, top[0]):
