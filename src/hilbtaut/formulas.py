@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from fractions import Fraction
 from typing import NamedTuple
 
 from .graded import GradedDim, lambda_scalar, s_scalar, sym_powers, wedge_powers
@@ -21,7 +20,7 @@ from .graded import GradedDim, lambda_scalar, s_scalar, sym_powers, wedge_powers
 # Not called here: the benchmark harness's tracer test resolves sym_power
 # through this module.
 from .graded import sym_power  # noqa: F401
-from .series import TruncSeries, _narrow
+from .series import TruncSeries
 
 class MissingTableError(KeyError):
     """A formula variant was asked to run without one of its inputs."""
@@ -307,59 +306,6 @@ def _bichar_orders(
     return {"Q": n_max + 1, "u": l_max + 1, "v": k_max + 1}
 
 
-def _ray_exp(
-    orders: dict[str, int], rays: Sequence[tuple[int, int, int]]
-) -> TruncSeries:
-    # exp of the sum over rays (a, b, w) and r >= 1 of w (u^a v^b Q)^r / r,
-    # truncated at orders.  With x = u^a v^b, Q dQ of that sum is
-    # sum_rays w xQ / (1 - xQ), so exp's recurrence d F_d = sum_j j G_j F_{d-j}
-    # on Q-degree parts regroups by ray as
-    #   d F_d = sum_rays w H_d,   H_d = xQ (F_{d-1} + H_{d-1}),   H_0 = 0:
-    # one pass over F_{d-1} per ray and degree.  Parts are keyed by (u, v).
-    # Truncation is by a monomial ideal and the steps only raise exponents,
-    # so dropping every exponent past its order at each step is exact.  A
-    # ray whose first step lies past the orders, or whose weight is 0,
-    # never reaches a term; every other weight goes through Fraction(w, 1),
-    # so only a rational one is taken.  The result keeps TruncSeries.wrap's
-    # rule: ints wherever integral, no zeros.
-    degrees = range(1, orders["Q"])
-    u_top, v_top = orders["u"], orders["v"]
-    steps = []
-    for a, b, w in rays:
-        if a < u_top and b < v_top:
-            w = _narrow(Fraction(w, 1))
-            if w:
-                steps.append((a, b, w))
-    accumulators: list[dict[tuple[int, int], int | Fraction]] = [{} for _ in steps]
-    coeffs: dict[tuple[int, int, int], int | Fraction] = {(0, 0, 0): 1}
-    previous: dict[tuple[int, int], int | Fraction] = {(0, 0): 1}
-    for d in degrees:
-        part: dict[tuple[int, int], int | Fraction] = {}
-        for i, (a, b, w) in enumerate(steps):
-            acc = accumulators[i]
-            for key, c in previous.items():
-                acc[key] = acc.get(key, 0) + c
-            if a or b:
-                acc = accumulators[i] = {
-                    (u + a, v + b): c
-                    for (u, v), c in acc.items()
-                    if u + a < u_top and v + b < v_top
-                }
-            for key, c in acc.items():
-                part[key] = part.get(key, 0) + w * c
-        previous = {}
-        for (u, v), c in part.items():
-            if not c:
-                continue
-            if type(c) is int:
-                quo, rem = divmod(c, d)
-                c = Fraction(c, d) if rem else quo
-            else:
-                c = _narrow(c / d)
-            previous[u, v] = coeffs[d, u, v] = c
-    return TruncSeries.wrap(orders, coeffs)
-
-
 def bichar_series(
     chi_kl: int,
     chi_k_dual: int,
@@ -380,20 +326,13 @@ def bichar_series(
     every coefficient they keep unchanged.
 
     The argument is a sum over four geometric rays, vuQ, vQ, uQ and Q,
-    so exp's recurrence d F_d = sum_j j G_j F_{d-j} on Q-degree parts
-    regroups as d F_d = sum_rays chi H_d with H_d = xQ (F_{d-1} + H_{d-1})
-    for each ray xQ: one pass over F_{d-1} per ray and degree.  No step
-    forms the product form of ``bichar_product``, so the two stay
-    independent checks of each other.
+    so ``TruncSeries.ray_exp`` expands it.  No step forms the product
+    form of ``bichar_product``, so the two stay independent checks of
+    each other.
     """
-    orders = _bichar_orders(n_max, k_max, l_max)
-    if not range(1, n_max + 1):
-        # no Q-degree to expand: the series 1, which reads no chi (and a
-        # non-int n_max fails in range before any chi is read)
-        return TruncSeries.const(1, orders)
     # the rays vuQ, vQ, uQ and Q as (u step, v step, weight)
     rays = ((1, 1, chi_kl), (0, 1, -chi_k_dual), (1, 0, -chi_l), (0, 0, chi_o))
-    return _ray_exp(orders, rays)
+    return TruncSeries.ray_exp(_bichar_orders(n_max, k_max, l_max), rays)
 
 
 def bichar_product(

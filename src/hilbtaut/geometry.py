@@ -229,6 +229,23 @@ def _as_int(value: object, where: str) -> int:
     return value
 
 
+def _check_fields(data: Mapping, section: str, known: set[str], required: Sequence[str] = ()) -> None:
+    """Reject a field of a profile section outside ``known`` or a missing ``required`` one."""
+    unknown = set(data) - known
+    if unknown:
+        raise ConfigError(f"unknown {section} fields {sorted(unknown)}")
+    for field in required:
+        if field not in data:
+            raise ConfigError(f"{section} is missing field {field!r}")
+
+
+def _int_vector(raw: object, rank: int, where: str, label: str = "") -> tuple[int, ...]:
+    """A list of ``rank`` integers: ``label`` (else ``where``) names it, ``where`` its entries."""
+    if not isinstance(raw, list) or len(raw) != rank:
+        raise ConfigError(f"{label or where} must have length {rank}")
+    return tuple(_as_int(x, where) for x in raw)
+
+
 def _object_field(data: Mapping[str, object], field: str, section: str) -> Mapping:
     """An optional profile field that must be a JSON object when present."""
     raw = data.get(field, {})
@@ -252,12 +269,7 @@ def _cohomology_tables(data: Mapping[str, object]) -> dict[str, GradedDim]:
 
 def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
     known = {"chi_O", "picard_rank", "gram", "canonical", "bundles", "cohomology", "chi_Omega"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown surface fields {sorted(unknown)}")
-    for required in ("chi_O", "picard_rank", "gram", "canonical"):
-        if required not in data:
-            raise ConfigError(f"surface is missing field {required!r}")
+    _check_fields(data, "surface", known, ("chi_O", "picard_rank", "gram", "canonical"))
     chi_o = _as_int(data["chi_O"], "surface.chi_O")
     rank = _as_int(data["picard_rank"], "surface.picard_rank")
     if rank < 1:
@@ -265,25 +277,20 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
     gram_raw = data["gram"]
     if not isinstance(gram_raw, list) or len(gram_raw) != rank:
         raise ConfigError(f"surface.gram must be a {rank}x{rank} matrix")
-    gram = []
-    for i, row in enumerate(gram_raw):
-        if not isinstance(row, list) or len(row) != rank:
-            raise ConfigError(f"surface.gram row {i} must have length {rank}")
-        gram.append(tuple(_as_int(x, f"surface.gram[{i}]") for x in row))
+    gram = [
+        _int_vector(row, rank, f"surface.gram[{i}]", f"surface.gram row {i}")
+        for i, row in enumerate(gram_raw)
+    ]
     for i in range(rank):
         for j in range(rank):
             if gram[i][j] != gram[j][i]:
                 raise ConfigError(f"surface.gram is not symmetric at ({i},{j})")
-    canonical_raw = data["canonical"]
-    if not isinstance(canonical_raw, list) or len(canonical_raw) != rank:
-        raise ConfigError(f"surface.canonical must have length {rank}")
-    canonical = tuple(_as_int(x, "surface.canonical") for x in canonical_raw)
+    canonical = _int_vector(data["canonical"], rank, "surface.canonical")
 
-    bundles: dict[str, LatticeClass] = {}
-    for name, vec in _object_field(data, "bundles", "surface").items():
-        if not isinstance(vec, list) or len(vec) != rank:
-            raise ConfigError(f"surface.bundles[{name!r}] must have length {rank}")
-        bundles[name] = tuple(_as_int(x, f"surface.bundles[{name!r}]") for x in vec)
+    bundles: dict[str, LatticeClass] = {
+        name: _int_vector(vec, rank, f"surface.bundles[{name!r}]")
+        for name, vec in _object_field(data, "bundles", "surface").items()
+    }
     # every structure-sheaf slot is resolved through the name O
     zero = (0,) * rank
     if bundles.get("O", zero) != zero:
@@ -334,12 +341,7 @@ def surface_from_json(data: Mapping[str, object]) -> SurfaceData:
 
 
 def curve_from_json(data: Mapping[str, object]) -> CurveData:
-    known = {"genus", "bundles"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown curve fields {sorted(unknown)}")
-    if "genus" not in data:
-        raise ConfigError("curve is missing field 'genus'")
+    _check_fields(data, "curve", {"genus", "bundles"}, ("genus",))
     genus = _as_int(data["genus"], "curve.genus")
     if genus < 0:
         raise ConfigError(f"curve.genus must be non-negative, got {genus}")
@@ -445,10 +447,7 @@ def load_config(path: str | os.PathLike, referenced_from: tuple[str, ...] = ()) 
         raise ConfigError(f"config {path} nests too deeply to parse") from None
     if not isinstance(data, Mapping):
         raise ConfigError(f"config {path} must be a JSON object")
-    known = {"surface", "curve", "jobs"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields {sorted(unknown)}")
+    _check_fields(data, "config", {"surface", "curve", "jobs"})
     surface = curve = None
     if "surface" in data:
         surface = _nested_section(

@@ -56,13 +56,31 @@ def _narrow(value: Coeff) -> Coeff:
     return value.numerator if value.denominator == 1 else value
 
 
+def _divided(part: dict, div: Coeff) -> dict:
+    # the nonzero values of part, each divided by div: an int wherever
+    # the division is exact, else a Fraction (exp(Q) has coefficients
+    # 1/d!, so it is not always)
+    exact = type(div) is int
+    out = {}
+    for key, c in part.items():
+        if c:
+            if exact and type(c) is int:
+                quo, rem = divmod(c, div)
+                out[key] = Fraction(c, div) if rem else quo
+            else:
+                out[key] = _narrow(Fraction(c, div))
+    return out
+
+
 def _monomial(q: int, u: int, v: int) -> str:
     # "Q^q u^u v^v" without its zero exponents; "" for the constant
     return ((f" Q^{q}" if q else "") + (f" u^{u}" if u else "") + (f" v^{v}" if v else ""))[1:]
 
 
 def _wrapped(orders: tuple[int, int, int], coeffs: dict[Exponents, Coeff]) -> "TruncSeries":
-    # the series of coeffs itself, under the rule of TruncSeries.wrap
+    # the series of coeffs itself, neither checked nor copied: every
+    # exponent must lie inside the orders, every value must be nonzero and
+    # an int wherever it is integral, and no one may change the dict
     series = object.__new__(TruncSeries)
     object.__setattr__(series, "orders", orders)
     object.__setattr__(series, "_coeffs", coeffs)
@@ -86,7 +104,7 @@ class TruncSeries:
         object.__setattr__(self, "orders", _normalize_orders(orders))
         store: dict[Exponents, Coeff] = {}
         for exps, value in (coeffs or {}).items():
-            if len(exps) != 3 or any(e < 0 for e in exps):
+            if len(exps) != 3 or any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r}")
             if any(e >= o for e, o in zip(exps, self.orders)):
                 raise ValueError(
@@ -106,14 +124,6 @@ class TruncSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def wrap(cls, orders: Mapping[str, int], coeffs: dict[Exponents, Coeff]) -> "TruncSeries":
-        """The series of ``coeffs`` itself, neither checked nor copied:
-        every exponent must lie inside the orders, every value must be
-        nonzero and an int wherever it is integral, and no one may
-        change the dict.  Only the orders are checked."""
-        return _wrapped(_normalize_orders(orders), coeffs)
-
-    @classmethod
     def const(cls, value: Coeff, orders: Mapping[str, int]) -> "TruncSeries":
         return cls(orders, {(0, 0, 0): value})
 
@@ -125,6 +135,52 @@ class TruncSeries:
             return cls(orders)  # x = 0 modulo x^1
         exps = tuple(1 if n == name else 0 for n in VARIABLES)
         return cls(orders, {exps: 1})
+
+    @classmethod
+    def ray_exp(cls, orders: Mapping[str, int], rays: Iterable[tuple[int, int, Coeff]]) -> "TruncSeries":
+        """exp of the sum over rays (a, b, w) and r >= 1 of w (u^a v^b Q)^r / r.
+
+        With x = u^a v^b, Q dQ of that sum is sum_rays w xQ / (1 - xQ), so
+        exp's recurrence d F_d = sum_j j G_j F_{d-j} on Q-degree parts
+        regroups by ray as
+
+            d F_d = sum_rays w H_d,   H_d = xQ (F_{d-1} + H_{d-1}),   H_0 = 0:
+
+        one pass over F_{d-1} per ray and degree.  Truncation is by a
+        monomial ideal and the steps only raise exponents, so dropping
+        every exponent past its order at each step is exact.  Every weight
+        must be an int or a Fraction: it goes through Fraction(w, 1), which
+        raises TypeError for anything else, before a ray whose first step
+        lies past the orders, or whose weight is 0, is skipped.
+        """
+        orders = _normalize_orders(orders)
+        q_top, u_top, v_top = orders
+        steps = []
+        for a, b, w in rays:
+            w = _narrow(Fraction(w, 1))
+            if w and a < u_top and b < v_top:
+                steps.append((a, b, w))
+        # parts are keyed by (u, v), one accumulator H per ray
+        accumulators: list[dict[tuple[int, int], Coeff]] = [{} for _ in steps]
+        coeffs: dict[Exponents, Coeff] = {(0, 0, 0): 1}
+        previous: dict[tuple[int, int], Coeff] = {(0, 0): 1}
+        for d in range(1, q_top):
+            part: dict[tuple[int, int], Coeff] = {}
+            for i, (a, b, w) in enumerate(steps):
+                acc = accumulators[i]
+                for key, c in previous.items():
+                    acc[key] = acc.get(key, 0) + c
+                if a or b:
+                    acc = accumulators[i] = {
+                        (u + a, v + b): c
+                        for (u, v), c in acc.items()
+                        if u + a < u_top and v + b < v_top
+                    }
+                for key, c in acc.items():
+                    part[key] = part.get(key, 0) + w * c
+            previous = _divided(part, d)
+            coeffs.update({(d, u, v): c for (u, v), c in previous.items()})
+        return _wrapped(orders, coeffs)
 
     # -- inspection ---------------------------------------------------
 
@@ -277,8 +333,7 @@ class TruncSeries:
         # every exponent past its order at each step is exact.  Only the
         # degrees j that S has are visited, and weight(d, j) is asked only
         # when R_{d-j} is nonzero.  Integral values stay ints, and the
-        # division by lead d stays in ints wherever it is exact (exp(Q)
-        # has coefficients 1/d!, so it is not always).
+        # division by lead d stays in ints wherever it is exact.
         start, lead = _narrow(start), _narrow(lead)
         top = sum(o - 1 for o in self.orders)
         by_degree: dict[int, list[tuple[Exponents, Coeff]]] = {}
@@ -300,18 +355,8 @@ class TruncSeries:
                 w = weight(d, j)
                 if w:
                     self._add_products(part, self._limited(by_degree[j], w), earlier.items())
-            div = lead * d
-            exact = type(div) is int
-            divided = {}
-            for exps, c in part.items():
-                if not c:
-                    continue
-                if exact and type(c) is int:
-                    quo, rem = divmod(c, div)
-                    c = Fraction(c, div) if rem else quo
-                else:
-                    c = _narrow(Fraction(c, div))
-                divided[exps] = result[exps] = c
+            divided = _divided(part, lead * d)
+            result.update(divided)
             parts.append(divided)
         return _wrapped(self.orders, result)
 

@@ -47,7 +47,7 @@ from hilbtaut.formulas import (
 )
 from hilbtaut.geometry import load_config, packaged_profile, variant_tables
 from hilbtaut.oracle import invariant_dim
-from hilbtaut.series import VARIABLES, NonUnitWarning, TruncSeries
+from hilbtaut.series import VARIABLES, NonUnitWarning, TruncSeries, _wrapped
 
 K3_POINT = GradedDim({0: 1, 2: 1})
 K3_TABLES = {
@@ -439,12 +439,15 @@ def test_bichar_zeroth_coefficients_are_point_counts():
         assert bichar_from_series(series, n, 0, 0) == s_scalar(n, 2)
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
 def test_bichar_series_rejects_a_float_chi(n_max):
-    # a float chi fails in Fraction(chi, r), a zero one too
-    for chis_ in [(2, 2.0, 1, 1), (2, 0.0, 1, 1)]:
+    # a float chi fails in Fraction(chi, 1), a zero one too, and so does one
+    # on a ray that truncation skips or at n_max = 0, where no ray is expanded
+    for chis_ in [(2, 2.0, 1, 1), (2, 0.0, 1, 1), (2.5, 1, 1, 1), ("x", 1, 1, 1), (None, 1, 1, 1)]:
         with pytest.raises(TypeError, match="Rational instances"):
             bichar_series(*chis_, n_max=n_max)
+        with pytest.raises(TypeError, match="Rational instances"):
+            bichar_series(*chis_, n_max=n_max, k_max=0, l_max=0)
     assert bichar_series(Fraction(4, 2), 2, 1, 1, n_max=n_max) == bichar_series(2, 2, 1, 1, n_max=n_max)
 
 
@@ -506,27 +509,18 @@ def _assert_wrap_contract(series_list):
     assert len({id(series._coeffs) for series in series_list}) == len(series_list)
 
 
-def test_expansions_keep_the_wrap_contract(monkeypatch):
-    # every series handed to TruncSeries.wrap and every series
-    # bichar_series, tensor_euler_series, exp and int_pow return
+def test_expansions_keep_the_wrap_contract():
+    # every series bichar_series, ray_exp, tensor_euler_series, exp and
+    # int_pow return
     made = []
-    wrap = TruncSeries.wrap
-
-    def recording_wrap(orders, coeffs):
-        made.append(wrap(orders, coeffs))
-        return made[-1]
-
-    def record_once(series):
-        # bichar_series returns the series it handed to wrap: one series, one dict
-        if not any(series is seen for seen in made):
-            made.append(series)
-
-    monkeypatch.setattr(TruncSeries, "wrap", staticmethod(recording_wrap))
     rng = random.Random(2406)
     for n_max in range(9):
         for chis_ in [(0, 0, 0, 0), (2, 4, 4, 2), (4, -4, 0, 3), (-3, 2, 1, -1), (Fraction(1, 2), 2, Fraction(-3, 2), 1)]:
-            record_once(bichar_series(*chis_, n_max=n_max))
-            record_once(bichar_series(*chis_, n_max=n_max, k_max=n_max // 2, l_max=1))
+            made.append(bichar_series(*chis_, n_max=n_max))
+            made.append(bichar_series(*chis_, n_max=n_max, k_max=n_max // 2, l_max=1))
+        orders = {"Q": n_max + 1, "u": 3, "v": 4}
+        for rays in [[(2, 0, Fraction(1, 3))], [(0, 0, -2), (1, 2, 5), (2, 1, 0)], [(0, 1, Fraction(-1, 2)), (0, 1, 3)]]:
+            made.append(TruncSeries.ray_exp(orders, rays))
         chi_flp = [rng.choice([0, 0, 1, -2, 5]) for _ in range(n_max + 1)]
         made.append(tensor_euler_series(chi_flp, rng.randint(-3, 3), rng.randint(-3, 3), n_max, n_max))
     orders = {"Q": 5, "u": 3, "v": 2}
@@ -554,13 +548,13 @@ def test_expansions_keep_the_wrap_contract(monkeypatch):
 )
 def test_wrap_contract_check_rejects_a_broken_series(coeffs):
     with pytest.raises(AssertionError):
-        _assert_wrap_contract([TruncSeries.wrap({"Q": 3}, coeffs)])
+        _assert_wrap_contract([_wrapped((3, 1, 1), coeffs)])
 
 
 def test_wrap_contract_check_rejects_a_shared_dict():
     coeffs = {(1, 0, 0): 1}
     with pytest.raises(AssertionError):
-        _assert_wrap_contract([TruncSeries.wrap({"Q": 3}, coeffs), TruncSeries.wrap({"Q": 3}, coeffs)])
+        _assert_wrap_contract([_wrapped((3, 1, 1), coeffs), _wrapped((3, 1, 1), coeffs)])
 
 
 # -- Euler characteristics for a tensor product with a wedge power ------------------

@@ -93,6 +93,8 @@ def test_constructor_rejects_a_coefficient_that_is_not_an_int_or_a_fraction(valu
             "truncation order for Q must be a positive int, got 0",
         ),
         (lambda: TruncSeries({"Q": 2}, {(0, 0): 1}), ValueError, "bad exponent tuple (0, 0)"),
+        (lambda: TruncSeries({"Q": 3}, {(0.5, 0, 0): 1}), ValueError, "bad exponent tuple (0.5, 0, 0)"),
+        (lambda: TruncSeries({"Q": 3}, {(True, 0, 0): 1}), ValueError, "bad exponent tuple (True, 0, 0)"),
         (
             lambda: TruncSeries({"Q": 2}, {(2, 0, 0): 1}),
             ValueError,
@@ -105,8 +107,8 @@ def test_constructor_rejects_a_coefficient_that_is_not_an_int_or_a_fraction(valu
             "exponent must be int, got 1.5",
         ),
     ],
-    ids=["order_zero", "short_exponent_tuple", "exponent_past_order", "coeff_negative_exponent",
-         "int_pow_float"],
+    ids=["order_zero", "short_exponent_tuple", "float_exponent", "bool_exponent",
+         "exponent_past_order", "coeff_negative_exponent", "int_pow_float"],
 )
 def test_bad_input_is_rejected_with_one_message(call, error, message):
     with pytest.raises(error) as err:
@@ -393,6 +395,39 @@ def test_int_pow_matches_local_reference_by_total_degree(c0):
         orders, {(0, 0, 0): c0, (0, 1, 0): Fraction(1, 2), (1, 0, 1): -3, (2, 1, 0): Fraction(5, 3)}
     )
     assert_int_pow_matches_local_reference(s, top)
+
+
+# -- ray_exp ------------------------------------------------------------------
+
+
+def _checked_ray_exp(orders, rays):
+    """exp of ray_exp's argument, its terms summed as Fractions and built
+    through the checking constructor."""
+    top = dict(zip(VARIABLES, (1, 1, 1)), **orders)
+    log = {}
+    for a, b, w in rays:
+        for r in range(1, top["Q"]):
+            if a * r < top["u"] and b * r < top["v"]:
+                log[r, a * r, b * r] = log.get((r, a * r, b * r), 0) + Fraction(w, r)
+    return TruncSeries(orders, log).exp()
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_ray_exp_matches_exp_on_random_rays(seed):
+    # one to three rays with steps up to 2, weights 0, ints and Fractions
+    rng = random.Random(seed)
+    orders = {"Q": rng.randint(1, 7), "u": rng.randint(1, 5), "v": rng.randint(1, 5)}
+    weights = [0, 1, -1, 3, -4, Fraction(1, 2), Fraction(-2, 3)]
+    rays = [
+        (rng.randint(0, 2), rng.randint(0, 2), rng.choice(weights))
+        for _ in range(rng.randint(1, 3))
+    ]
+    assert TruncSeries.ray_exp(orders, rays) == _checked_ray_exp(orders, rays), (orders, rays)
+
+
+def test_ray_exp_checks_its_orders():
+    with pytest.raises(ValueError, match="truncation order for Q must be a positive int, got 3.0"):
+        TruncSeries.ray_exp({"Q": 3.0}, [(0, 0, 1)])
 
 
 # -- rendering ----------------------------------------------------------------
