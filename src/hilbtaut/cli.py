@@ -50,25 +50,16 @@ class UsageError(ValueError):
 def parse_range(text: str, flag: str, allow_n: bool = False) -> tuple[int, int | None]:
     """Parse "a", "a..b", or (for --k/--l) "a..n"."""
     s = text.strip()
+    left, dots, right = s.partition("..")
     try:
-        if ".." in s:
-            left, right = s.split("..", 1)
-            lo = int(left)
-            if right == "n":
-                if not allow_n:
-                    raise UsageError(f'{flag}: upper bound "n" is only valid for --k/--l')
-                hi: int | None = None
-            else:
-                hi = int(right)
-                if hi < lo:
-                    raise UsageError(f"{flag}: empty range {s!r}")
-        else:
-            lo = int(s)
-            hi = lo
-    except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
+        lo = int(left)
+        hi = lo if not dots else None if right == "n" else int(right)
+    except ValueError:
         raise UsageError(f'{flag}: bad range {s!r}; use "a", "a..b" or "a..n"') from None
+    if hi is None and not allow_n:
+        raise UsageError(f'{flag}: upper bound "n" is only valid for --k/--l')
+    if hi is not None and hi < lo:
+        raise UsageError(f"{flag}: empty range {s!r}")
     if lo < 0:
         raise UsageError(f"{flag}: range must be non-negative, got {s!r}")
     return lo, hi
@@ -120,7 +111,7 @@ def _row(
     """One table row, as ``rows_to_csv``, ``rows_to_json`` and ``run_table`` read it."""
     return {
         "formula_id": formula, "n": n, "k": k, "l": l, "euler": euler,
-        "graded": None if graded is None else graded.to_json(),
+        "graded": graded,
         "cross_checks": cross_checks, "inputs": inputs, "notes": notes,
     }
 
@@ -250,10 +241,9 @@ TABLE_JOBS: dict[str, Callable[[str, Profile, dict[str, str], Ranges], list[dict
 TABLE_FORMULAS = tuple(TABLE_JOBS)
 
 
-def _render_graded(graded: dict | None) -> str:
+def _render_graded(graded: GradedDim | None) -> str | None:
     if graded is None:
-        return ""
-    # GradedDim.to_json lists its degrees in order
+        return None
     return ";".join(f"d{d}:{m}" for d, m in graded.items())
 
 
@@ -266,12 +256,13 @@ def rows_to_csv(rows: list[dict]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
+        # csv writes None as an empty field
         writer.writerow(
             [
                 row["formula_id"],
-                "" if row["n"] is None else row["n"],
-                "" if row["k"] is None else row["k"],
-                "" if row["l"] is None else row["l"],
+                row["n"],
+                row["k"],
+                row["l"],
                 row["euler"],
                 _render_graded(row["graded"]),
                 _render_checks(row["cross_checks"]),
@@ -287,7 +278,7 @@ def rows_to_json(formula: str, profile: str, rows: list[dict]) -> str:
         "profile": profile,
         "rows": rows,
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, indent=2, sort_keys=True, default=GradedDim.to_json) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -314,7 +305,7 @@ def run_table(args: argparse.Namespace) -> int:
     profile = getattr(args, flag)
     if profile is None:
         raise UsageError("a --surface or --curve profile is required")
-    n_range = None if args.n is None else _exact_range(args.n, "--n")
+    n_range = None if args.n is None else parse_range(args.n, "--n")
     k_range = None if args.k is None else parse_range(args.k, "--k", allow_n=True)
     l_range = None if args.l is None else parse_range(args.l, "--l", allow_n=True)
     names = {b: getattr(args, b) for b in BUNDLE_LETTERS}
@@ -416,28 +407,26 @@ def run_jobs(config_path: str) -> int:
     for index, entry in enumerate(config.jobs):
         if "command" not in entry:
             raise ConfigError(f"jobs[{index}] is missing field 'command'")
+        command = str(entry["command"])
+        # Jobs inherit the config's geometry unless they name their own; the
+        # config file itself doubles as the profile argument.
+        part = "curve" if command == "table" and entry.get("formula") == "curve_bichar" else "surface"
+        inherit = command in ("table", "series") and getattr(config, part) is not None
+        argv = [command]
         for key, value in entry.items():
             if isinstance(value, bool) or not isinstance(value, (str, int)):
                 raise ConfigError(
                     f"jobs[{index}]: {key!r} must be a string or an integer, "
                     f"got {json.dumps(value)}"
                 )
-        command = str(entry["command"])
+            if key in ("surface", "curve"):
+                inherit = False
+            if key != "command":
+                argv.extend((f"--{key.replace('_', '-')}", str(value)))
         if command == "run":
             raise ConfigError(f"jobs[{index}]: a job cannot itself be 'run'")
-        argv = [command]
-        for key, value in entry.items():
-            if key == "command":
-                continue
-            argv.extend((f"--{str(key).replace('_', '-')}", str(value)))
-        # Jobs inherit the config's geometry unless they name their own; the
-        # config file itself doubles as the profile argument.
-        if command in ("table", "series") and not ({"surface", "curve"} & set(entry)):
-            wants_curve = command == "table" and entry.get("formula") == "curve_bichar"
-            if wants_curve and config.curve is not None:
-                argv.extend(("--curve", resolved))
-            elif not wants_curve and config.surface is not None:
-                argv.extend(("--surface", resolved))
+        if inherit:
+            argv.extend((f"--{part}", resolved))
         args = _read_args(argv)
         try:
             if args is None:
@@ -590,12 +579,6 @@ def _build_parser(
                 help=flag.help,
             )
     return parser
-
-
-def _exact_range(text: str, flag: str) -> tuple[int, int]:
-    lo, hi = parse_range(text, flag, allow_n=False)
-    assert hi is not None
-    return lo, hi
 
 
 def _run_args(args: argparse.Namespace) -> int:

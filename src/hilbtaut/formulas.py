@@ -330,6 +330,9 @@ def bichar_series(
     form of ``bichar_product``, so the two stay independent checks of
     each other.
     """
+    # negation would turn a bool chi into an int weight, which ray_exp accepts
+    if isinstance(chi_k_dual, bool) or isinstance(chi_l, bool):
+        raise TypeError("a chi must be an int or a Fraction, got a bool")
     # the rays vuQ, vQ, uQ and Q as (u step, v step, weight)
     rays = ((1, 1, chi_kl), (0, 1, -chi_k_dual), (1, 0, -chi_l), (0, 0, chi_o))
     return TruncSeries.ray_exp(_bichar_orders(n_max, k_max, l_max), rays)

@@ -389,15 +389,12 @@ def packaged_profile(name: str) -> str:
 def resolve_profile(spec: str, base: str = "") -> str:
     """Interpret a profile argument as a path, else as a packaged name.
     A relative path is read from ``base``, by default the working directory."""
-    path = os.path.join(base, spec)
-    if os.path.isfile(path):
-        return path
-    try:
-        return packaged_profile(spec)
-    except ConfigError:
-        raise ConfigError(
-            f"profile {spec!r} is neither an existing file nor a packaged profile"
-        ) from None
+    for path in (os.path.join(base, spec), os.path.join(_PROFILES, spec)):
+        if os.path.isfile(path):
+            return path
+    raise ConfigError(
+        f"profile {spec!r} is neither an existing file nor a packaged profile"
+    )
 
 
 def _nested_section(

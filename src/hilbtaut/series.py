@@ -149,14 +149,16 @@ class TruncSeries:
         one pass over F_{d-1} per ray and degree.  Truncation is by a
         monomial ideal and the steps only raise exponents, so dropping
         every exponent past its order at each step is exact.  Every weight
-        must be an int or a Fraction: it goes through Fraction(w, 1), which
-        raises TypeError for anything else, before a ray whose first step
-        lies past the orders, or whose weight is 0, is skipped.
+        must be an int or a Fraction: a bool raises TypeError, and so does
+        anything else in Fraction(w, 1), before a ray whose first step lies
+        past the orders, or whose weight is 0, is skipped.
         """
         orders = _normalize_orders(orders)
         q_top, u_top, v_top = orders
         steps = []
         for a, b, w in rays:
+            if isinstance(w, bool):
+                raise TypeError(f"ray weight must be an int or a Fraction, got {w!r}")
             w = _narrow(Fraction(w, 1))
             if w and a < u_top and b < v_top:
                 steps.append((a, b, w))

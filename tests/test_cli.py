@@ -31,6 +31,7 @@ def test_parse_range_single_value():
 def test_parse_range_interval():
     assert parse_range("1..4", "--n") == (1, 4)
     assert parse_range("2..2", "--n") == (2, 2)
+    assert parse_range(" 1 .. 3 ", "--n") == (1, 3)
 
 
 def test_parse_range_symbolic_upper_bound():
@@ -40,9 +41,25 @@ def test_parse_range_symbolic_upper_bound():
 
 
 def test_parse_range_rejects_garbage():
-    for bad in ("", "x", "1..", "..3", "n..2", "1..0", "-1"):
-        with pytest.raises(UsageError):
-            parse_range(bad, "--n", allow_n=True)
+    bad_range = '--n: bad range {!r}; use "a", "a..b" or "a..n"'.format
+    for text, allow_n, message in [
+        ("", True, bad_range("")),
+        ("x", True, bad_range("x")),
+        ("1..", True, bad_range("1..")),
+        ("..3", True, bad_range("..3")),
+        ("n..2", True, bad_range("n..2")),
+        ("1..0", True, "--n: empty range '1..0'"),
+        ("-1", True, "--n: range must be non-negative, got '-1'"),
+        ("1..2..3", True, bad_range("1..2..3")),
+        ("2..", True, bad_range("2..")),
+        ("..", True, bad_range("..")),
+        # the order and the "n" bound are checked before the sign
+        ("-2..-5", True, "--n: empty range '-2..-5'"),
+        ("-1..n", False, '--n: upper bound "n" is only valid for --k/--l'),
+    ]:
+        with pytest.raises(UsageError) as info:
+            parse_range(text, "--n", allow_n=allow_n)
+        assert str(info.value) == message, text
 
 
 # -- table command -----------------------------------------------------------------
@@ -1318,6 +1335,12 @@ def test_run_curve_job(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--config", str(path))
     assert code == 0
     assert "curve_bichar,2,,,1," in out
+    # a series job inherits no surface from a curve-only config
+    config["jobs"] = [{"command": "series", "formula": "bichar"}]
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: jobs[0]: the following arguments are required: --surface\n"
 
 
 def test_run_rejects_jobless_config(capsys, tmp_path):
@@ -1424,6 +1447,19 @@ def test_run_rejects_a_nested_run_job(capsys, tmp_path):
             "error: jobs[0]: unrecognized arguments: --help 1\n",
         ),
         ({"suite": "orbits"}, "error: jobs[0] is missing field 'command'\n"),
+        (
+            {"command": None},
+            "error: jobs[0]: 'command' must be a string or an integer, got null\n",
+        ),
+        (
+            {"command": ["table"]},
+            "error: jobs[0]: 'command' must be a string or an integer, got [\"table\"]\n",
+        ),
+        # every value is checked before the command is
+        (
+            {"command": "run", "out": None},
+            "error: jobs[0]: 'out' must be a string or an integer, got null\n",
+        ),
     ],
 )
 def test_run_names_the_job_an_argument_error_comes_from(capsys, tmp_path, entry, message):
@@ -1452,8 +1488,16 @@ def test_run_names_the_job_an_argument_error_comes_from(capsys, tmp_path, entry,
             [{"command": "series", "formula": "tensor_euler", "n_max": -1}],
             "error: jobs[0]: --n-max must be at least 0, got -1\n",
         ),
+        (
+            # the config has no curve for the job to inherit
+            [{"command": "table", "formula": "curve_bichar", "n": "1"}],
+            "error: jobs[0]: a --surface or --curve profile is required\n",
+        ),
     ],
-    ids=["table_empty_range", "verify_count_of_orbits", "series_negative_n_max"],
+    ids=[
+        "table_empty_range", "verify_count_of_orbits", "series_negative_n_max",
+        "curve_job_without_a_curve",
+    ],
 )
 def test_run_names_the_job_an_error_after_parsing_comes_from(capsys, tmp_path, jobs, message):
     # these errors used to print without the job's index

@@ -448,6 +448,13 @@ def test_bichar_series_rejects_a_float_chi(n_max):
             bichar_series(*chis_, n_max=n_max)
         with pytest.raises(TypeError, match="Rational instances"):
             bichar_series(*chis_, n_max=n_max, k_max=0, l_max=0)
+    # a bool chi in any slot, a skipped or a zero ray's included, fails as the
+    # TruncSeries constructor fails on a bool coefficient
+    for chis_ in [(True, 1, 1, 1), (1, True, 1, 1), (1, 1, False, 1), (1, 1, 1, False)]:
+        with pytest.raises(TypeError, match="must be an int or a Fraction, got"):
+            bichar_series(*chis_, n_max=n_max)
+        with pytest.raises(TypeError, match="must be an int or a Fraction, got"):
+            bichar_series(*chis_, n_max=n_max, k_max=0, l_max=0)
     assert bichar_series(Fraction(4, 2), 2, 1, 1, n_max=n_max) == bichar_series(2, 2, 1, 1, n_max=n_max)
 
 
