@@ -118,7 +118,7 @@ def _row(
 
 def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ranges) -> list[dict]:
     n_range, k_range, l_range = ranges
-    e_spec, f_spec, roles = formulas.variant_signature(formula)
+    e_spec, f_spec, source, target = formulas.variant_signature(formula)
     uses_k = "k" in (e_spec, f_spec)
     uses_l = "l" in (e_spec, f_spec)
     if n_range is None:
@@ -137,8 +137,10 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
         for k in (_expand(k_range or (0, None), n) if uses_k else [None])
         for l in (_expand(l_range or (0, None), n) if uses_l else [None])
     ]
-    chis = geometry.variant_chis(surface, roles, names)
-    slot_chis = tuple(chis[r] for r in roles)
+    slots = formulas.variant_slots(formula)
+    roles = [formulas.role_name(*slot) for slot in slots]
+    chis = geometry.variant_chis(surface, slots, names)
+    slot_chis = tuple(chis[role] for role in roles)
     euler_at = formulas.bichar_cells(n_top, *slot_chis)
     # one expansion and one set of powers per job: truncating at the
     # cells' largest n, e and f leaves every coefficient they read and
@@ -151,17 +153,13 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
     )
     job_notes = []
     try:
-        tables = geometry.variant_tables(surface, roles, names)
+        tables = geometry.variant_tables(surface, slots, names)
     except ConfigError as exc:
         graded_at = None
         job_notes.append(f"euler only: {exc}")
     else:
         graded_at = formulas.w_hom_cells(n_top, *(tables[role] for role in roles))
-    used = sorted({b for role in roles for b in formulas.TABLE_ROLES[role] if b})
-    inputs = {
-        "bundles": {b: names[b] for b in used},
-        "chis": {role: chis[role] for role in sorted(set(roles))},
-    }
+    inputs = {"bundles": {b: names[b] for b in (source, target) if b}, "chis": chis}
     rows = []
     for n, k, l, e, f in cells:
         euler = euler_at(n, e, f)
@@ -362,9 +360,11 @@ def run_series(args: argparse.Namespace) -> int:
     surface = _load_part(("surface", args.surface), "surface", args.formula, names)
     n_max = args.n_max
     if args.formula == "bichar":
-        roles = formulas.variant_signature("Extwedgewedge")[2]
-        chis = geometry.variant_chis(surface, roles, names)
-        series = formulas.bichar_series(*(chis[r] for r in roles), n_max=n_max)
+        slots = formulas.variant_slots("Extwedgewedge")
+        chis = geometry.variant_chis(surface, slots, names)
+        series = formulas.bichar_series(
+            *(chis[formulas.role_name(*slot)] for slot in slots), n_max=n_max
+        )
         inputs: dict = {"bundles": {b: names[b] for b in "KL"}, "chis": chis, "n_max": n_max}
     else:  # tensor_euler
         k_max = args.k_max if args.k_max is not None else n_max

@@ -143,65 +143,48 @@ def w_hom_cells(
     return cell
 
 
-#: table role -> (source, target) bundle letters.  Every input table is
-#: the graded Hom-space Hom*(source, target) on the surface, a missing
-#: letter standing for the structure sheaf O: H*(F) = Hom*(O, F) and
-#: H*(E^dual) = Hom*(E, O).
-TABLE_ROLES: dict[str, tuple[str | None, str | None]] = {
-    "hom_ef": ("E", "F"),
-    "coh_e_dual": ("E", None),
-    "coh_f": (None, "F"),
-    "coh_o": (None, None),
-    "coh_l": (None, "L"),
-    "coh_l_dual": ("L", None),
-    "coh_k_dual": ("K", None),
-    "hom_el": ("E", "L"),
-    "hom_lf": ("L", "F"),
-    "hom_kl": ("K", "L"),
+#: variant -> (e, f, source, target).  Every variant is the cell (e, f)
+#: of Hom*(W^e source^[n], W^f target^[n]): e and f are fixed or the wedge
+#: index "k" or "l", source and target are the bundle letters E, F, K, L
+#: or None, which stands for the structure sheaf O.
+_VARIANTS: dict[str, tuple[int | str, int | str, str | None, str | None]] = {
+    "cohF": (0, 1, None, "F"),
+    "cohEvee": (1, 0, "E", None),
+    "ExtEF": (1, 1, "E", "F"),
+    "cohwedge": (0, "k", None, "L"),
+    "ExtEwedge": (1, "k", "E", "L"),
+    "ExtwedgeF": ("k", 1, "L", "F"),
+    "Extwedgewedge": ("k", "l", "K", "L"),
 }
 
+VARIANTS = tuple(_VARIANTS)
 
-def role_bundles(role: str, names: Mapping[str, str]) -> tuple[str | None, str | None]:
-    """Source and target bundle names of a table role; None stands for O.
-
-    ``names`` maps the bundle letters E, F, K, L to profile bundle names.
-    """
-    if role not in TABLE_ROLES:
-        raise ValueError(f"unknown table role {role!r}")
-    src, tgt = TABLE_ROLES[role]
-    return (names[src] if src else None, names[tgt] if tgt else None)
+#: the (source, target) of a table Hom*(source, target); None stands for O
+Slot = tuple[str | None, str | None]
 
 
-# Substitution table: variant -> (e, f, slot keys) where e/f may be the
-# wedge indices k and l; the slots are the four tables of ``w_hom_cells``
-# in its order.  Duplicate keys encode identities like Hom*(O, F) = H*(F)
-# and H*(O^dual) = H*(O); single-wedge variants set the source (resp.
-# target) to the structure sheaf.
-_SUBSTITUTIONS: dict[str, tuple[object, object, tuple[str, str, str, str]]] = {
-    "cohF": (0, 1, ("coh_f", "coh_o", "coh_f", "coh_o")),
-    "cohEvee": (1, 0, ("coh_e_dual", "coh_e_dual", "coh_o", "coh_o")),
-    "ExtEF": (1, 1, ("hom_ef", "coh_e_dual", "coh_f", "coh_o")),
-    "cohwedge": (0, "k", ("coh_l", "coh_o", "coh_l", "coh_o")),
-    "ExtEwedge": (1, "k", ("hom_el", "coh_e_dual", "coh_l", "coh_o")),
-    "ExtwedgeF": ("k", 1, ("hom_lf", "coh_l_dual", "coh_f", "coh_o")),
-    "Extwedgewedge": ("k", "l", ("hom_kl", "coh_k_dual", "coh_l", "coh_o")),
-}
-
-VARIANTS = tuple(_SUBSTITUTIONS)
-
-
-def variant_signature(
-    variant: str,
-) -> tuple[int | str, int | str, tuple[str, str, str, str]]:
-    """Wedge indices and slot roles of a variant.
-
-    Returns (e, f, roles) where e and f are either fixed integers or the
-    placeholder strings "k"/"l", and roles names the four tables that
-    land in the ``w_hom_cells`` slots.
-    """
-    if variant not in _SUBSTITUTIONS:
+def variant_signature(variant: str) -> tuple[int | str, int | str, str | None, str | None]:
+    """The (e, f, source, target) of a variant; None stands for O."""
+    if variant not in _VARIANTS:
         raise ValueError(f"unknown formula variant {variant!r}; choose from {VARIANTS}")
-    return _SUBSTITUTIONS[variant]
+    return _VARIANTS[variant]
+
+
+def variant_slots(variant: str) -> tuple[Slot, Slot, Slot, Slot]:
+    """The four tables of a variant in ``w_hom_cells``' order:
+    Hom*(s, t), Hom*(s, O), Hom*(O, t) and Hom*(O, O)."""
+    _, _, source, target = variant_signature(variant)
+    return (source, target), (source, None), (None, target), (None, None)
+
+
+def role_name(source: str | None, target: str | None) -> str:
+    """The name of the table Hom*(source, target), None standing for O:
+    ``coh_o``, ``coh_<t>``, ``coh_<s>_dual`` or ``hom_<st>``."""
+    if source is None:
+        return f"coh_{(target or 'O').lower()}"
+    if target is None:
+        return f"coh_{source.lower()}_dual"
+    return f"hom_{source.lower()}{target.lower()}"
 
 
 def wedge_indices(variant: str, k: int | None, l: int | None) -> tuple[int | None, int | None]:
@@ -210,7 +193,7 @@ def wedge_indices(variant: str, k: int | None, l: int | None) -> tuple[int | Non
     A fixed index stays as it is; the placeholder "k" or "l" takes the
     value of k or l, None included.
     """
-    e_spec, f_spec, _ = variant_signature(variant)
+    e_spec, f_spec, _, _ = variant_signature(variant)
     indices = {"k": k, "l": l}
     return indices.get(e_spec, e_spec), indices.get(f_spec, f_spec)
 
@@ -224,15 +207,17 @@ def taut_formula(
 ) -> GradedDim:
     """One of the seven named graded Hom formulas.
 
-    Implemented purely as a substitution into ``w_hom`` so the variants
-    cannot drift apart from it.
+    ``tables`` holds each table under its ``role_name``.  Implemented
+    purely as a substitution into ``w_hom`` so the variants cannot drift
+    apart from it.
     """
     slots = []
-    for role in variant_signature(variant)[2]:
+    for source, target in variant_slots(variant):
+        role = role_name(source, target)
         if role not in tables:
-            src, tgt = TABLE_ROLES[role]
             raise MissingTableError(
-                f"variant {variant!r} needs table {role!r}, Hom*({src or 'O'}, {tgt or 'O'})"
+                f"variant {variant!r} needs table {role!r}, "
+                f"Hom*({source or 'O'}, {target or 'O'})"
             )
         slots.append(tables[role])
     return w_hom_cells(n, *slots)(n, *wedge_indices(variant, k, l))
@@ -241,13 +226,12 @@ def taut_formula(
 def negative_index_suppressed(variant: str, n: int, k: int = 0, l: int = 0) -> bool:
     """Whether the variant's expanded form has a vanishing S^(-1) term.
 
-    The single-wedge Ext formulas are displayed with an S^(n-k-1)
-    factor; at k = n that index is -1 and the term is dropped by the
-    zero convention.  Reports carry a flag whenever this fires.
+    The single-wedge Ext formulas (indices 1 and k) are displayed with an
+    S^(n-k-1) factor; at k = n that index is -1 and the term is dropped
+    by the zero convention.  Reports carry a flag whenever this fires.
     """
-    if variant in ("ExtEwedge", "ExtwedgeF"):
-        return k == n
-    return False
+    e_spec, f_spec, _, _ = variant_signature(variant)
+    return {e_spec, f_spec} == {1, "k"} and k == n
 
 
 # -- Euler characteristic of Hom between two wedge powers ---------------

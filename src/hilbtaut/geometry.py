@@ -18,7 +18,7 @@ import types
 from collections.abc import Callable, Mapping, Sequence
 from typing import NamedTuple
 
-from .formulas import role_bundles
+from .formulas import Slot, role_name
 from .graded import GradedDim
 
 
@@ -179,39 +179,41 @@ def surface_table(surface: SurfaceData, src: str | None, tgt: str | None) -> Gra
     return surface.class_tables[wanted]
 
 
+def _slot_bundles(slot: Slot, names: Mapping[str, str]) -> tuple[str | None, str | None]:
+    """The profile bundle names of a slot's letters E, F, K, L; None stays O."""
+    return tuple(names[letter] if letter else None for letter in slot)
+
+
 def variant_tables(
-    surface: SurfaceData, variant_keys: Sequence[str], names: Mapping[str, str]
+    surface: SurfaceData, slots: Sequence[Slot], names: Mapping[str, str]
 ) -> dict[str, GradedDim]:
-    """Cohomology table for each formula table role, given the map from
-    the bundle letters E, F, K, L to profile bundle names."""
+    """The cohomology table of each slot under its ``role_name``, given
+    the map from the bundle letters E, F, K, L to profile bundle names."""
     return {
-        role: surface_table(surface, *role_bundles(role, names))
-        for role in dict.fromkeys(variant_keys)
+        role_name(*slot): surface_table(surface, *_slot_bundles(slot, names))
+        for slot in slots
     }
 
 
 def variant_chis(
-    surface: SurfaceData, roles: Sequence[str], names: Mapping[str, str]
+    surface: SurfaceData, slots: Sequence[Slot], names: Mapping[str, str]
 ) -> dict[str, int]:
-    """Euler characteristic for each formula table role, from the lattice."""
+    """The Euler characteristic of each slot under its ``role_name``, from the lattice."""
     return {
-        role: rr_chi(surface, _hom_class(surface, *role_bundles(role, names)))
-        for role in roles
+        role_name(*slot): rr_chi(surface, _hom_class(surface, *_slot_bundles(slot, names)))
+        for slot in slots
     }
 
 
 def curve_chis(curve: CurveData, names: Mapping[str, str]) -> dict[str, int]:
     """The four Euler characteristics the curve pairing formula needs,
     given the bundle names selected for E and F."""
-
-    def chi(role: str) -> int:
-        return _curve_hom_chi(curve, *role_bundles(role, names))
-
+    e, f = names["E"], names["F"]
     return {
-        "chi_ef": chi("hom_ef"),
-        "chi_e_dual": chi("coh_e_dual"),
-        "chi_f": chi("coh_f"),
-        "chi_oc": chi("coh_o"),
+        "chi_ef": _curve_hom_chi(curve, e, f),
+        "chi_e_dual": _curve_hom_chi(curve, e, None),
+        "chi_f": _curve_hom_chi(curve, None, f),
+        "chi_oc": _curve_hom_chi(curve, None, None),
     }
 
 

@@ -16,7 +16,9 @@ from hilbtaut.formulas import (
     curve_bichar,
     rank3_check,
     taut_formula,
+    role_name,
     variant_signature,
+    variant_slots,
     w_hom_cells,
     wedge_indices,
 )
@@ -83,9 +85,11 @@ def test_criterion_4_variant_coherence_on_the_k3_fixture():
     for names in ({"E": "O", "F": "O", "K": "O", "L": "O"},
                   {"E": "H", "F": "H", "K": "H", "L": "H"}):
         for variant in VARIANTS:
-            e_spec, f_spec, roles = variant_signature(variant)
-            tables = variant_tables(surface, roles, names)
-            chis = variant_chis(surface, roles, names)
+            e_spec, f_spec, _, _ = variant_signature(variant)
+            pairs = variant_slots(variant)
+            roles = [role_name(*pair) for pair in pairs]
+            tables = variant_tables(surface, pairs, names)
+            chis = variant_chis(surface, pairs, names)
             for n in range(1, 7):
                 ks = range(n + 1) if "k" in (e_spec, f_spec) else (0,)
                 ls = range(n + 1) if "l" in (e_spec, f_spec) else (0,)

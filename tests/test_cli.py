@@ -222,7 +222,7 @@ def test_two_keys_of_one_class_with_different_tables_exit_two(capsys, tmp_path):
 
 @pytest.mark.parametrize("variant", formulas.VARIANTS)
 def test_two_keys_of_one_class_with_equal_tables_give_the_plain_rows(capsys, tmp_path, variant):
-    e_spec, f_spec, _ = formulas.variant_signature(variant)
+    e_spec, f_spec, _, _ = formulas.variant_signature(variant)
     argv = ["table", "--formula", variant, "--n", "1..3"]
     argv += ["--k", "0..n"] if "k" in (e_spec, f_spec) else []
     argv += ["--l", "0..n"] if "l" in (e_spec, f_spec) else []
@@ -369,7 +369,7 @@ def test_each_table_job_loads_its_profile_once(capsys, monkeypatch, argv):
 )
 def test_table_rows_are_the_library_substitution(capsys, variant, profile, names):
     # the CLI rows and taut_formula resolve (k, l) through one wedge_indices
-    e_spec, f_spec, roles = formulas.variant_signature(variant)
+    e_spec, f_spec, _, _ = formulas.variant_signature(variant)
     argv = ["table", "--formula", variant, "--surface", profile, "--n", "1..4"]
     argv += ["--k", "0..n"] if "k" in (e_spec, f_spec) else []
     argv += ["--l", "0..n"] if "l" in (e_spec, f_spec) else []
@@ -378,7 +378,7 @@ def test_table_rows_are_the_library_substitution(capsys, variant, profile, names
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     surface = cli.geometry.load_config(cli.geometry.packaged_profile(profile)).surface
-    tables = cli.geometry.variant_tables(surface, roles, names)
+    tables = cli.geometry.variant_tables(surface, formulas.variant_slots(variant), names)
     rows = json.loads(out)["rows"]
     assert rows
     for row in rows:

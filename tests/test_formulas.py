@@ -34,13 +34,14 @@ from hilbtaut.formulas import (
     curve_series,
     negative_index_suppressed,
     rank3_check,
-    role_bundles,
+    role_name,
     taut_formula,
     tensor_euler_closed,
     tensor_euler_from_series,
     tensor_euler_series,
     tensor_euler_terms,
     variant_signature,
+    variant_slots,
     w_hom,
     w_hom_cells,
     wedge_indices,
@@ -121,9 +122,9 @@ def test_w_hom_agrees_with_group_averaging_on_mixed_tables():
 )
 def test_w_hom_cells_match_group_averaging_on_profile_tables(profile, names):
     surface = load_config(packaged_profile(profile)).surface
-    roles = variant_signature("Extwedgewedge")[2]
-    tables = variant_tables(surface, roles, {"E": "O", "F": "O", **names})
-    slots = [tables[role] for role in roles]
+    pairs = variant_slots("Extwedgewedge")
+    tables = variant_tables(surface, pairs, {"E": "O", "F": "O", **names})
+    slots = [tables[role_name(*pair)] for pair in pairs]
     cells = w_hom_cells(6, *slots)
     averages = invariant_dim(6, *slots)
     for n in range(1, 7):
@@ -204,11 +205,11 @@ def test_packed_cells_match_a_dict_sum_on_k3_tables_up_to_ten_points():
     # the tables O, H and dual(H) of the packaged K3 in every Extwedgewedge
     # slot they fill; at n = 10 a cell sums up to six four-way products
     surface = load_config(packaged_profile("k3.json")).surface
-    roles = variant_signature("Extwedgewedge")[2]
+    pairs = variant_slots("Extwedgewedge")
     for k in ("O", "H"):
         for l in ("O", "H"):
-            tables = variant_tables(surface, roles, {"E": "O", "F": "O", "K": k, "L": l})
-            check_every_cell(10, [tables[role] for role in roles])
+            tables = variant_tables(surface, pairs, {"E": "O", "F": "O", "K": k, "L": l})
+            check_every_cell(10, [tables[role_name(*pair)] for pair in pairs])
 
 
 @pytest.mark.parametrize(
@@ -253,10 +254,31 @@ def test_w_hom_takes_only_powers_and_a_cell():
 
 def test_every_variant_has_a_signature_and_tables():
     for variant in VARIANTS:
-        e_spec, f_spec, roles = variant_signature(variant)
+        e_spec, f_spec, _, _ = variant_signature(variant)
+        roles = variant_slots(variant)
         assert len(roles) == 4
         for spec in (e_spec, f_spec):
             assert spec in (0, 1, "k", "l")
+
+
+@pytest.mark.parametrize(
+    "variant, roles",
+    [
+        ("cohF", ("coh_f", "coh_o", "coh_f", "coh_o")),
+        ("cohEvee", ("coh_e_dual", "coh_e_dual", "coh_o", "coh_o")),
+        ("ExtEF", ("hom_ef", "coh_e_dual", "coh_f", "coh_o")),
+        ("cohwedge", ("coh_l", "coh_o", "coh_l", "coh_o")),
+        ("ExtEwedge", ("hom_el", "coh_e_dual", "coh_l", "coh_o")),
+        ("ExtwedgeF", ("hom_lf", "coh_l_dual", "coh_f", "coh_o")),
+        ("Extwedgewedge", ("hom_kl", "coh_k_dual", "coh_l", "coh_o")),
+    ],
+)
+def test_variant_slots_are_named_by_their_bundles(variant, roles):
+    # Hom*(s, t), Hom*(s, O), Hom*(O, t), Hom*(O, O), O written as None
+    _, _, source, target = variant_signature(variant)
+    slots = variant_slots(variant)
+    assert slots == ((source, target), (source, None), (None, target), (None, None))
+    assert tuple(role_name(*slot) for slot in slots) == roles
 
 
 def test_unknown_variant_rejected():
@@ -268,6 +290,26 @@ def test_missing_table_error_names_the_role():
     with pytest.raises(MissingTableError) as err:
         taut_formula("ExtEF", 1, tables={"coh_o": K3_POINT})
     assert "hom_ef" in str(err.value)
+    assert err.value.args[0] == "variant 'ExtEF' needs table 'hom_ef', Hom*(E, F)"
+
+
+@pytest.mark.parametrize(
+    "variant, tables, message",
+    [
+        ("ExtwedgeF", {"hom_lf": K3_POINT},
+         "variant 'ExtwedgeF' needs table 'coh_l_dual', Hom*(L, O)"),
+        ("ExtEwedge", {"hom_el": K3_POINT, "coh_e_dual": K3_POINT},
+         "variant 'ExtEwedge' needs table 'coh_l', Hom*(O, L)"),
+        ("cohF", {"coh_f": K3_POINT},
+         "variant 'cohF' needs table 'coh_o', Hom*(O, O)"),
+    ],
+    ids=["coh_l_dual", "coh_l", "coh_o"],
+)
+def test_missing_table_error_names_each_slot_kind(variant, tables, message):
+    # Hom*(s, O), Hom*(O, t) and Hom*(O, O); Hom*(s, t) is the case above
+    with pytest.raises(MissingTableError) as err:
+        taut_formula(variant, 1, tables=tables)
+    assert err.value.args[0] == message
 
 
 def test_cohF_two_points():
@@ -327,7 +369,7 @@ def test_substitution_resolves_placeholders():
 def test_wedge_indices_of_every_variant(variant, expected):
     assert wedge_indices(variant, 2, 3) == expected
     # a letter the variant does not use may be None; a used one stays None
-    e_spec, f_spec, _ = variant_signature(variant)
+    e_spec, f_spec, _, _ = variant_signature(variant)
     uses_k, uses_l = "k" in (e_spec, f_spec), "l" in (e_spec, f_spec)
     assert wedge_indices(variant, 2 if uses_k else None, 3 if uses_l else None) == expected
     missing = wedge_indices(variant, None, None)
@@ -691,7 +733,6 @@ HALF_AT_Q = TruncSeries({"Q": 2, "u": 1, "v": 1}, {(1, 0, 0): Fraction(1, 2)})
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: role_bundles("nosuch", {}), "unknown table role 'nosuch'"),
         (lambda: bichar_series(1, 1, 1, 1, n_max=-1), "n_max must be non-negative, got -1"),
         (
             lambda: tensor_euler_series([1], 1, 1, n_max=-1, k_max=0),
@@ -707,7 +748,7 @@ HALF_AT_Q = TruncSeries({"Q": 2, "u": 1, "v": 1}, {(1, 0, 0): Fraction(1, 2)})
             "non-integer coefficient 1/2 at Q^1 u^0",
         ),
     ],
-    ids=["role_bundles_unknown_role", "bichar_series_negative_n_max",
+    ids=["bichar_series_negative_n_max",
          "tensor_euler_series_negative_n_max", "curve_series_zero_n_max",
          "bichar_from_series_fraction", "tensor_euler_from_series_fraction"],
 )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbtaut.formulas import rank3_check
+from hilbtaut.formulas import rank3_check, role_name, variant_slots
 from hilbtaut.graded import GradedDim
 from hilbtaut.geometry import (
     Config,
@@ -204,9 +204,7 @@ def test_two_keys_of_one_class_with_different_tables_are_rejected_at_load(tmp_pa
 
 
 def test_variant_tables_resolves_role_names():
-    tables = variant_tables(
-        K3, ("hom_ef", "coh_e_dual", "coh_f", "coh_o"), {"E": "H", "F": "H"}
-    )
+    tables = variant_tables(K3, variant_slots("ExtEF"), {"E": "H", "F": "H"})
     assert dict(tables["hom_ef"].items()) == {0: 1, 2: 1}
     assert dict(tables["coh_e_dual"].items()) == {2: 4}
     assert dict(tables["coh_f"].items()) == {0: 4}
@@ -214,16 +212,15 @@ def test_variant_tables_resolves_role_names():
 
 
 def test_variant_chis_from_lattice_only():
-    chis = variant_chis(
-        K3, ("hom_kl", "coh_k_dual", "coh_l", "coh_o"), {"K": "H", "L": "H"}
-    )
+    chis = variant_chis(K3, variant_slots("Extwedgewedge"), {"K": "H", "L": "H"})
     assert chis == {"hom_kl": 2, "coh_k_dual": 4, "coh_l": 4, "coh_o": 2}
 
 
 def test_variant_chis_consistent_with_tables():
-    roles = ("hom_ef", "coh_e_dual", "coh_f", "coh_o")
-    tables = variant_tables(K3, roles, {"E": "H", "F": "H"})
-    chis = variant_chis(K3, roles, {"E": "H", "F": "H"})
+    slots = variant_slots("ExtEF")
+    roles = [role_name(*slot) for slot in slots]
+    tables = variant_tables(K3, slots, {"E": "H", "F": "H"})
+    chis = variant_chis(K3, slots, {"E": "H", "F": "H"})
     for role in roles:
         assert tables[role].euler() == chis[role]
 
