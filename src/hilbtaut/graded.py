@@ -164,19 +164,25 @@ def _power_layers(k: int, space: GradedDim, sym: bool) -> list[dict[int, int]]:
         return []
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
     for d, m in space._dims.items():
-        bosonic = (d % 2 == 0) == sym
-        if bosonic:
-            factor = [s_scalar(j, m) for j in range(k + 1)]
-        else:
-            factor = [math.comb(m, j) for j in range(min(m, k) + 1)]
+        # the z^j coefficient is C(m+j-1, j) on a bosonic layer and C(m, j)
+        # on a fermionic one: the one before times (m+j-1)/j or (m-j+1)/j,
+        # so a fermionic factor ends at its first zero, j = m + 1
+        step = 1 if (d % 2 == 0) == sym else -1
+        factor = [1]
+        for j in range(1, k + 1):
+            c = factor[-1] * (m + step * (j - 1)) // j
+            if not c:
+                break
+            factor.append(c)
         new: list[dict[int, int]] = [{} for _ in range(k + 1)]
         for a, base in enumerate(layers):
             if not base:
                 continue
             for b, c in enumerate(factor[: k + 1 - a]):
                 tgt = new[a + b]
+                shift = d * b
                 for deg, coeff in base.items():
-                    key = deg + d * b
+                    key = deg + shift
                     tgt[key] = tgt.get(key, 0) + coeff * c
         layers = new
     return layers

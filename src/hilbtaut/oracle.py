@@ -9,14 +9,18 @@ integer recurrence, the cycle-index exponential formula (Macdonald,
 *Symmetric Functions and Hall Polynomials*, §I.2), fed only by the
 trace of a single cycle.  The orbit closure reads its two generators
 and its subsets, grouped by size, from tables built once per n and
-shared by every (e, f) cell.  Beyond those, the only concessions to
-speed are hard size bounds.
+shared by every (e, f) cell.  Each call marks the pairs it has closed
+in one byte map of 4^n entries (16 MiB at n = 12), holding for each
+pair the number of its orbit (a cell has at most n + 1 orbits), so an
+image already in an earlier orbit shows that the generators do not
+permute the pairs.  The power enumeration lists every monomial of one
+size, breadth first, and extends each to the next.  Beyond those, the
+only concessions to speed are hard size bounds.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -181,7 +185,9 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
     rotation of all n points and the swap of points 0 and 1, acting on
     plain (first_mask, second_mask) pairs; no classification is used.
     Each orbit records its minimal pair in that order, its size and the
-    stabilizer order of the representative by orbit-stabilizer.
+    stabilizer order of the representative by orbit-stabilizer.  Two
+    orbits that meet, a size that does not divide n!, and sizes that do
+    not add up to the number of pairs each raise ConsistencyError.
     """
     if not 0 <= e <= n or not 0 <= f <= n:
         raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
@@ -192,32 +198,42 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
     first_masks, second_masks = by_size[e], by_size[f]
 
     order = math.factorial(n)
-    seen: set[tuple[int, int]] = set()
+    # the number of the orbit that holds each pair, coded first << n | second
+    orbit_of = bytearray(1 << 2 * n)
     orbits: list[Orbit] = []
-    count = covered = 0
-    # the product of two sorted lists streams the pairs in increasing order
-    for pair in itertools.product(first_masks, second_masks):
-        count += 1
-        if pair in seen:
-            continue
-        frontier = [pair]
-        members = {pair}
-        while frontier:
-            fm, sm = frontier.pop()
-            for image in generators:
-                nxt = (image[fm], image[sm])
-                if nxt not in members:
-                    members.add(nxt)
-                    frontier.append(nxt)
-        seen |= members
-        size = len(members)
-        covered += size
-        quot, rem = divmod(order, size)
-        if rem != 0:
-            raise ConsistencyError(f"orbit size {size} does not divide group order {order}")
-        orbits.append(Orbit(representative=IndexPair(*pair), size=size, stabilizer_order=quot))
+    covered = 0
+    # scanning the two sorted lists meets the pairs in increasing order
+    for first in first_masks:
+        high = first << n
+        for second in second_masks:
+            if orbit_of[high | second]:
+                continue
+            number = len(orbits) + 1
+            if number > 255:
+                raise ConsistencyError(f"more than 255 orbits in the ({e}, {f}) cell of n={n}")
+            orbit_of[high | second] = number
+            frontier = [(first, second)]
+            size = 1
+            while frontier:
+                fm, sm = frontier.pop()
+                for image in generators:
+                    nfm, nsm = image[fm], image[sm]
+                    code = nfm << n | nsm
+                    held = orbit_of[code]
+                    if held != number:
+                        # the orbits of a group never overlap
+                        if held:
+                            raise ConsistencyError(f"orbits {held} and {number} overlap")
+                        orbit_of[code] = number
+                        size += 1
+                        frontier.append((nfm, nsm))
+            covered += size
+            quot, rem = divmod(order, size)
+            if rem != 0:
+                raise ConsistencyError(f"orbit size {size} does not divide group order {order}")
+            orbits.append(Orbit(IndexPair(first, second), size, quot))
 
-    if covered != count:
+    if covered != len(first_masks) * len(second_masks):
         raise ConsistencyError("orbit sizes do not add up to the number of pairs")
     return tuple(orbits)
 
@@ -236,25 +252,28 @@ def _enumerate_powers(top: int, space: GradedDim, sym: bool) -> list[GradedDim]:
     if top > POWER_EXPONENT_BOUND:
         raise SizeBoundError(f"exponent {top} exceeds bound {POWER_EXPONENT_BOUND}")
     # one label per basis vector; a label of odd degree is unrepeatable
-    # in a symmetric power, one of even degree unrepeatable in a wedge
-    labels: list[tuple[int, bool]] = []
+    # in a symmetric power, one of even degree unrepeatable in a wedge.
+    # A monomial lists its labels in order, so it grows only at or after
+    # its last label, and past it when that one is unrepeatable: moves[p]
+    # is (next start, degree added) for the label at position p
+    moves: list[tuple[int, int]] = []
     for d, m in space.items():
         repeatable = (d % 2 == 0) == sym
-        labels.extend((d, repeatable) for _ in range(m))
+        for pos in range(len(moves), len(moves) + m):
+            moves.append((pos if repeatable else pos + 1, d))
+    steps = [moves[start:] for start in range(len(moves) + 1)]
 
-    counts: list[dict[int, int]] = [{} for _ in range(top + 1)]
-
-    def extend(start: int, size: int, degree: int) -> None:
-        # a monomial lists its labels in order, so it grows only at or
-        # after its last label, and past it when that one is unrepeatable
-        counts[size][degree] = counts[size].get(degree, 0) + 1
-        if size == top:
-            return
-        for pos in range(start, len(labels)):
-            d, repeatable = labels[pos]
-            extend(pos if repeatable else pos + 1, size + 1, degree + d)
-
-    extend(0, 0, 0)
+    # one (start, degree) entry per monomial of the current size
+    monomials = [(0, 0)]
+    counts: list[dict[int, int]] = [{0: 1}]
+    for _ in range(top):
+        monomials = [
+            (nxt, degree + d) for start, degree in monomials for nxt, d in steps[start]
+        ]
+        count: dict[int, int] = {}
+        for _, degree in monomials:
+            count[degree] = count.get(degree, 0) + 1
+        counts.append(count)
     # each layer is fresh and counts every monomial it holds at least once
     return [GradedDim.wrap(layer) for layer in counts]
 

@@ -239,3 +239,21 @@ def test_sym_dimension_growth_on_even_space():
     space = GradedDim({0: 2})
     dims = [sym_power(k, space)[0] for k in range(5)]
     assert dims == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1, 2])
+def test_single_layer_powers_are_binomials_past_the_oracle_bounds(d):
+    # one layer of dimension m: the k-th power is C(m+k-1, k) or C(m, k)
+    # copies of degree k*d, repeatable for sym on even d and for wedge on
+    # odd d; GradedDim drops a zero count, so a truncated power must be
+    # the zero space
+    for m in range(1, 41):
+        space = GradedDim({d: m})
+        for powers, repeatable in (
+            (sym_powers(12, space), d % 2 == 0),
+            (wedge_powers(12, space), d % 2 == 1),
+        ):
+            expected = [
+                math.comb(m + k - 1, k) if repeatable else math.comb(m, k) for k in range(13)
+            ]
+            assert powers == [GradedDim({k * d: c}) for k, c in enumerate(expected)], m

@@ -335,6 +335,15 @@ def test_an_orbit_that_leaves_its_cell_is_an_error(monkeypatch):
         orbit_decomposition(2, 1, 0)
 
 
+def test_a_generator_that_is_not_a_permutation_is_an_error(monkeypatch):
+    _, by_size = _pair_tables(2)
+    # sends both one-point masks 1 and 2 to 1: the pair (1, 0) is an
+    # orbit on its own, and the closure of (2, 0) reaches it
+    monkeypatch.setattr(oracle, "_pair_tables", lambda n: (((0, 1, 1, 3),), by_size))
+    with pytest.raises(ConsistencyError):
+        orbit_decomposition(2, 1, 0)
+
+
 def test_index_pair_round_trip():
     pair = from_indices([0, 2], [1, 2, 3])
     assert pair.first_indices() == (0, 2)

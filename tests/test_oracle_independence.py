@@ -3,7 +3,10 @@
 ``oracle.py`` may import nothing from the closed formulas or the series
 layer, and must never name the closed power functions ``sym_power``,
 ``wedge_power`` or their list forms ``sym_powers`` and ``wedge_powers``;
-its own powers come from basis enumeration.  The check
+its own powers come from basis enumeration.  Nor may it name the
+binomial counts ``comb``, ``s_scalar`` or ``lambda_scalar``: the
+enumeration must count monomials one by one, not multiply binomials,
+or it would reproduce the closed formula it checks.  The check
 reads the module's syntax tree, so it holds for every code path, not
 only the ones a test happens to run.
 """
@@ -16,7 +19,9 @@ from pathlib import Path
 import hilbtaut.oracle
 
 FORBIDDEN_MODULES = {"formulas", "series"}
-FORBIDDEN_NAMES = {"sym_power", "wedge_power", "sym_powers", "wedge_powers"}
+FORBIDDEN_NAMES = {
+    "sym_power", "wedge_power", "sym_powers", "wedge_powers", "comb", "s_scalar", "lambda_scalar",
+}
 
 
 def _tree() -> ast.Module:
