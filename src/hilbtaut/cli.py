@@ -333,16 +333,9 @@ def run_verify(args: argparse.Namespace) -> int:
     _at_least(args.workers, 1, "--workers")
     _at_least(args.count, 1, "--count")
     _at_least(args.nmax, 1, "--nmax")
-    kwargs: dict = {"seed": args.seed}
-    if args.nmax is not None:
-        if args.suite == "graded_powers":
-            raise UsageError("graded_powers has no --nmax bound (its domain is fixed)")
-        kwargs["nmax"] = args.nmax
-    if args.count is not None:
-        if args.suite == "orbits":
-            raise UsageError("orbits has no --count (it is exhaustive)")
-        kwargs["count"] = args.count
-    verdict = verify.run_suite(args.suite, **kwargs)
+    sizes = {"nmax": args.nmax, "count": args.count}
+    sizes = {size: value for size, value in sizes.items() if value is not None}
+    verdict = verify.run_suite(args.suite, seed=args.seed, **sizes)
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     return 0 if verdict["pass"] else 1

@@ -196,10 +196,6 @@ def _whom_family_task(seed: int, index: int, nmax: int) -> tuple[dict | None, di
 def suite_whom_oracle(seed: int = DEFAULT_SEED, nmax: int = 5, count: int = 20) -> dict:
     """Closed Hom-space formula against full symmetric group averaging,
     plus the source/target swap symmetry, on random table families."""
-    if nmax > oracle.AVERAGING_BOUND:
-        raise oracle.SizeBoundError(
-            f"nmax={nmax} exceeds averaging bound {oracle.AVERAGING_BOUND}"
-        )
     results = parallel_map(lambda index: _whom_family_task(seed, index, nmax), range(count))
     checks = [
         _check("matches_group_averaging", _first(bad for bad, _ in results), {"families": count}),
@@ -392,8 +388,6 @@ def _orbit_cell(n: int, e: int, f: int) -> tuple[dict | None, dict | None, dict 
 def suite_orbits(seed: int = DEFAULT_SEED, nmax: int = 7) -> dict:
     """Orbit decomposition of subset pairs against the closed count,
     the stabilizer order formula, and the reference representatives."""
-    if nmax > oracle.ENUM_BOUND:
-        raise oracle.SizeBoundError(f"nmax={nmax} exceeds enumeration bound {oracle.ENUM_BOUND}")
     cells = [
         _orbit_cell(n, e, f)
         for n in range(1, nmax + 1)
@@ -408,17 +402,30 @@ def suite_orbits(seed: int = DEFAULT_SEED, nmax: int = 7) -> dict:
     return verdict
 
 
-_RUNNERS = {
-    "appendix": suite_appendix,
-    "whom_oracle": suite_whom_oracle,
-    "tensor_euler": suite_tensor_euler,
-    "graded_powers": suite_graded_powers,
-    "orbits": suite_orbits,
+#: each suite's runner and, per size, the largest value it accepts or why it
+#: takes none; each bound that is not an oracle's own is the largest size
+#: whose run, the other size at its default, ends within about 30 s
+SUITE_TABLE: dict[str, tuple[Callable[..., dict], dict[str, int | str]]] = {
+    "appendix": (suite_appendix, {"nmax": 80, "count": 40_000}),
+    "whom_oracle": (suite_whom_oracle, {"nmax": oracle.AVERAGING_BOUND, "count": 30_000}),
+    "tensor_euler": (suite_tensor_euler, {"nmax": 160, "count": 90_000}),
+    "graded_powers": (suite_graded_powers, {"nmax": "its domain is fixed", "count": 800_000}),
+    "orbits": (suite_orbits, {"nmax": oracle.ENUM_BOUND, "count": "it is exhaustive"}),
 }
-SUITES = tuple(_RUNNERS)
+SUITES = tuple(SUITE_TABLE)
 
 
 def run_suite(name: str, **kwargs) -> dict:
-    if name not in _RUNNERS:
+    """Suite ``name``'s verdict, once every size in ``kwargs`` has passed
+    its row: first a size the suite takes none of, then one above its bound."""
+    if name not in SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _RUNNERS[name](**kwargs)
+    runner, bounds = SUITE_TABLE[name]
+    sizes = [(size, kwargs[size], bound) for size, bound in bounds.items() if size in kwargs]
+    for size, _, bound in sizes:
+        if isinstance(bound, str):
+            raise ValueError(f"{name} has no --{size} ({bound})")
+    for size, value, bound in sizes:
+        if value > bound:
+            raise oracle.SizeBoundError(f"--{size} {value} exceeds the {name} bound {bound}")
+    return runner(**kwargs)

@@ -1073,12 +1073,34 @@ def test_verify_rejects_inapplicable_knobs(capsys):
     assert code == 2
 
 
+#: every numeric size bound of the suite table plus one, and sizes far past
+#: the bounds, which would otherwise build work lists without end
+OVERSIZE = [
+    *(
+        (suite, size, str(bound + 1))
+        for suite, (_, bounds) in verify.SUITE_TABLE.items()
+        for size, bound in bounds.items()
+        if not isinstance(bound, str)
+    ),
+    *(
+        (suite, "count", str(10**20))
+        for suite in ("appendix", "whom_oracle", "tensor_euler", "graded_powers")
+    ),
+    ("appendix", "nmax", "100000"),
+    ("tensor_euler", "nmax", "100000"),
+]
+
+
 @pytest.mark.parametrize(
-    "suite, nmax",
-    [("whom_oracle", str(oracle.AVERAGING_BOUND + 1)), ("orbits", str(oracle.ENUM_BOUND + 1))],
+    "suite, size, value",
+    OVERSIZE,
+    ids=[
+        "-".join((suite, value) if size == "nmax" else (suite, size, value))
+        for suite, size, value in OVERSIZE
+    ],
 )
-def test_verify_size_bound_is_a_usage_error(capsys, suite, nmax):
-    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--nmax", nmax)
+def test_verify_size_bound_is_a_usage_error(capsys, suite, size, value):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, f"--{size}", value)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "bound" in err
 

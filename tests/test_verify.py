@@ -68,6 +68,18 @@ def test_run_suite_rejects_unknown_name():
         run_suite("nonsense")
 
 
+def test_run_suite_checks_sizes_before_running(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "orbit_decomposition", lambda *args: calls.append(args))
+    with pytest.raises(oracle.SizeBoundError):
+        run_suite("orbits", nmax=oracle.ENUM_BOUND + 1)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"^orbits has no --count \(it is exhaustive\)$"):
+        run_suite("orbits", count=3)
+    with pytest.raises(ValueError, match=r"^graded_powers has no --nmax "):
+        run_suite("graded_powers", nmax=3)
+
+
 def test_all_suites_are_runnable_small():
     small = {
         "appendix": {"nmax": 2, "count": 2},
