@@ -76,26 +76,20 @@ def _expand(bound: tuple[int, int | None], n: int) -> list[int]:
 #: the letters whose bundles a table job selects with --E/--F/--K/--L
 BUNDLE_LETTERS = ("E", "F", "K", "L")
 
-#: a table job's parsed --n, --k and --l ranges, None where a flag is
-#: absent; a --k/--l upper bound None stands for the row's n
+#: a table job's --n, --k and --l ranges, None where its formula takes no
+#: such flag; a --k/--l upper bound None stands for the row's n
 Range = tuple[int, int | None]
 Ranges = tuple[tuple[int, int] | None, Range | None, Range | None]
-#: the profile flag a job was given, "surface" or "curve", and its value
-Profile = tuple[str, str]
 
 
 def _load_part(
-    profile: Profile, part: str, formula: str, names: dict[str, str]
+    spec: str, part: str, formula: str, names: dict[str, str]
 ) -> geometry.SurfaceData | geometry.CurveData:
-    """The surface or the curve of a table job's profile.
+    """The surface or the curve of profile ``spec``.
 
-    The profile must come from the flag of that part.  Every selected
-    bundle must exist in it, also one the formula does not use and also
-    when no cell is in range.
+    Every selected bundle must exist in it, also one the formula does
+    not use and also when no cell is in range.
     """
-    flag, spec = profile
-    if flag != part:
-        raise UsageError(f"{formula} reads its profile from --{part}, not --{flag}")
     data = getattr(geometry.load_config(geometry.resolve_profile(spec)), part)
     if data is None:
         raise ConfigError(f"formula {formula!r} needs a {part} profile")
@@ -116,26 +110,17 @@ def _row(
     }
 
 
-def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ranges) -> list[dict]:
+def _variant_job(
+    formula: str, surface: geometry.SurfaceData, names: dict[str, str], ranges: Ranges
+) -> list[dict]:
     n_range, k_range, l_range = ranges
-    e_spec, f_spec, source, target = formulas.variant_signature(formula)
-    uses_k = "k" in (e_spec, f_spec)
-    uses_l = "l" in (e_spec, f_spec)
-    if n_range is None:
-        raise UsageError(f"--n is required for {formula}")
-    if k_range is not None and not uses_k:
-        raise UsageError(f"{formula} takes no --k range")
-    if l_range is not None and not uses_l:
-        raise UsageError(f"{formula} takes no --l range")
-    if n_range[0] < 1:
-        raise UsageError(f"{formula} needs n >= 1")
-    surface = _load_part(profile, "surface", formula, names)
+    _, _, source, target = formulas.variant_signature(formula)
     n_top = n_range[1]
     cells = [
         (n, k, l, *formulas.wedge_indices(formula, k, l))
         for n in range(n_range[0], n_top + 1)
-        for k in (_expand(k_range or (0, None), n) if uses_k else [None])
-        for l in (_expand(l_range or (0, None), n) if uses_l else [None])
+        for k in (_expand(k_range, n) if k_range else [None])
+        for l in (_expand(l_range, n) if l_range else [None])
     ]
     slots = formulas.variant_slots(formula)
     roles = [formulas.role_name(*slot) for slot in slots]
@@ -177,24 +162,15 @@ def _variant_job(formula: str, profile: Profile, names: dict[str, str], ranges: 
     return rows
 
 
-def _curve_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ranges) -> list[dict]:
-    n_range, k_range, l_range = ranges
-    if n_range is None:
-        raise UsageError(f"--n is required for {formula}")
-    if k_range is not None or l_range is not None:
-        raise UsageError("curve_bichar takes no --k/--l ranges")
-    if n_range[0] < 1:
-        raise UsageError("curve_bichar needs n >= 1")
-    curve = _load_part(profile, "curve", formula, names)
+def _curve_job(
+    formula: str, curve: geometry.CurveData, names: dict[str, str], ranges: Ranges
+) -> list[dict]:
+    n_range = ranges[0]
     chis = geometry.curve_chis(curve, names)
     series = formulas.curve_series(
         chis["chi_ef"], chis["chi_e_dual"], chis["chi_f"], chis["chi_oc"], n_max=n_range[1]
     )
-    inputs = {
-        "bundles": {"E": names["E"], "F": names["F"]},
-        "chis": chis,
-        "genus": curve.genus,
-    }
+    inputs = {"bundles": {"E": names["E"], "F": names["F"]}, "chis": chis, "genus": curve.genus}
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
         value = formulas.curve_bichar(n, **chis)
@@ -205,36 +181,33 @@ def _curve_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ra
             expected = -curve.genus * chis["chi_ef"] + chis["chi_e_dual"] * chis["chi_f"]
             cross_checks.append(["quadratic_simplification", value == expected])
         cross_checks.append(["curve_series", series.coeff_at(n) == value])
-        rows.append(_row("curve_bichar", n, value, cross_checks, inputs, []))
+        rows.append(_row(formula, n, value, cross_checks, inputs, []))
     return rows
 
 
-def _rank3_job(formula: str, profile: Profile, names: dict[str, str], ranges: Ranges) -> list[dict]:
-    n_range, k_range, l_range = ranges
-    if n_range is not None or k_range is not None or l_range is not None:
-        raise UsageError("rank3_check takes no --n/--k/--l ranges")
-    surface = _load_part(profile, "surface", formula, names)
+def _rank3_job(
+    formula: str, surface: geometry.SurfaceData, names: dict[str, str], ranges: Ranges
+) -> list[dict]:
     result = formulas.rank3_check(surface.chi_o, surface.chi_omega)
-    return [_row(
-        "rank3_check",
-        2,
-        result.value,
-        [["lambda_sq_conjecture", result.value == result.naive]],
-        {
-            "chi_O": surface.chi_o,
-            "chi_Omega": surface.chi_omega,
-            "naive": result.naive,
-        },
-        ["the lambda_sq_conjecture check records the naive prediction"],
-    )]
+    inputs = {"chi_O": surface.chi_o, "chi_Omega": surface.chi_omega, "naive": result.naive}
+    checks = [["lambda_sq_conjecture", result.value == result.naive]]
+    notes = ["the lambda_sq_conjecture check records the naive prediction"]
+    return [_row(formula, 2, result.value, checks, inputs, notes)]
 
 
-#: formula id -> the job that checks the table's ranges before it loads
-#: the profile, then returns the table's rows; the variants come first
-TABLE_JOBS: dict[str, Callable[[str, Profile, dict[str, str], Ranges], list[dict]]] = {
-    **dict.fromkeys(formulas.VARIANTS, _variant_job),
-    "curve_bichar": _curve_job,
-    "rank3_check": _rank3_job,
+#: formula id -> (job, part, flags): the job that returns the table's rows
+#: from the profile part it reads, "surface" or "curve", and the range
+#: flags the formula takes; a variant takes --k or --l exactly when its e
+#: or f is "k" or "l".  The variants come first.
+TABLE_JOBS: dict[str, tuple[Callable[..., list[dict]], str, str]] = {
+    **{
+        variant: (_variant_job, "surface", "n" + "".join(
+            index for index in "kl" if index in formulas.variant_signature(variant)[:2]
+        ))
+        for variant in formulas.VARIANTS
+    },
+    "curve_bichar": (_curve_job, "curve", "n"),
+    "rank3_check": (_rank3_job, "surface", ""),
 }
 TABLE_FORMULAS = tuple(TABLE_JOBS)
 
@@ -303,13 +276,26 @@ def run_table(args: argparse.Namespace) -> int:
     profile = getattr(args, flag)
     if profile is None:
         raise UsageError("a --surface or --curve profile is required")
-    n_range = None if args.n is None else parse_range(args.n, "--n")
-    k_range = None if args.k is None else parse_range(args.k, "--k", allow_n=True)
-    l_range = None if args.l is None else parse_range(args.l, "--l", allow_n=True)
+    given = {x: getattr(args, x) for x in "nkl" if getattr(args, x) is not None}
+    ranges = {x: parse_range(text, f"--{x}", allow_n=x != "n") for x, text in given.items()}
+    formula = args.formula
+    job, part, flags = TABLE_JOBS[formula]
+    if "n" in flags and "n" not in ranges:
+        raise UsageError(f"--n is required for {formula}")
+    if not set(ranges) <= set(flags):
+        refused = [f"--{x}" for x in "nkl" if x not in flags]
+        plural = "s" if len(refused) > 1 else ""
+        raise UsageError(f"{formula} takes no {'/'.join(refused)} range{plural}")
+    if "n" in ranges and ranges["n"][0] < 1:
+        raise UsageError(f"{formula} needs n >= 1")
+    if flag != part:
+        raise UsageError(f"{formula} reads its profile from --{part}, not --{flag}")
     names = {b: getattr(args, b) for b in BUNDLE_LETTERS}
-    rows = TABLE_JOBS[args.formula](
-        args.formula, (flag, profile), names, (n_range, k_range, l_range)
-    )
+    data = _load_part(profile, part, formula, names)
+    # a --k/--l range the formula takes and was not given is 0..n
+    rows = job(formula, data, names, tuple(
+        ranges.get(x, (0, None)) if x in flags else None for x in "nkl"
+    ))
     for row in rows:
         for name, ok in row["cross_checks"]:
             if not ok and name not in RECORD_CHECKS:
@@ -331,8 +317,6 @@ def run_table(args: argparse.Namespace) -> int:
 
 def run_verify(args: argparse.Namespace) -> int:
     _at_least(args.workers, 1, "--workers")
-    _at_least(args.count, 1, "--count")
-    _at_least(args.nmax, 1, "--nmax")
     sizes = {"nmax": args.nmax, "count": args.count}
     sizes = {size: value for size, value in sizes.items() if value is not None}
     verdict = verify.run_suite(args.suite, seed=args.seed, **sizes)
@@ -350,7 +334,7 @@ def run_series(args: argparse.Namespace) -> int:
         raise UsageError("bichar takes no --k-max")
     _at_least(args.k_max, 0, "--k-max")
     names = {b: getattr(args, b) for b in "FKL"}
-    surface = _load_part(("surface", args.surface), "surface", args.formula, names)
+    surface = _load_part(args.surface, "surface", args.formula, names)
     n_max = args.n_max
     if args.formula == "bichar":
         slots = formulas.variant_slots("Extwedgewedge")
@@ -401,10 +385,6 @@ def run_jobs(config_path: str) -> int:
         if "command" not in entry:
             raise ConfigError(f"jobs[{index}] is missing field 'command'")
         command = str(entry["command"])
-        # Jobs inherit the config's geometry unless they name their own; the
-        # config file itself doubles as the profile argument.
-        part = "curve" if command == "table" and entry.get("formula") == "curve_bichar" else "surface"
-        inherit = command in ("table", "series") and getattr(config, part) is not None
         argv = [command]
         for key, value in entry.items():
             if isinstance(value, bool) or not isinstance(value, (str, int)):
@@ -412,13 +392,17 @@ def run_jobs(config_path: str) -> int:
                     f"jobs[{index}]: {key!r} must be a string or an integer, "
                     f"got {json.dumps(value)}"
                 )
-            if key in ("surface", "curve"):
-                inherit = False
             if key != "command":
                 argv.extend((f"--{key.replace('_', '-')}", str(value)))
         if command == "run":
             raise ConfigError(f"jobs[{index}]: a job cannot itself be 'run'")
-        if inherit:
+        # Jobs inherit the config's geometry unless they name their own; the
+        # config file itself doubles as the profile argument.  Every value is
+        # a string or an integer by now, so the formula is a valid key.
+        row = TABLE_JOBS.get(entry.get("formula")) if command == "table" else None
+        part = row[1] if row else "surface"
+        own = {"surface", "curve"} & entry.keys()
+        if command in ("table", "series") and not own and getattr(config, part) is not None:
             argv.extend((f"--{part}", resolved))
         args = _read_args(argv)
         try:

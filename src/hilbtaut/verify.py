@@ -417,11 +417,15 @@ SUITES = tuple(SUITE_TABLE)
 
 def run_suite(name: str, **kwargs) -> dict:
     """Suite ``name``'s verdict, once every size in ``kwargs`` has passed
-    its row: first a size the suite takes none of, then one above its bound."""
+    its row: first a size below 1 (``count`` before ``nmax``), then one the
+    suite takes none of, then one above its bound."""
     if name not in SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     runner, bounds = SUITE_TABLE[name]
     sizes = [(size, kwargs[size], bound) for size, bound in bounds.items() if size in kwargs]
+    for size, value, _ in sorted(sizes):
+        if value < 1:
+            raise ValueError(f"--{size} must be at least 1, got {value}")
     for size, _, bound in sizes:
         if isinstance(bound, str):
             raise ValueError(f"{name} has no --{size} ({bound})")

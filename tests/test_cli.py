@@ -319,6 +319,22 @@ def test_every_table_formula_rejects_an_unknown_bundle(capsys, argv):
     assert err.count("\n") == 1 and "unknown bundle 'nosuch'" in err
 
 
+#: every table formula that refuses a range flag, and the one line that
+#: names all the flags it refuses
+REFUSALS = {
+    "cohF": "cohF takes no --k/--l ranges",
+    "cohEvee": "cohEvee takes no --k/--l ranges",
+    "ExtEF": "ExtEF takes no --k/--l ranges",
+    "cohwedge": "cohwedge takes no --l range",
+    "ExtEwedge": "ExtEwedge takes no --l range",
+    "ExtwedgeF": "ExtwedgeF takes no --l range",
+    "curve_bichar": "curve_bichar takes no --k/--l ranges",
+    "rank3_check": "rank3_check takes no --n/--k/--l ranges",
+}
+
+_BAD_EMPTY_RANGE = '''bad range ''; use "a", "a..b" or "a..n"'''
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -328,6 +344,18 @@ def test_every_table_formula_rejects_an_unknown_bundle(capsys, argv):
         (["cohwedge", "--n", "1", "--l", "0..n"], "cohwedge takes no --l range"),
         (["curve_bichar", "--n", "1", "--k", "0..n"], "curve_bichar takes no --k/--l ranges"),
         (["curve_bichar", "--n", "0..2"], "curve_bichar needs n >= 1"),
+        # every (formula, refused flag) pair of the table, also one refused
+        # together with n < 1, which is checked after it
+        *(
+            ([formula, *(["--n", "0"] if "n" in flags else []), f"--{x}", "1"], REFUSALS[formula])
+            for formula, (_, _, flags) in cli.TABLE_JOBS.items()
+            for x in "nkl"
+            if x not in flags
+        ),
+        (["ExtEF", "--n", ""], f"--n: {_BAD_EMPTY_RANGE}"),
+        (["rank3_check", "--n", ""], f"--n: {_BAD_EMPTY_RANGE}"),
+        (["cohwedge", "--n", "1", "--k", ""], f"--k: {_BAD_EMPTY_RANGE}"),
+        (["Extwedgewedge", "--n", "1", "--k", "0..n", "--l", ""], f"--l: {_BAD_EMPTY_RANGE}"),
     ],
 )
 def test_table_usage_errors_beat_an_unknown_profile(capsys, argv, message):
@@ -661,14 +689,14 @@ def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
 
 
 def test_a_failed_check_not_declared_a_record_is_exit_one(capsys, monkeypatch):
-    job = cli.TABLE_JOBS["cohF"]
+    job, part, flags = cli.TABLE_JOBS["cohF"]
 
     def with_unlisted_check(*args):
         rows = job(*args)
         rows[0]["cross_checks"].append(["unlisted_check", False])
         return rows
 
-    monkeypatch.setitem(cli.TABLE_JOBS, "cohF", with_unlisted_check)
+    monkeypatch.setitem(cli.TABLE_JOBS, "cohF", (with_unlisted_check, part, flags))
     code, out, err = run_cli(
         capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1"
     )

@@ -78,6 +78,16 @@ def test_run_suite_checks_sizes_before_running(monkeypatch):
         run_suite("orbits", count=3)
     with pytest.raises(ValueError, match=r"^graded_powers has no --nmax "):
         run_suite("graded_powers", nmax=3)
+    # a size below 1 is refused as the CLI refuses it, before any other fault
+    with pytest.raises(ValueError, match=r"^--count must be at least 1, got -3$"):
+        run_suite("appendix", count=-3)
+    with pytest.raises(ValueError, match=r"^--count must be at least 1, got 0$"):
+        run_suite("whom_oracle", count=0)
+    with pytest.raises(ValueError, match=r"^--nmax must be at least 1, got 0$"):
+        run_suite("orbits", nmax=0)
+    with pytest.raises(ValueError, match=r"^--count must be at least 1, got 0$"):
+        run_suite("orbits", count=0, nmax=0)
+    assert calls == []
 
 
 def test_all_suites_are_runnable_small():
