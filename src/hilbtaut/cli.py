@@ -488,6 +488,18 @@ COMMANDS = {
 }
 
 
+#: per command, read once from COMMANDS: each flag by every spelling,
+#: every flag's default by dest, in flag order, and the required dests
+_LOOKUPS = {
+    name: (
+        {spelling: flag for flag in command.flags for spelling in flag.names},
+        {flag.dest: flag.default for flag in command.flags},
+        {flag.dest for flag in command.flags if flag.required},
+    )
+    for name, command in COMMANDS.items()
+}
+
+
 def _read_args(argv: Sequence[str]) -> argparse.Namespace | None:
     """The namespace argparse gives a plain command line, else None.
 
@@ -500,8 +512,7 @@ def _read_args(argv: Sequence[str]) -> argparse.Namespace | None:
     """
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
-    flags = COMMANDS[argv[0]].flags
-    by_name = {name: flag for flag in flags for name in flag.names}
+    by_name, defaults, required = _LOOKUPS[argv[0]]
     values = {}
     for name, text in zip(argv[1::2], argv[2::2]):
         flag = by_name.get(name)
@@ -514,11 +525,9 @@ def _read_args(argv: Sequence[str]) -> argparse.Namespace | None:
         if flag.choices is not None and value not in flag.choices:
             return None
         values[flag.dest] = value
-    if any(flag.required and flag.dest not in values for flag in flags):
+    if not required <= values.keys():
         return None
-    return argparse.Namespace(
-        command=argv[0], **{flag.dest: values.get(flag.dest, flag.default) for flag in flags}
-    )
+    return argparse.Namespace(command=argv[0], **{**defaults, **values})
 
 
 class _JobArgumentParser(argparse.ArgumentParser):

@@ -153,38 +153,25 @@ def s_scalar(k: int, chi: int) -> int:
 
 
 def _power_layers(k: int, space: GradedDim, sym: bool) -> list[dict[int, int]]:
-    # Coefficients of z^0..z^k in the product over degrees d of the
-    # z-expansion of the d-th layer.  For sym: even layers contribute
-    # (1-z t^d)^(-m) and odd layers (1+z t^d)^m; for wedge the roles swap.
-    # Layers are dicts degree -> coefficient, indexed by z-power, truncated
-    # past z^k; {} is a zero layer.  Every term added is a positive int,
-    # so each layer is a fresh dict of positive ints, fit for
-    # GradedDim.wrap.  Negative k gives no layers.
+    # Coefficients of z^0..z^k in the product over basis lines of degree d
+    # of 1/(1 - z t^d) for a bosonic line (even for sym, odd for wedge)
+    # and 1 + z t^d for a fermionic one.  Layers are dicts degree ->
+    # coefficient, indexed by z-power, truncated past z^k; {} is a zero
+    # layer.  Each line is multiplied in by one in-place pass: bosonic
+    # ascending, so layer j adds the updated layer j-1 shifted by d,
+    # fermionic descending, so it adds the old one.  Every term added is
+    # a positive int, so each layer is a fresh dict of positive ints, fit
+    # for GradedDim.wrap.  Negative k gives no layers.
     if k < 0:
         return []
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
     for d, m in space._dims.items():
-        # the z^j coefficient is C(m+j-1, j) on a bosonic layer and C(m, j)
-        # on a fermionic one: the one before times (m+j-1)/j or (m-j+1)/j,
-        # so a fermionic factor ends at its first zero, j = m + 1
-        step = 1 if (d % 2 == 0) == sym else -1
-        factor = [1]
-        for j in range(1, k + 1):
-            c = factor[-1] * (m + step * (j - 1)) // j
-            if not c:
-                break
-            factor.append(c)
-        new: list[dict[int, int]] = [{} for _ in range(k + 1)]
-        for a, base in enumerate(layers):
-            if not base:
-                continue
-            for b, c in enumerate(factor[: k + 1 - a]):
-                tgt = new[a + b]
-                shift = d * b
-                for deg, coeff in base.items():
-                    key = deg + shift
-                    tgt[key] = tgt.get(key, 0) + coeff * c
-        layers = new
+        order = range(1, k + 1) if (d % 2 == 0) == sym else range(k, 0, -1)
+        for _ in range(m):
+            for j in order:
+                tgt = layers[j]
+                for deg, coeff in layers[j - 1].items():
+                    tgt[deg + d] = tgt.get(deg + d, 0) + coeff
     return layers
 
 

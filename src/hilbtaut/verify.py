@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
@@ -258,7 +257,10 @@ def suite_tensor_euler(seed: int = DEFAULT_SEED, nmax: int = 6, count: int = 20)
 def _all_spaces(degrees: Sequence[int], max_total: int) -> Iterable[GradedDim]:
     for total in range(max_total + 1):
         for multiset in itertools.combinations_with_replacement(degrees, total):
-            yield GradedDim(Counter(multiset))
+            dims: dict[int, int] = {}
+            for degree in multiset:
+                dims[degree] = dims.get(degree, 0) + 1
+            yield GradedDim.wrap(dims)
 
 
 def _basis_mismatch(space: GradedDim, top: int) -> dict | None:

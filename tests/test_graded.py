@@ -257,3 +257,42 @@ def test_single_layer_powers_are_binomials_past_the_oracle_bounds(d):
                 math.comb(m + k - 1, k) if repeatable else math.comb(m, k) for k in range(13)
             ]
             assert powers == [GradedDim({k * d: c}) for k, c in enumerate(expected)], m
+
+
+def _binomial_column_product(k: int, space: GradedDim, sym: bool) -> list[GradedDim]:
+    # the z^0..z^k layers of the product over degrees d of one binomial
+    # column each: C(m+j-1, j) or C(m, j) copies of z^j t^(j*d), repeatable
+    # for sym on even d and for wedge on odd d
+    product = {(0, 0): 1}
+    for d, m in space.items():
+        repeatable = (d % 2 == 0) == sym
+        column = [math.comb(m + j - 1, j) if repeatable else math.comb(m, j) for j in range(k + 1)]
+        out: dict[tuple[int, int], int] = {}
+        for (a, degree), coeff in product.items():
+            for b, c in enumerate(column[: k + 1 - a]):
+                key = (a + b, degree + b * d)
+                out[key] = out.get(key, 0) + coeff * c
+        product = out
+    return [
+        GradedDim({degree: c for (j, degree), c in product.items() if j == level})
+        for level in range(k + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "dims, k",
+    [
+        ({-3: 2, 0: 5, 1: 4}, 24),
+        ({-1: 12, 2: 3}, 20),
+        ({-2: 7, -1: 5, 3: 6, 4: 1}, 24),
+        ({1: 12, 3: 12}, 24),
+        ({-1: 1, 0: 12, 5: 2}, 18),
+        ({0: 1, 1: 30, 2: 1}, 16),
+    ],
+)
+def test_multi_degree_powers_are_binomial_products_past_the_oracle_bounds(dims, k):
+    # several degrees, odd and negative among them, at sizes no basis
+    # enumeration reaches; the last space has more lines than k
+    space = GradedDim(dims)
+    assert sym_powers(k, space) == _binomial_column_product(k, space, sym=True)
+    assert wedge_powers(k, space) == _binomial_column_product(k, space, sym=False)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -361,6 +362,27 @@ def _assert_fresh_positive_tables(spaces: list[GradedDim]) -> None:
         assert all(type(d) is int and type(m) is int and m > 0 for d, m in space.items())
         assert space == GradedDim(dict(space.items()))
     assert len({id(space._dims) for space in spaces}) == len(spaces)
+
+
+@pytest.mark.parametrize(
+    "degrees, top", [((-2, -1, 0, 1, 2, 3), 4), ((0,), 5), ((3, -1), 6), ((1, -4, 0, 2), 3)]
+)
+def test_the_sweep_yields_every_multiset_once_in_order(degrees, top):
+    # the suite's verdict counts only its cases, so the tables themselves
+    # are pinned here: each multiset once, in combinations_with_replacement
+    # order, C(len + t - 1, t) of total t
+    sweep = list(verify._all_spaces(degrees, top))
+    expected = [
+        GradedDim(Counter(multiset))
+        for total in range(top + 1)
+        for multiset in itertools.combinations_with_replacement(degrees, total)
+    ]
+    assert sweep == expected
+    assert len(set(sweep)) == len(sweep)
+    assert Counter(space.total_dim() for space in sweep) == {
+        total: math.comb(len(degrees) + total - 1, total) for total in range(top + 1)
+    }
+    _assert_fresh_positive_tables(sweep)
 
 
 def test_closed_and_enumerated_powers_keep_the_wrap_contract():
