@@ -7,15 +7,17 @@ closed formulas elsewhere in the package must reproduce these numbers
 exactly.  The group averages for all n up to a bound come from one
 integer recurrence, the cycle-index exponential formula (Macdonald,
 *Symmetric Functions and Hall Polynomials*, §I.2), fed only by the
-trace of a single cycle.  The orbit closure reads its two generators
-and its subsets, grouped by size, from tables built once per n and
-shared by every (e, f) cell.  Each call marks the pairs it has closed
-in one byte map of 4^n entries (16 MiB at n = 12), holding for each
-pair the number of its orbit (a cell has at most n + 1 orbits), so an
-image already in an earlier orbit shows that the generators do not
-permute the pairs.  The power enumeration lists every monomial of one
-size, breadth first, and extends each to the next.  Beyond those, the
-only concessions to speed are hard size bounds.
+trace of a single cycle.  The orbit closure reads its subsets, grouped
+by size, and each generator's image of each subset as a position in
+its group from tables built once per n and shared by every (e, f)
+cell.  Each call marks the pairs it has closed in one byte map of the
+cell's C(n, e) * C(n, f) entries (853776 at n = 12, e = f = 6), holding
+for each pair the number of its orbit (a cell has at most n + 1
+orbits), so an image already in an earlier orbit shows that the
+generators do not permute the pairs.  The power enumeration lists
+every monomial of one size, breadth first, and extends each to the
+next.  Beyond those, the only concessions to speed are hard size
+bounds.
 """
 
 from __future__ import annotations
@@ -159,23 +161,44 @@ class Orbit(NamedTuple):
     stabilizer_order: int
 
 
-@functools.cache
-def _pair_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    # the two generators tabulated over all 2^n masks, and the masks
-    # grouped by bit count, each group in increasing order; tuples, so
-    # no caller can reorder or extend what every (e, f) cell reads, and
-    # orbit_decomposition checks n first, so at most ENUM_BOUND + 1 entries
+def _mask_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    # the images of all 2^n masks under the rotation, point i to i + 1
+    # mod n, and the swap of points 0 and 1; below two points, under the
+    # identity alone
     masks = range(1 << n)
+    if n < 2:
+        return (tuple(masks),)
+    full = (1 << n) - 1
+    rotate = tuple((m << 1 | m >> (n - 1)) & full for m in masks)
+    swap = tuple(m ^ 3 if (m ^ m >> 1) & 1 else m for m in masks)
+    return rotate, swap
+
+
+@functools.cache
+def _pair_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    # per bit count: its masks in increasing order, and for each
+    # generator the image of each mask as a position in that same group.
+    # Tuples, so no caller can reorder or extend what every (e, f) cell
+    # reads; orbit_decomposition checks n first, so at most ENUM_BOUND + 1
+    # entries
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for m in masks:
-        by_size[m.bit_count()].append(m)
-    generators: tuple[tuple[int, ...], ...] = ()
-    if n >= 2:
-        full = (1 << n) - 1
-        rotate = tuple((m << 1 | m >> (n - 1)) & full for m in masks)  # point i goes to i + 1 mod n
-        swap = tuple(m ^ 3 if (m ^ m >> 1) & 1 else m for m in masks)  # points 0 and 1 trade places
-        generators = (rotate, swap)
-    return generators, tuple(map(tuple, by_size))
+    position = [0] * (1 << n)
+    for m in range(1 << n):
+        group = by_size[m.bit_count()]
+        position[m] = len(group)
+        group.append(m)
+    generators = _mask_generators(n)
+    for image in generators:
+        for m, moved in enumerate(image):
+            if moved.bit_count() != m.bit_count():
+                raise ConsistencyError(
+                    f"a generator sends mask {m} of bit count {m.bit_count()} "
+                    f"to mask {moved} of bit count {moved.bit_count()}"
+                )
+    return tuple(
+        (tuple(group), tuple(tuple(position[image[m]] for m in group) for image in generators))
+        for group in by_size
+    )
 
 
 def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
@@ -183,42 +206,50 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
 
     Orbits are found by explicit closure under two group generators, the
     rotation of all n points and the swap of points 0 and 1, acting on
-    plain (first_mask, second_mask) pairs; no classification is used.
-    Each orbit records its minimal pair in that order, its size and the
-    stabilizer order of the representative by orbit-stabilizer.  Two
-    orbits that meet, a size that does not divide n!, and sizes that do
-    not add up to the number of pairs each raise ConsistencyError.
+    the pairs of the cell through each subset's position among the
+    subsets of its size; no classification is used.  Each orbit is
+    closed by walking the rotation's cycles and pushing only the swap's
+    new images.  Each orbit records its minimal (first_mask,
+    second_mask) pair, its size and the stabilizer order of the
+    representative by orbit-stabilizer.  A generator that changes a
+    subset's size, two orbits that meet, a size that does not divide n!,
+    and sizes that do not add up to the number of pairs each raise
+    ConsistencyError.
     """
     if not 0 <= e <= n or not 0 <= f <= n:
         raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
     if n > ENUM_BOUND:
         raise SizeBoundError(f"n={n} exceeds enumeration bound {ENUM_BOUND}")
 
-    generators, by_size = _pair_tables(n)
-    first_masks, second_masks = by_size[e], by_size[f]
+    tables = _pair_tables(n)
+    first_masks, first_images = tables[e]
+    second_masks, second_images = tables[f]
+    width = len(second_masks)
+    (first_step, second_step), *others = zip(first_images, second_images)
 
     order = math.factorial(n)
-    # the number of the orbit that holds each pair, coded first << n | second
-    orbit_of = bytearray(1 << 2 * n)
+    # the number of the orbit that holds each pair, coded i * width + j
+    # for the i-th first mask and the j-th second mask
+    orbit_of = bytearray(len(first_masks) * width)
     orbits: list[Orbit] = []
     covered = 0
-    # scanning the two sorted lists meets the pairs in increasing order
-    for first in first_masks:
-        high = first << n
-        for second in second_masks:
-            if orbit_of[high | second]:
-                continue
-            number = len(orbits) + 1
-            if number > 255:
-                raise ConsistencyError(f"more than 255 orbits in the ({e}, {f}) cell of n={n}")
-            orbit_of[high | second] = number
-            frontier = [(first, second)]
-            size = 1
-            while frontier:
-                fm, sm = frontier.pop()
-                for image in generators:
-                    nfm, nsm = image[fm], image[sm]
-                    code = nfm << n | nsm
+    # the codes, and so the least unmarked one, follow the pairs' order
+    start = orbit_of.find(0)
+    while start >= 0:
+        number = len(orbits) + 1
+        if number > 255:
+            raise ConsistencyError(f"more than 255 orbits in the ({e}, {f}) cell of n={n}")
+        orbit_of[start] = number
+        frontier = [start]
+        size = 1
+        while frontier:
+            i, j = divmod(frontier.pop(), width)
+            # walk the first generator's cycle through (i, j) until it
+            # meets a marked pair, pushing the others' new images
+            while True:
+                for first_image, second_image in others:
+                    ni, nj = first_image[i], second_image[j]
+                    code = ni * width + nj
                     held = orbit_of[code]
                     if held != number:
                         # the orbits of a group never overlap
@@ -226,14 +257,25 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
                             raise ConsistencyError(f"orbits {held} and {number} overlap")
                         orbit_of[code] = number
                         size += 1
-                        frontier.append((nfm, nsm))
-            covered += size
-            quot, rem = divmod(order, size)
-            if rem != 0:
-                raise ConsistencyError(f"orbit size {size} does not divide group order {order}")
-            orbits.append(Orbit(IndexPair(first, second), size, quot))
+                        frontier.append(code)
+                i, j = first_step[i], second_step[j]
+                code = i * width + j
+                held = orbit_of[code]
+                if held == number:
+                    break
+                if held:
+                    raise ConsistencyError(f"orbits {held} and {number} overlap")
+                orbit_of[code] = number
+                size += 1
+        covered += size
+        quot, rem = divmod(order, size)
+        if rem != 0:
+            raise ConsistencyError(f"orbit size {size} does not divide group order {order}")
+        first, second = divmod(start, width)
+        orbits.append(Orbit(IndexPair(first_masks[first], second_masks[second]), size, quot))
+        start = orbit_of.find(0, start + 1)
 
-    if covered != len(first_masks) * len(second_masks):
+    if covered != len(orbit_of):
         raise ConsistencyError("orbit sizes do not add up to the number of pairs")
     return tuple(orbits)
 

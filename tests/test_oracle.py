@@ -274,6 +274,12 @@ def test_orbit_decomposition_rejects_an_index_above_n():
     assert str(err.value) == "need 0 <= e, f <= n, got n=3, e=4, f=0"
 
 
+def _generator_perms(n: int) -> list[tuple[int, ...]]:
+    """Point i goes to i + 1 mod n; for n >= 2, points 0 and 1 trade places."""
+    rotate = tuple((i + 1) % n for i in range(n))
+    return [rotate, (1, 0, *range(2, n))] if n >= 2 else [rotate]
+
+
 def test_pair_tables_hold_the_generators_and_the_masks_every_cell_reads():
     cells = [(n, e, f) for n in range(7) for e, f in product(range(n + 1), repeat=2)]
     _pair_tables.cache_clear()
@@ -285,23 +291,57 @@ def test_pair_tables_hold_the_generators_and_the_masks_every_cell_reads():
 
     # read after every cell above has used the tables of n <= 6
     for n in range(9):
-        generators, by_size = _pair_tables(n)
-        masks = range(1 << n)
-        if n < 2:
-            assert generators == ()
-        else:
-            rotate, swap = generators
-            # point i goes to i + 1 mod n; points 0 and 1 trade places
-            perms = (tuple((i + 1) % n for i in range(n)), (1, 0, *range(2, n)))
-            for image, perm in zip((rotate, swap), perms):
-                assert sorted(image) == list(masks)
-                assert all(image[m].bit_count() == m.bit_count() for m in masks)
-                assert list(image) == [_moved_mask(m, perm) for m in masks]
-        assert len(by_size) == n + 1
-        for size, group in enumerate(by_size):
-            # a tuple, so no cell can sort or extend what the others read
+        tables = _pair_tables(n)
+        perms = _generator_perms(n)
+        assert len(tables) == n + 1
+        for size, (group, images) in enumerate(tables):
+            # tuples, so no cell can sort or extend what the others read
             assert isinstance(group, tuple)
-            assert group == tuple(m for m in masks if m.bit_count() == size)
+            assert group == tuple(m for m in range(1 << n) if m.bit_count() == size)
+            assert isinstance(images, tuple) and len(images) == len(perms)
+            for image, perm in zip(images, perms):
+                assert isinstance(image, tuple)
+                assert sorted(image) == list(range(len(group)))
+                assert [group[p] for p in image] == [_moved_mask(m, perm) for m in group]
+
+
+def _mask_pair_closure(n: int, e: int, f: int) -> list[tuple[tuple[int, int], int, int]]:
+    """(least pair, size, stabilizer order) of every orbit, closed under
+    the rotation and the swap on plain (first, second) mask pairs marked
+    in a byte map of 4^n entries, with images from ``_moved_mask``."""
+    images = [[_moved_mask(m, perm) for m in range(1 << n)] for perm in _generator_perms(n)]
+    firsts = [m for m in range(1 << n) if m.bit_count() == e]
+    seconds = [m for m in range(1 << n) if m.bit_count() == f]
+    orbit_of = bytearray(1 << 2 * n)
+    orbits = []
+    for first in firsts:
+        for second in seconds:
+            if orbit_of[first << n | second]:
+                continue
+            number = len(orbits) + 1
+            orbit_of[first << n | second] = number
+            frontier = [(first, second)]
+            size = 1
+            while frontier:
+                fm, sm = frontier.pop()
+                for image in images:
+                    code = image[fm] << n | image[sm]
+                    if not orbit_of[code]:
+                        orbit_of[code] = number
+                        size += 1
+                        frontier.append((image[fm], image[sm]))
+            orbits.append(((first, second), size, math.factorial(n) // size))
+    return orbits
+
+
+def test_orbits_match_a_closure_on_plain_mask_pairs_on_every_cell_up_to_eight_points():
+    for n in range(9):
+        for e, f in product(range(n + 1), repeat=2):
+            orbits = [
+                (tuple(o.representative), o.size, o.stabilizer_order)
+                for o in orbit_decomposition(n, e, f)
+            ]
+            assert orbits == _mask_pair_closure(n, e, f), (n, e, f)
 
 
 def test_orbit_bounds_are_checked_before_any_tabulation():
@@ -313,34 +353,41 @@ def test_orbit_bounds_are_checked_before_any_tabulation():
     assert _pair_tables.cache_info().currsize == 0
 
 
-def test_an_orbit_size_that_does_not_divide_n_factorial_is_an_error(monkeypatch):
-    _, by_size = _pair_tables(4)
+@pytest.fixture
+def inject_generators(monkeypatch):
+    """Make the given mask images the only generator for every n; no
+    pair table is cached before or after the test."""
+    _pair_tables.cache_clear()
+    yield lambda image: monkeypatch.setattr(oracle, "_mask_generators", lambda n: (image,))
+    _pair_tables.cache_clear()
+
+
+def test_an_orbit_size_that_does_not_divide_n_factorial_is_an_error(inject_generators):
     # a 5-cycle on five of the six two-point masks, the sixth fixed
     cycle = (3, 5, 6, 9, 10)
     image = list(range(16))
     for source, target in zip(cycle, cycle[1:] + cycle[:1]):
         image[source] = target
-    monkeypatch.setattr(oracle, "_pair_tables", lambda n: ((tuple(image),), by_size))
+    inject_generators(tuple(image))
     with pytest.raises(ConsistencyError, match="orbit size 5 does not divide group order 24"):
         orbit_decomposition(4, 2, 0)
 
 
-def test_an_orbit_that_leaves_its_cell_is_an_error(monkeypatch):
-    _, by_size = _pair_tables(2)
-    # sends the one-point mask 1 to the two-point mask 3 and back: the
-    # orbit of (1, 0) has size 2, which divides 2!, but holds a pair
-    # outside the (1, 0) cell, so the sizes exceed the cell's two pairs
-    monkeypatch.setattr(oracle, "_pair_tables", lambda n: (((0, 3, 2, 1),), by_size))
-    with pytest.raises(ConsistencyError, match="orbit sizes do not add up"):
+def test_an_orbit_that_leaves_its_cell_is_an_error(inject_generators):
+    # sends the one-point mask 1 to the two-point mask 3 and back, so an
+    # orbit of (1, 0) would hold a pair outside the (1, 0) cell
+    inject_generators((0, 3, 2, 1))
+    with pytest.raises(
+        ConsistencyError, match="a generator sends mask 1 of bit count 1 to mask 3 of bit count 2"
+    ):
         orbit_decomposition(2, 1, 0)
 
 
-def test_a_generator_that_is_not_a_permutation_is_an_error(monkeypatch):
-    _, by_size = _pair_tables(2)
+def test_a_generator_that_is_not_a_permutation_is_an_error(inject_generators):
     # sends both one-point masks 1 and 2 to 1: the pair (1, 0) is an
     # orbit on its own, and the closure of (2, 0) reaches it
-    monkeypatch.setattr(oracle, "_pair_tables", lambda n: (((0, 1, 1, 3),), by_size))
-    with pytest.raises(ConsistencyError):
+    inject_generators((0, 1, 1, 3))
+    with pytest.raises(ConsistencyError, match="orbits 1 and 2 overlap"):
         orbit_decomposition(2, 1, 0)
 
 
