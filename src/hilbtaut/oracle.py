@@ -8,16 +8,16 @@ exactly.  The group averages for all n up to a bound come from one
 integer recurrence, the cycle-index exponential formula (Macdonald,
 *Symmetric Functions and Hall Polynomials*, §I.2), fed only by the
 trace of a single cycle.  The orbit closure reads its subsets, grouped
-by size, and each generator's image of each subset as a position in
-its group from tables built once per n and shared by every (e, f)
-cell.  Each call marks the pairs it has closed in one byte map of the
-cell's C(n, e) * C(n, f) entries (853776 at n = 12, e = f = 6), holding
-for each pair the number of its orbit (a cell has at most n + 1
-orbits), so an image already in an earlier orbit shows that the
-generators do not permute the pairs.  The power enumeration lists
-every monomial of one size, breadth first, and extends each to the
-next.  Beyond those, the only concessions to speed are hard size
-bounds.
+by size, and their images under the rotation and the swap of points 0
+and 1 as positions in their group from tables built once per n and
+shared by every (e, f) cell.  Each call marks the pairs it has closed
+in one byte map of the cell's C(n, e) * C(n, f) entries (853776 at
+n = 12, e = f = 6), holding for each pair the number of its orbit (a
+cell has at most n + 1 orbits), so an image already in an earlier
+orbit shows that the generators do not permute the pairs.  The power
+enumeration lists every monomial of one size, breadth first, and
+extends each to the next.  Beyond those, the only concessions to speed
+are hard size bounds.
 """
 
 from __future__ import annotations
@@ -161,13 +161,13 @@ class Orbit(NamedTuple):
     stabilizer_order: int
 
 
-def _mask_generators(n: int) -> tuple[tuple[int, ...], ...]:
+def _mask_generators(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # the images of all 2^n masks under the rotation, point i to i + 1
-    # mod n, and the swap of points 0 and 1; below two points, under the
-    # identity alone
+    # mod n, and under the swap of points 0 and 1; below two points, both
+    # are the identity
     masks = range(1 << n)
     if n < 2:
-        return (tuple(masks),)
+        return tuple(masks), tuple(masks)
     full = (1 << n) - 1
     rotate = tuple((m << 1 | m >> (n - 1)) & full for m in masks)
     swap = tuple(m ^ 3 if (m ^ m >> 1) & 1 else m for m in masks)
@@ -175,20 +175,20 @@ def _mask_generators(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _pair_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    # per bit count: its masks in increasing order, and for each
-    # generator the image of each mask as a position in that same group.
-    # Tuples, so no caller can reorder or extend what every (e, f) cell
-    # reads; orbit_decomposition checks n first, so at most ENUM_BOUND + 1
-    # entries
+def _pair_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    # per bit count: its masks in increasing order, and the image of each
+    # mask under the rotation and under the swap as a position in that
+    # same group.  Tuples, so no caller can reorder or extend what every
+    # (e, f) cell reads; orbit_decomposition checks n first, so at most
+    # ENUM_BOUND + 1 entries
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
     position = [0] * (1 << n)
     for m in range(1 << n):
         group = by_size[m.bit_count()]
         position[m] = len(group)
         group.append(m)
-    generators = _mask_generators(n)
-    for image in generators:
+    rotate, swap = _mask_generators(n)
+    for image in rotate, swap:
         for m, moved in enumerate(image):
             if moved.bit_count() != m.bit_count():
                 raise ConsistencyError(
@@ -196,7 +196,11 @@ def _pair_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], 
                     f"to mask {moved} of bit count {moved.bit_count()}"
                 )
     return tuple(
-        (tuple(group), tuple(tuple(position[image[m]] for m in group) for image in generators))
+        (
+            tuple(group),
+            tuple(position[rotate[m]] for m in group),
+            tuple(position[swap[m]] for m in group),
+        )
         for group in by_size
     )
 
@@ -204,17 +208,16 @@ def _pair_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], 
 def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
     """Split all (e, f)-subset pairs into symmetric group orbits.
 
-    Orbits are found by explicit closure under two group generators, the
-    rotation of all n points and the swap of points 0 and 1, acting on
-    the pairs of the cell through each subset's position among the
+    Orbits are found by explicit closure under the two group generators,
+    the rotation of all n points and the swap of points 0 and 1, acting
+    on the pairs of the cell through each subset's position among the
     subsets of its size; no classification is used.  Each orbit is
     closed by walking the rotation's cycles and pushing only the swap's
     new images.  Each orbit records its minimal (first_mask,
     second_mask) pair, its size and the stabilizer order of the
     representative by orbit-stabilizer.  A generator that changes a
-    subset's size, two orbits that meet, a size that does not divide n!,
-    and sizes that do not add up to the number of pairs each raise
-    ConsistencyError.
+    subset's size, two orbits that meet and a size that does not divide
+    n! each raise ConsistencyError.
     """
     if not 0 <= e <= n or not 0 <= f <= n:
         raise ValueError(f"need 0 <= e, f <= n, got n={n}, e={e}, f={f}")
@@ -222,17 +225,15 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
         raise SizeBoundError(f"n={n} exceeds enumeration bound {ENUM_BOUND}")
 
     tables = _pair_tables(n)
-    first_masks, first_images = tables[e]
-    second_masks, second_images = tables[f]
+    first_masks, first_rotate, first_swap = tables[e]
+    second_masks, second_rotate, second_swap = tables[f]
     width = len(second_masks)
-    (first_step, second_step), *others = zip(first_images, second_images)
 
     order = math.factorial(n)
     # the number of the orbit that holds each pair, coded i * width + j
     # for the i-th first mask and the j-th second mask
     orbit_of = bytearray(len(first_masks) * width)
     orbits: list[Orbit] = []
-    covered = 0
     # the codes, and so the least unmarked one, follow the pairs' order
     start = orbit_of.find(0)
     while start >= 0:
@@ -244,21 +245,19 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
         size = 1
         while frontier:
             i, j = divmod(frontier.pop(), width)
-            # walk the first generator's cycle through (i, j) until it
-            # meets a marked pair, pushing the others' new images
+            # walk the rotation's cycle through (i, j) until it meets a
+            # marked pair, pushing the swap's new images
             while True:
-                for first_image, second_image in others:
-                    ni, nj = first_image[i], second_image[j]
-                    code = ni * width + nj
-                    held = orbit_of[code]
-                    if held != number:
-                        # the orbits of a group never overlap
-                        if held:
-                            raise ConsistencyError(f"orbits {held} and {number} overlap")
-                        orbit_of[code] = number
-                        size += 1
-                        frontier.append(code)
-                i, j = first_step[i], second_step[j]
+                code = first_swap[i] * width + second_swap[j]
+                held = orbit_of[code]
+                if held != number:
+                    # the orbits of a group never overlap
+                    if held:
+                        raise ConsistencyError(f"orbits {held} and {number} overlap")
+                    orbit_of[code] = number
+                    size += 1
+                    frontier.append(code)
+                i, j = first_rotate[i], second_rotate[j]
                 code = i * width + j
                 held = orbit_of[code]
                 if held == number:
@@ -267,16 +266,12 @@ def orbit_decomposition(n: int, e: int, f: int) -> tuple[Orbit, ...]:
                     raise ConsistencyError(f"orbits {held} and {number} overlap")
                 orbit_of[code] = number
                 size += 1
-        covered += size
         quot, rem = divmod(order, size)
         if rem != 0:
             raise ConsistencyError(f"orbit size {size} does not divide group order {order}")
         first, second = divmod(start, width)
         orbits.append(Orbit(IndexPair(first_masks[first], second_masks[second]), size, quot))
         start = orbit_of.find(0, start + 1)
-
-    if covered != len(orbit_of):
-        raise ConsistencyError("orbit sizes do not add up to the number of pairs")
     return tuple(orbits)
 
 

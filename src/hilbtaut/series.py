@@ -334,8 +334,10 @@ class TruncSeries:
         # by a monomial ideal, which that operator preserves, so dropping
         # every exponent past its order at each step is exact.  Only the
         # degrees j that S has are visited, and weight(d, j) is asked only
-        # when R_{d-j} is nonzero.  Integral values stay ints, and the
-        # division by lead d stays in ints wherever it is exact.
+        # when R_{d-j} is nonzero.  R_d reads only the last max(j) parts
+        # of R, so once those are all zero the rest of R is too and the
+        # recurrence stops.  Integral values stay ints, and the division
+        # by lead d stays in ints wherever it is exact.
         start, lead = _narrow(start), _narrow(lead)
         top = sum(o - 1 for o in self.orders)
         by_degree: dict[int, list[tuple[Exponents, Coeff]]] = {}
@@ -344,9 +346,12 @@ class TruncSeries:
             if degree:
                 by_degree.setdefault(degree, []).append((exps, coeff))
         degrees = sorted(by_degree)
+        reach = max(degrees, default=1)
         parts: list[dict[Exponents, Coeff]] = [{(0, 0, 0): start}]
         result = {(0, 0, 0): start}
         for d in range(1, top + 1):
+            if not any(parts[-reach:]):
+                break
             part: dict[Exponents, Coeff] = {}
             for j in degrees:
                 if j > d:

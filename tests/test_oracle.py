@@ -275,9 +275,10 @@ def test_orbit_decomposition_rejects_an_index_above_n():
 
 
 def _generator_perms(n: int) -> list[tuple[int, ...]]:
-    """Point i goes to i + 1 mod n; for n >= 2, points 0 and 1 trade places."""
+    """The rotation, point i to i + 1 mod n, and the swap of points 0 and
+    1; below two points, both are the identity."""
     rotate = tuple((i + 1) % n for i in range(n))
-    return [rotate, (1, 0, *range(2, n))] if n >= 2 else [rotate]
+    return [rotate, (1, 0, *range(2, n)) if n >= 2 else rotate]
 
 
 def test_pair_tables_hold_the_generators_and_the_masks_every_cell_reads():
@@ -294,12 +295,11 @@ def test_pair_tables_hold_the_generators_and_the_masks_every_cell_reads():
         tables = _pair_tables(n)
         perms = _generator_perms(n)
         assert len(tables) == n + 1
-        for size, (group, images) in enumerate(tables):
+        for size, (group, rotate, swap) in enumerate(tables):
             # tuples, so no cell can sort or extend what the others read
             assert isinstance(group, tuple)
             assert group == tuple(m for m in range(1 << n) if m.bit_count() == size)
-            assert isinstance(images, tuple) and len(images) == len(perms)
-            for image, perm in zip(images, perms):
+            for image, perm in zip((rotate, swap), perms, strict=True):
                 assert isinstance(image, tuple)
                 assert sorted(image) == list(range(len(group)))
                 assert [group[p] for p in image] == [_moved_mask(m, perm) for m in group]
@@ -355,11 +355,24 @@ def test_orbit_bounds_are_checked_before_any_tabulation():
 
 @pytest.fixture
 def inject_generators(monkeypatch):
-    """Make the given mask images the only generator for every n; no
-    pair table is cached before or after the test."""
+    """Each call makes the given mask images the rotation and the swap
+    for every n and drops the cached pair tables; none is cached before
+    or after the test."""
+
+    def inject(rotate: tuple[int, ...], swap: tuple[int, ...]) -> None:
+        _pair_tables.cache_clear()
+        monkeypatch.setattr(oracle, "_mask_generators", lambda n: (rotate, swap))
+
     _pair_tables.cache_clear()
-    yield lambda image: monkeypatch.setattr(oracle, "_mask_generators", lambda n: (image,))
+    yield inject
     _pair_tables.cache_clear()
+
+
+def _in_each_slot(image: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(rotate, swap) with ``image`` as the rotation and the identity as
+    the swap, then the other way round."""
+    identity = tuple(range(len(image)))
+    return [(image, identity), (identity, image)]
 
 
 def test_an_orbit_size_that_does_not_divide_n_factorial_is_an_error(inject_generators):
@@ -368,27 +381,32 @@ def test_an_orbit_size_that_does_not_divide_n_factorial_is_an_error(inject_gener
     image = list(range(16))
     for source, target in zip(cycle, cycle[1:] + cycle[:1]):
         image[source] = target
-    inject_generators(tuple(image))
-    with pytest.raises(ConsistencyError, match="orbit size 5 does not divide group order 24"):
-        orbit_decomposition(4, 2, 0)
+    for rotate, swap in _in_each_slot(tuple(image)):
+        inject_generators(rotate, swap)
+        with pytest.raises(ConsistencyError, match="orbit size 5 does not divide group order 24"):
+            orbit_decomposition(4, 2, 0)
 
 
 def test_an_orbit_that_leaves_its_cell_is_an_error(inject_generators):
     # sends the one-point mask 1 to the two-point mask 3 and back, so an
     # orbit of (1, 0) would hold a pair outside the (1, 0) cell
-    inject_generators((0, 3, 2, 1))
-    with pytest.raises(
-        ConsistencyError, match="a generator sends mask 1 of bit count 1 to mask 3 of bit count 2"
-    ):
-        orbit_decomposition(2, 1, 0)
+    for rotate, swap in _in_each_slot((0, 3, 2, 1)):
+        inject_generators(rotate, swap)
+        with pytest.raises(
+            ConsistencyError,
+            match="a generator sends mask 1 of bit count 1 to mask 3 of bit count 2",
+        ):
+            orbit_decomposition(2, 1, 0)
 
 
 def test_a_generator_that_is_not_a_permutation_is_an_error(inject_generators):
     # sends both one-point masks 1 and 2 to 1: the pair (1, 0) is an
-    # orbit on its own, and the closure of (2, 0) reaches it
-    inject_generators((0, 1, 1, 3))
-    with pytest.raises(ConsistencyError, match="orbits 1 and 2 overlap"):
-        orbit_decomposition(2, 1, 0)
+    # orbit on its own, and the closure of (2, 0) reaches it, as the
+    # rotation in its walk and as the swap when it pushes an image
+    for rotate, swap in _in_each_slot((0, 1, 1, 3)):
+        inject_generators(rotate, swap)
+        with pytest.raises(ConsistencyError, match="orbits 1 and 2 overlap"):
+            orbit_decomposition(2, 1, 0)
 
 
 def test_index_pair_round_trip():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbtaut import series
 from hilbtaut.series import (
     NonUnitWarning,
     OrderMismatchError,
@@ -344,6 +345,24 @@ def test_a_term_without_q_grades_the_recurrence_by_total_degree():
     one = TruncSeries.const(1, orders)
     assert (u + q).exp() == u.exp() * q.exp()
     assert (one + u + q).int_pow(-1) * (one + u + q) == one
+
+
+@pytest.mark.parametrize("power", ["inverse_square", "exp"])
+def test_the_recurrence_stops_once_the_rest_of_the_result_is_zero(monkeypatch, power):
+    # uQ truncates to 0 from (uQ)^4 on, so (1 + uQ)^-2 and exp(uQ) end at
+    # total degree 6 however far the u order reaches; the recurrence
+    # divides once per degree 1..8 and then sees two zero parts in a row
+    def expand(u_order):
+        orders = {"Q": 4, "u": u_order}
+        uq = TruncSeries(orders, {(1, 1, 0): 1})
+        return (1 + uq).int_pow(-2) if power == "inverse_square" else uq.exp()
+
+    calls = []
+    divided = series._divided
+    monkeypatch.setattr(series, "_divided", lambda *args: calls.append(1) or divided(*args))
+    far = expand(100001)
+    assert len(calls) == 8
+    assert far.terms() == expand(4).terms()
 
 
 # -- exp and int_pow on the shapes the CLI expands ----------------------------
