@@ -35,7 +35,9 @@ from .graded import GradedDim
 
 DEFAULT_SEED = verify.DEFAULT_SEED
 
-SERIES_FORMULAS = ("bichar", "tensor_euler")
+#: each series formula and the largest --n-max it accepts: the largest
+#: size whose fresh run on k3, every bundle H, ends within about 30 s
+SERIES_FORMULAS = {"bichar": 512, "tensor_euler": 2816}
 
 CSV_HEADER = ["formula_id", "n", "k", "l", "euler", "graded", "cross_checks"]
 
@@ -195,19 +197,25 @@ def _rank3_job(
     return [_row(formula, 2, result.value, checks, inputs, notes)]
 
 
-#: formula id -> (job, part, flags): the job that returns the table's rows
-#: from the profile part it reads, "surface" or "curve", and the range
-#: flags the formula takes; a variant takes --k or --l exactly when its e
-#: or f is "k" or "l".  The variants come first.
-TABLE_JOBS: dict[str, tuple[Callable[..., list[dict]], str, str]] = {
+#: formula id -> (job, part, flags, n_bound): the job that returns the
+#: table's rows from the profile part it reads, "surface" or "curve", the
+#: range flags the formula takes and the largest top --n it accepts, None
+#: where it takes no --n; a variant takes --k or --l exactly when its e or
+#: f is "k" or "l".  Each bound is the largest size whose fresh run ends
+#: within about 30 s: a variant on k3 with every bundle H and --k/--l 0..n,
+#: the curve on genus0_curve with --E P --F O.  The variants come first.
+TABLE_JOBS: dict[str, tuple[Callable[..., list[dict]], str, str, int | None]] = {
     **{
         variant: (_variant_job, "surface", "n" + "".join(
             index for index in "kl" if index in formulas.variant_signature(variant)[:2]
-        ))
-        for variant in formulas.VARIANTS
+        ), n_bound)
+        for variant, n_bound in {
+            "cohF": 2250, "cohEvee": 2250, "ExtEF": 2250, "cohwedge": 1250,
+            "ExtEwedge": 1200, "ExtwedgeF": 1200, "Extwedgewedge": 120,
+        }.items()
     },
-    "curve_bichar": (_curve_job, "curve", "n"),
-    "rank3_check": (_rank3_job, "surface", ""),
+    "curve_bichar": (_curve_job, "curve", "n", 10_000),
+    "rank3_check": (_rank3_job, "surface", "", None),
 }
 TABLE_FORMULAS = tuple(TABLE_JOBS)
 
@@ -279,15 +287,19 @@ def run_table(args: argparse.Namespace) -> int:
     given = {x: getattr(args, x) for x in "nkl" if getattr(args, x) is not None}
     ranges = {x: parse_range(text, f"--{x}", allow_n=x != "n") for x, text in given.items()}
     formula = args.formula
-    job, part, flags = TABLE_JOBS[formula]
+    job, part, flags, n_bound = TABLE_JOBS[formula]
     if "n" in flags and "n" not in ranges:
         raise UsageError(f"--n is required for {formula}")
     if not set(ranges) <= set(flags):
         refused = [f"--{x}" for x in "nkl" if x not in flags]
         plural = "s" if len(refused) > 1 else ""
         raise UsageError(f"{formula} takes no {'/'.join(refused)} range{plural}")
-    if "n" in ranges and ranges["n"][0] < 1:
-        raise UsageError(f"{formula} needs n >= 1")
+    if "n" in ranges:
+        n_lo, n_hi = ranges["n"]
+        if n_lo < 1:
+            raise UsageError(f"{formula} needs n >= 1")
+        if n_hi > n_bound:
+            raise UsageError(f"--n {n_hi} exceeds the {formula} bound {n_bound}")
     if flag != part:
         raise UsageError(f"{formula} reads its profile from --{part}, not --{flag}")
     names = {b: getattr(args, b) for b in BUNDLE_LETTERS}
@@ -333,6 +345,9 @@ def run_series(args: argparse.Namespace) -> int:
     if args.formula == "bichar" and args.k_max is not None:
         raise UsageError("bichar takes no --k-max")
     _at_least(args.k_max, 0, "--k-max")
+    n_bound = SERIES_FORMULAS[args.formula]
+    if args.n_max > n_bound:
+        raise UsageError(f"--n-max {args.n_max} exceeds the {args.formula} bound {n_bound}")
     names = {b: getattr(args, b) for b in "FKL"}
     surface = _load_part(args.surface, "surface", args.formula, names)
     n_max = args.n_max
@@ -474,7 +489,7 @@ COMMANDS = {
         Flag(("--out",), "out", metavar="PATH"),
     )),
     "series": Command("expand a generating function", None, (
-        Flag(("--formula",), "formula", choices=SERIES_FORMULAS, required=True),
+        Flag(("--formula",), "formula", choices=tuple(SERIES_FORMULAS), required=True),
         Flag(("--surface",), "surface", required=True, metavar="PROFILE"),
         Flag(("--n-max",), "n_max", type=int, default=6),
         Flag(("--k-max",), "k_max", type=int),

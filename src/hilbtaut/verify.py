@@ -348,33 +348,12 @@ def standard_pair(e: int, f: int, i: int) -> oracle.IndexPair:
     return oracle.IndexPair((1 << e) - 1, (1 << i) - 1 | ((1 << (f - i)) - 1) << e)
 
 
-def _stabilizer_mismatch(
-    cell: dict, seen: dict[int, oracle.Orbit], expected: dict[int, int]
-) -> dict | None:
-    """First overlap whose stabilizer order is not the expected one."""
-    for i, stab in expected.items():
-        if seen[i].stabilizer_order != stab:
-            return {**cell, "i": i, "computed": seen[i].stabilizer_order, "expected": stab}
-    return None
-
-
-def _reference_mismatch(cell: dict, seen: dict[int, oracle.Orbit]) -> dict | None:
-    """First overlap, in increasing order, whose ``standard_pair`` is not
-    the enumerated orbit's representative, which has overlap i and sizes
-    e and f by construction."""
-    e, f = cell["e"], cell["f"]
-    for i in sorted(seen):
-        pair = standard_pair(e, f, i)
-        if pair != seen[i].representative:
-            indices = [list(pair.first_indices()), list(pair.second_indices())]
-            return {**cell, "i": i, "pair": indices}
-    return None
-
-
 def _orbit_cell(n: int, e: int, f: int) -> tuple[dict | None, dict | None, dict | None]:
     """The first orbit-count, stabilizer-order and reference-pair mismatch
-    at one cell.  The last two are checked only where the enumerated
-    orbits line up with the expected overlaps."""
+    at one cell.  The last two are found in one walk over the expected
+    overlaps in increasing order, and only where the enumerated orbits
+    line up with them; each representative has overlap i and sizes e and
+    f by construction, so a reference pair need only equal it."""
     cell = {"n": n, "e": e, "f": f}
     orbits = oracle.orbit_decomposition(n, e, f)
     expected = expected_orbit_profile(n, e, f)
@@ -384,7 +363,15 @@ def _orbit_cell(n: int, e: int, f: int) -> tuple[dict | None, dict | None, dict 
     if sorted(seen) != sorted(expected):
         overlaps = {"computed_overlaps": sorted(seen), "expected_overlaps": sorted(expected)}
         return {**cell, **overlaps}, None, None
-    return None, _stabilizer_mismatch(cell, seen, expected), _reference_mismatch(cell, seen)
+    stabilizer = reference = None
+    for i, stab in sorted(expected.items()):
+        orbit, pair = seen[i], standard_pair(e, f, i)
+        if stabilizer is None and orbit.stabilizer_order != stab:
+            stabilizer = {**cell, "i": i, "computed": orbit.stabilizer_order, "expected": stab}
+        if reference is None and pair != orbit.representative:
+            indices = [list(pair.first_indices()), list(pair.second_indices())]
+            reference = {**cell, "i": i, "pair": indices}
+    return None, stabilizer, reference
 
 
 def suite_orbits(seed: int = DEFAULT_SEED, nmax: int = 7) -> dict:

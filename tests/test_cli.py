@@ -348,7 +348,7 @@ _BAD_EMPTY_RANGE = '''bad range ''; use "a", "a..b" or "a..n"'''
         # together with n < 1, which is checked after it
         *(
             ([formula, *(["--n", "0"] if "n" in flags else []), f"--{x}", "1"], REFUSALS[formula])
-            for formula, (_, _, flags) in cli.TABLE_JOBS.items()
+            for formula, (_, _, flags, _) in cli.TABLE_JOBS.items()
             for x in "nkl"
             if x not in flags
         ),
@@ -689,14 +689,14 @@ def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
 
 
 def test_a_failed_check_not_declared_a_record_is_exit_one(capsys, monkeypatch):
-    job, part, flags = cli.TABLE_JOBS["cohF"]
+    job, *rest = cli.TABLE_JOBS["cohF"]
 
     def with_unlisted_check(*args):
         rows = job(*args)
         rows[0]["cross_checks"].append(["unlisted_check", False])
         return rows
 
-    monkeypatch.setitem(cli.TABLE_JOBS, "cohF", (with_unlisted_check, part, flags))
+    monkeypatch.setitem(cli.TABLE_JOBS, "cohF", (with_unlisted_check, *rest))
     code, out, err = run_cli(
         capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1"
     )
@@ -1295,6 +1295,33 @@ def test_series_bichar_rejects_k_max(capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: bichar takes no --k-max\n"
+
+
+#: one size above each table and series bound, with the profile flag of
+#: the formula's part; the profile does not exist, as the bound is checked
+#: before it is read
+TOP_OVERSIZE = [
+    *(
+        (["table", "--formula", formula, f"--{part}", "nope.json", "--n", f"1..{bound + 1}"],
+         f"--n {bound + 1} exceeds the {formula} bound {bound}")
+        for formula, (_, part, _, bound) in cli.TABLE_JOBS.items()
+        if bound is not None
+    ),
+    *(
+        (["series", "--formula", formula, "--surface", "nope.json", "--n-max", str(bound + 1)],
+         f"--n-max {bound + 1} exceeds the {formula} bound {bound}")
+        for formula, bound in SERIES_FORMULAS.items()
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", TOP_OVERSIZE, ids=[f"{argv[0]}-{argv[2]}" for argv, _ in TOP_OVERSIZE]
+)
+def test_table_and_series_size_bound_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("formula, letter", [("bichar", "--F"), ("tensor_euler", "--K")])

@@ -329,6 +329,23 @@ def test_packaged_profiles_load_and_validate():
     assert config.curve is not None and config.curve.genus == 0
 
 
+def test_an_unknown_packaged_profile_names_the_shipped_ones():
+    with pytest.raises(ConfigError) as info:
+        packaged_profile("nosuch.json")
+    assert str(info.value) == (
+        "no packaged profile 'nosuch.json'; "
+        "shipped: ['genus0_curve.json', 'k3.json', 'p2.json']"
+    )
+
+
+def test_a_directory_is_not_a_config(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        load_config(tmp_path)
+    assert str(info.value) == (
+        f"cannot read config {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+    )
+
+
 def test_packaged_k3_matches_fixture():
     surface = load_config(packaged_profile("k3.json")).surface
     assert surface.chi_o == K3.chi_o

@@ -409,6 +409,17 @@ def test_a_generator_that_is_not_a_permutation_is_an_error(inject_generators):
             orbit_decomposition(2, 1, 0)
 
 
+def test_more_than_255_orbits_in_a_cell_is_an_error(inject_generators):
+    # with both generators the identity, each of the C(6, 3)^2 = 400
+    # pairs of the (3, 3) cell is an orbit on its own, and the 256th has
+    # no byte to be numbered by
+    identity = tuple(range(1 << 6))
+    inject_generators(identity, identity)
+    message = r"^more than 255 orbits in the \(3, 3\) cell of n=6$"
+    with pytest.raises(ConsistencyError, match=message):
+        orbit_decomposition(6, 3, 3)
+
+
 def test_index_pair_round_trip():
     pair = from_indices([0, 2], [1, 2, 3])
     assert pair.first_indices() == (0, 2)

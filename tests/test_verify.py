@@ -352,6 +352,31 @@ def test_reference_pair_check_names_a_malformed_pair(monkeypatch):
     assert bad == {"n": 2, "e": 1, "f": 1, "i": 0, "pair": [[0], [0]]}
 
 
+def test_a_cell_reports_its_first_mismatch_of_each_kind(monkeypatch):
+    # at (3, 2, 1) the reference pair is wrong at overlap 0 and the
+    # stabilizer order at overlap 1: the walk over the cell's overlaps
+    # must not stop at the first, or the second goes unreported
+    pair_for = verify.standard_pair
+    monkeypatch.setattr(
+        verify,
+        "standard_pair",
+        lambda e, f, i: IndexPair(5, 2) if (e, f, i) == (2, 1, 0) else pair_for(e, f, i),
+    )
+    assert expected_orbit_profile(3, 2, 1) == {0: 2, 1: 1}
+    monkeypatch.setattr(
+        verify,
+        "expected_orbit_profile",
+        lambda n, e, f: {0: 2, 1: 2} if (n, e, f) == (3, 2, 1) else expected_orbit_profile(n, e, f),
+    )
+    verdict = run_suite("orbits", nmax=4)
+    assert failing(verdict, "reference_pairs_covered") == {
+        "n": 3, "e": 2, "f": 1, "i": 0, "pair": [[0, 2], [1]]
+    }
+    assert failing(verdict, "stabilizer_orders") == {
+        "n": 3, "e": 2, "f": 1, "i": 1, "computed": 1, "expected": 2
+    }
+
+
 # -- the wrap contract at the power and averaging call sites -------------
 
 
