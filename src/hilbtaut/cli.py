@@ -25,8 +25,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple, NoReturn
 
 from . import formulas, geometry, oracle, verify
@@ -104,7 +105,7 @@ def _row(
     formula: str, n: int, euler: int, cross_checks: list, inputs: dict, notes: list[str],
     k: int | None = None, l: int | None = None, graded: GradedDim | None = None,
 ) -> dict:
-    """One table row, as ``rows_to_csv``, ``rows_to_json`` and ``run_table`` read it."""
+    """One table row, as ``rows_to_csv`` and ``run_table`` read it."""
     return {
         "formula_id": formula, "n": n, "k": k, "l": l, "euler": euler,
         "graded": graded,
@@ -114,7 +115,7 @@ def _row(
 
 def _variant_job(
     formula: str, surface: geometry.SurfaceData, names: dict[str, str], ranges: Ranges
-) -> list[dict]:
+) -> Iterator[dict]:
     n_range, k_range, l_range = ranges
     _, _, source, target = formulas.variant_signature(formula)
     n_top = n_range[1]
@@ -147,7 +148,6 @@ def _variant_job(
     else:
         graded_at = formulas.w_hom_cells(n_top, *(tables[role] for role in roles))
     inputs = {"bundles": {b: names[b] for b in (source, target) if b}, "chis": chis}
-    rows = []
     for n, k, l, e, f in cells:
         euler = euler_at(n, e, f)
         graded = None
@@ -160,20 +160,18 @@ def _variant_job(
         notes = list(job_notes)
         if formulas.negative_index_suppressed(formula, n, k or 0, l or 0):
             notes.append("vanishing symmetric power of negative index suppressed (k = n)")
-        rows.append(_row(formula, n, euler, cross_checks, inputs, notes, k=k, l=l, graded=graded))
-    return rows
+        yield _row(formula, n, euler, cross_checks, inputs, notes, k=k, l=l, graded=graded)
 
 
 def _curve_job(
     formula: str, curve: geometry.CurveData, names: dict[str, str], ranges: Ranges
-) -> list[dict]:
+) -> Iterator[dict]:
     n_range = ranges[0]
     chis = geometry.curve_chis(curve, names)
     series = formulas.curve_series(
         chis["chi_ef"], chis["chi_e_dual"], chis["chi_f"], chis["chi_oc"], n_max=n_range[1]
     )
     inputs = {"bundles": {"E": names["E"], "F": names["F"]}, "chis": chis, "genus": curve.genus}
-    rows = []
     for n in range(n_range[0], n_range[1] + 1):
         value = formulas.curve_bichar(n, **chis)
         cross_checks: list[list] = []
@@ -183,28 +181,27 @@ def _curve_job(
             expected = -curve.genus * chis["chi_ef"] + chis["chi_e_dual"] * chis["chi_f"]
             cross_checks.append(["quadratic_simplification", value == expected])
         cross_checks.append(["curve_series", series.coeff_at(n) == value])
-        rows.append(_row(formula, n, value, cross_checks, inputs, []))
-    return rows
+        yield _row(formula, n, value, cross_checks, inputs, [])
 
 
 def _rank3_job(
     formula: str, surface: geometry.SurfaceData, names: dict[str, str], ranges: Ranges
-) -> list[dict]:
+) -> Iterator[dict]:
     result = formulas.rank3_check(surface.chi_o, surface.chi_omega)
     inputs = {"chi_O": surface.chi_o, "chi_Omega": surface.chi_omega, "naive": result.naive}
     checks = [["lambda_sq_conjecture", result.value == result.naive]]
     notes = ["the lambda_sq_conjecture check records the naive prediction"]
-    return [_row(formula, 2, result.value, checks, inputs, notes)]
+    yield _row(formula, 2, result.value, checks, inputs, notes)
 
 
-#: formula id -> (job, part, flags, n_bound): the job that returns the
+#: formula id -> (job, part, flags, n_bound): the job that yields the
 #: table's rows from the profile part it reads, "surface" or "curve", the
 #: range flags the formula takes and the largest top --n it accepts, None
 #: where it takes no --n; a variant takes --k or --l exactly when its e or
 #: f is "k" or "l".  Each bound is the largest size whose fresh run ends
 #: within about 30 s: a variant on k3 with every bundle H and --k/--l 0..n,
 #: the curve on genus0_curve with --E P --F O.  The variants come first.
-TABLE_JOBS: dict[str, tuple[Callable[..., list[dict]], str, str, int | None]] = {
+TABLE_JOBS: dict[str, tuple[Callable[..., Iterator[dict]], str, str, int | None]] = {
     **{
         variant: (_variant_job, "surface", "n" + "".join(
             index for index in "kl" if index in formulas.variant_signature(variant)[:2]
@@ -230,7 +227,7 @@ def _render_checks(checks: list) -> str:
     return ";".join(f"{name}:{'pass' if ok else 'fail'}" for name, ok in checks)
 
 
-def rows_to_csv(rows: list[dict]) -> str:
+def rows_to_csv(rows: Iterable[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -250,25 +247,26 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def rows_to_json(formula: str, profile: str, rows: list[dict]) -> str:
-    document = {
-        "command": "table",
-        "formula_id": formula,
-        "profile": profile,
-        "rows": rows,
-    }
+def _json(document: dict) -> str:
+    """The text of a JSON document that ``table``, ``verify`` or ``series`` prints."""
     return json.dumps(document, indent=2, sort_keys=True, default=GradedDim.to_json) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(out, "w") as file:
                 file.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
+    except OSError as exc:
+        if out is None and isinstance(exc, BrokenPipeError):
+            # Python flushes stdout again at exit: the null device takes
+            # what is left, so the closed pipe raises no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = "to stdout" if out is None else f"--out {out}"
+        raise UsageError(f"cannot write {target}: {exc.strerror}") from None
 
 
 def _at_least(value: int | None, floor: int, flag: str) -> None:
@@ -276,8 +274,20 @@ def _at_least(value: int | None, floor: int, flag: str) -> None:
         raise UsageError(f"{flag} must be at least {floor}, got {value}")
 
 
-def run_table(args: argparse.Namespace) -> int:
-    _at_least(args.workers, 1, "--workers")
+def _checked(rows: Iterable[dict]) -> Iterator[dict]:
+    """The rows, up to the first failed check that is not a record, which raises."""
+    for row in rows:
+        for name, ok in row["cross_checks"]:
+            if not ok and name not in RECORD_CHECKS:
+                raise oracle.ConsistencyError(
+                    f"cross-check {name} failed at "
+                    f"(formula={row['formula_id']}, n={row['n']}, "
+                    f"k={row['k']}, l={row['l']})"
+                )
+        yield row
+
+
+def run_table(args: argparse.Namespace) -> tuple[int, str]:
     if args.surface and args.curve:
         raise UsageError("pass either --surface or --curve, not both")
     flag = "surface" if args.surface else "curve"
@@ -305,42 +315,29 @@ def run_table(args: argparse.Namespace) -> int:
     names = {b: getattr(args, b) for b in BUNDLE_LETTERS}
     data = _load_part(profile, part, formula, names)
     # a --k/--l range the formula takes and was not given is 0..n
-    rows = job(formula, data, names, tuple(
+    rows = _checked(job(formula, data, names, tuple(
         ranges.get(x, (0, None)) if x in flags else None for x in "nkl"
-    ))
-    for row in rows:
-        for name, ok in row["cross_checks"]:
-            if not ok and name not in RECORD_CHECKS:
-                raise oracle.ConsistencyError(
-                    f"cross-check {name} failed at "
-                    f"(formula={row['formula_id']}, n={row['n']}, "
-                    f"k={row['k']}, l={row['l']})"
-                )
+    )))
     if args.format == "csv":
-        text = rows_to_csv(rows)
-    else:
-        text = rows_to_json(args.formula, profile, rows)
-    _emit(text, args.out)
-    return 0
+        return 0, rows_to_csv(rows)
+    document = {"command": "table", "formula_id": formula, "profile": profile, "rows": list(rows)}
+    return 0, _json(document)
 
 
 # -- verify ---------------------------------------------------------------
 
 
-def run_verify(args: argparse.Namespace) -> int:
-    _at_least(args.workers, 1, "--workers")
+def run_verify(args: argparse.Namespace) -> tuple[int, str]:
     sizes = {"nmax": args.nmax, "count": args.count}
     sizes = {size: value for size, value in sizes.items() if value is not None}
     verdict = verify.run_suite(args.suite, seed=args.seed, **sizes)
-    text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
-    return 0 if verdict["pass"] else 1
+    return (0 if verdict["pass"] else 1), _json(verdict)
 
 
 # -- series ---------------------------------------------------------------
 
 
-def run_series(args: argparse.Namespace) -> int:
+def run_series(args: argparse.Namespace) -> tuple[int, str]:
     _at_least(args.n_max, 0, "--n-max")
     if args.formula == "bichar" and args.k_max is not None:
         raise UsageError("bichar takes no --k-max")
@@ -374,18 +371,15 @@ def run_series(args: argparse.Namespace) -> int:
             "n_max": n_max,
             "k_max": k_max,
         }
-    if args.format == "json":
-        document = {
-            "command": "series",
-            "formula_id": args.formula,
-            "inputs": inputs,
-            "series": series.to_jsonable(),
-        }
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    else:
-        text = f"{args.formula}: {series}\n"
-    _emit(text, args.out)
-    return 0
+    if args.format == "text":
+        return 0, f"{args.formula}: {series}\n"
+    document = {
+        "command": "series",
+        "formula_id": args.formula,
+        "inputs": inputs,
+        "series": series.to_jsonable(),
+    }
+    return 0, _json(document)
 
 
 # -- run (config job list) -------------------------------------------------
@@ -585,11 +579,13 @@ def _build_parser(
 def _run_args(args: argparse.Namespace) -> int:
     if args.command == "run":
         return run_jobs(args.config)
-    if args.command == "table":
-        return run_table(args)
-    if args.command == "verify":
-        return run_verify(args)
-    return run_series(args)
+    _at_least(getattr(args, "workers", None), 1, "--workers")
+    # built at each call, so that a runner replaced on the module is the
+    # one that runs
+    runner = {"table": run_table, "verify": run_verify, "series": run_series}[args.command]
+    code, text = runner(args)
+    _emit(text, args.out)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:

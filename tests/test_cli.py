@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import json
 import os
 import random
@@ -692,7 +694,7 @@ def test_a_failed_check_not_declared_a_record_is_exit_one(capsys, monkeypatch):
     job, *rest = cli.TABLE_JOBS["cohF"]
 
     def with_unlisted_check(*args):
-        rows = job(*args)
+        rows = list(job(*args))
         rows[0]["cross_checks"].append(["unlisted_check", False])
         return rows
 
@@ -705,6 +707,32 @@ def test_a_failed_check_not_declared_a_record_is_exit_one(capsys, monkeypatch):
         "consistency failure: cross-check unlisted_check failed at "
         "(formula=cohF, n=1, k=None, l=None)\n"
     )
+
+
+def test_a_csv_table_renders_each_row_before_its_job_builds_the_next(capsys, monkeypatch):
+    real_row, real_csv = cli._row, cli.rows_to_csv
+    built, seen = [], []
+
+    def counting_row(*args, **kwargs):
+        built.append(args)
+        return real_row(*args, **kwargs)
+
+    def watching_csv(rows):
+        def watched():
+            for row in rows:
+                seen.append(len(built))
+                yield row
+
+        return real_csv(watched())
+
+    monkeypatch.setattr(cli, "_row", counting_row)
+    monkeypatch.setattr(cli, "rows_to_csv", watching_csv)
+    code, out, _ = run_cli(
+        capsys, "table", "--formula", "ExtEF", "--surface", "k3.json", "--n", "1..3"
+    )
+    assert code == 0 and out.count("\n") == 4
+    # the rows built when each row reached the csv writer
+    assert seen == [1, 2, 3]
 
 
 @pytest.mark.parametrize("n_range", ["1..5", "3..5"])
@@ -1175,6 +1203,18 @@ def alter_w_hom(monkeypatch, calls):
     monkeypatch.setattr(verify.formulas, "w_hom_cells", altered_cells)
 
 
+def test_a_failing_verify_still_writes_its_verdict_to_out(capsys, monkeypatch, tmp_path):
+    common, first, second, rest = verify._family_spaces(DEFAULT_SEED, 1)
+    alter_w_hom(monkeypatch, [(3, 2, 1, (common, first, second, rest))])
+    target = tmp_path / "verdict.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "whom_oracle", "--count", "3", "--nmax", "4",
+        "--out", str(target),
+    )
+    assert (code, out, err) == (1, "", "")
+    assert '"pass": false' in target.read_text()
+
+
 def run_whom_oracle(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--suite", "whom_oracle", "--count", "3", "--nmax", "4"
@@ -1365,6 +1405,54 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target, reason)
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 2 and out == ""
     assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["table", "--formula", "rank3_check", "--surface", "k3.json"], ""),
+        (["verify", "--suite", "orbits", "--nmax", "3"], ""),
+        (["series", "--formula", "bichar", "--surface", "k3.json", "--n-max", "1"], ""),
+        (["run", "--config", "jobs.json"], "jobs[0]: "),
+    ],
+    ids=["table", "verify", "series", "run"],
+)
+def test_a_failed_write_to_stdout_exits_two_with_one_line(
+    capsys, tmp_path, monkeypatch, method, argv, prefix
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "jobs.json").write_text(json.dumps(
+        {"surface": "k3.json", "jobs": [{"command": "table", "formula": "rank3_check"}]}
+    ))
+    monkeypatch.setattr(sys, "stdout", type("FullStdout", (io.StringIO,), {method: _no_space})())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {prefix}cannot write to stdout: No space left on device\n"
+
+
+def test_a_closed_pipe_on_stdout_exits_two_with_one_line():
+    # the reader is gone before the program starts, so its first write
+    # fails; Python's flush of stdout at exit must add no second error
+    src = str(Path(cli.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hilbtaut", "table", "--formula", "rank3_check",
+             "--surface", "k3.json"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=write, stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr == b"error: cannot write to stdout: Broken pipe\n"
 
 
 def test_out_with_a_trailing_slash_names_a_directory(capsys, tmp_path):
@@ -1570,10 +1658,18 @@ def test_run_names_the_job_an_argument_error_comes_from(capsys, tmp_path, entry,
             [{"command": "table", "formula": "curve_bichar", "n": "1"}],
             "error: jobs[0]: a --surface or --curve profile is required\n",
         ),
+        (
+            [{"command": "table", "formula": "cohF", "n": "1", "workers": 0}],
+            "error: jobs[0]: --workers must be at least 1, got 0\n",
+        ),
+        (
+            [{"command": "verify", "suite": "orbits", "nmax": 3, "workers": 0}],
+            "error: jobs[0]: --workers must be at least 1, got 0\n",
+        ),
     ],
     ids=[
         "table_empty_range", "verify_count_of_orbits", "series_negative_n_max",
-        "curve_job_without_a_curve",
+        "curve_job_without_a_curve", "table_zero_workers", "verify_zero_workers",
     ],
 )
 def test_run_names_the_job_an_error_after_parsing_comes_from(capsys, tmp_path, jobs, message):
