@@ -10,7 +10,7 @@ Subcommands:
 Ranges are inclusive, written "a..b" or a single "a"; for --k/--l the
 upper bound may be the letter n, meaning the per-row value of n.  Cells
 whose k or l exceeds n are skipped.  Exit codes: 0 success, 1 internal
-consistency failure, 2 usage or config error.
+consistency failure, 2 usage or config error or out of memory.
 
 Every subcommand's flags are described once, in ``COMMANDS``.  A command
 line of full ``--flag value`` pairs is read straight from that table;
@@ -105,7 +105,7 @@ def _row(
     formula: str, n: int, euler: int, cross_checks: list, inputs: dict, notes: list[str],
     k: int | None = None, l: int | None = None, graded: GradedDim | None = None,
 ) -> dict:
-    """One table row, as ``rows_to_csv`` and ``run_table`` read it."""
+    """One table row, as ``rows_to_csv`` and ``_rows_to_json`` read it."""
     return {
         "formula_id": formula, "n": n, "k": k, "l": l, "euler": euler,
         "graded": graded,
@@ -252,6 +252,24 @@ def _json(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True, default=GradedDim.to_json) + "\n"
 
 
+def _rows_to_json(head: dict, rows: Iterable[dict]) -> str:
+    """``_json({**head, "rows": list(rows)})``, encoded one row at a time.
+
+    "rows" sorts after every key of ``head``, so the document ends on the
+    rows list; the last "null" of a one-row frame is where its rows go.
+    """
+    opening, closing = _json({**head, "rows": [None]}).rsplit("null", 1)
+    buffer = io.StringIO()
+    for row in rows:
+        buffer.write(",\n    " if buffer.tell() else opening)
+        # a row sits two levels deep, and json escapes every newline in a string
+        buffer.write(_json(row)[:-1].replace("\n", "\n    "))
+    if not buffer.tell():
+        return _json({**head, "rows": []})
+    buffer.write(closing)
+    return buffer.getvalue()
+
+
 def _emit(text: str, out: str | None) -> None:
     try:
         if out is None:
@@ -320,8 +338,7 @@ def run_table(args: argparse.Namespace) -> tuple[int, str]:
     )))
     if args.format == "csv":
         return 0, rows_to_csv(rows)
-    document = {"command": "table", "formula_id": formula, "profile": profile, "rows": list(rows)}
-    return 0, _json(document)
+    return 0, _rows_to_json({"command": "table", "formula_id": formula, "profile": profile}, rows)
 
 
 # -- verify ---------------------------------------------------------------
@@ -577,20 +594,30 @@ def _build_parser(
 
 
 def _run_args(args: argparse.Namespace) -> int:
-    if args.command == "run":
-        return run_jobs(args.config)
-    _at_least(getattr(args, "workers", None), 1, "--workers")
-    # built at each call, so that a runner replaced on the module is the
-    # one that runs
-    runner = {"table": run_table, "verify": run_verify, "series": run_series}[args.command]
-    code, text = runner(args)
-    _emit(text, args.out)
-    return code
+    try:
+        if args.command == "run":
+            return run_jobs(args.config)
+        _at_least(getattr(args, "workers", None), 1, "--workers")
+        # built at each call, so that a runner replaced on the module is the
+        # one that runs
+        runner = {"table": run_table, "verify": run_verify, "series": run_series}[args.command]
+        code, text = runner(args)
+        _emit(text, args.out)
+        return code
+    except MemoryError:
+        pass
+    # raised once the MemoryError and the frames its traceback holds are
+    # gone; a usage error, so that a run job's line names the job
+    raise UsageError("out of memory")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # integers of any size print, and profile integers of any size are read
+    # (the limit exists from Python 3.10.7 on)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _read_args(argv)
     if args is None:
         args = _build_parser().parse_args(argv)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbtaut import cli, formulas, graded, oracle, verify
+from hilbtaut import cli, formulas, geometry, graded, oracle, verify
 from hilbtaut.cli import CSV_HEADER, SERIES_FORMULAS, UsageError, main, parse_range
 from hilbtaut.graded import GradedDim
 from hilbtaut.series import TruncSeries
@@ -683,11 +683,13 @@ def test_table_consistency_failure_is_exit_one(capsys, monkeypatch):
         return lambda n, k, l: cell(n, k, l) + 1
 
     monkeypatch.setattr(cli.formulas, "bichar_cells", lying)
-    code, _, err = run_cli(
-        capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1"
-    )
-    assert code == 1
-    assert "consistency failure" in err
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(
+            capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1",
+            "--format", fmt,
+        )
+        assert (code, out) == (1, ""), fmt
+        assert "consistency failure" in err
 
 
 def test_a_failed_check_not_declared_a_record_is_exit_one(capsys, monkeypatch):
@@ -699,39 +701,47 @@ def test_a_failed_check_not_declared_a_record_is_exit_one(capsys, monkeypatch):
         return rows
 
     monkeypatch.setitem(cli.TABLE_JOBS, "cohF", (with_unlisted_check, *rest))
-    code, out, err = run_cli(
-        capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1"
-    )
-    assert (code, out) == (1, "")
-    assert err == (
-        "consistency failure: cross-check unlisted_check failed at "
-        "(formula=cohF, n=1, k=None, l=None)\n"
-    )
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(
+            capsys, "table", "--formula", "cohF", "--surface", "k3.json", "--n", "1",
+            "--format", fmt,
+        )
+        assert (code, out) == (1, ""), fmt
+        assert err == (
+            "consistency failure: cross-check unlisted_check failed at "
+            "(formula=cohF, n=1, k=None, l=None)\n"
+        )
 
 
-def test_a_csv_table_renders_each_row_before_its_job_builds_the_next(capsys, monkeypatch):
-    real_row, real_csv = cli._row, cli.rows_to_csv
+@pytest.mark.parametrize(
+    "fmt, renderer", [("csv", "_render_checks"), ("json", "_json")], ids=["csv", "json"]
+)
+def test_a_table_renders_each_row_before_its_job_builds_the_next(
+    capsys, monkeypatch, fmt, renderer
+):
+    real_row, real_render = cli._row, getattr(cli, renderer)
     built, seen = [], []
 
     def counting_row(*args, **kwargs):
         built.append(args)
         return real_row(*args, **kwargs)
 
-    def watching_csv(rows):
-        def watched():
-            for row in rows:
-                seen.append(len(built))
-                yield row
-
-        return real_csv(watched())
+    def watching_render(value):
+        # csv renders the checks of each row; json encodes each row, and
+        # the document's frame, which has no checks
+        if fmt == "csv" or "cross_checks" in value:
+            seen.append(len(built))
+        return real_render(value)
 
     monkeypatch.setattr(cli, "_row", counting_row)
-    monkeypatch.setattr(cli, "rows_to_csv", watching_csv)
+    monkeypatch.setattr(cli, renderer, watching_render)
     code, out, _ = run_cli(
-        capsys, "table", "--formula", "ExtEF", "--surface", "k3.json", "--n", "1..3"
+        capsys, "table", "--formula", "ExtEF", "--surface", "k3.json", "--n", "1..3",
+        "--format", fmt,
     )
-    assert code == 0 and out.count("\n") == 4
-    # the rows built when each row reached the csv writer
+    rows = out.splitlines()[1:] if fmt == "csv" else json.loads(out)["rows"]
+    assert code == 0 and len(rows) == 3
+    # the rows built when each row was rendered
     assert seen == [1, 2, 3]
 
 
@@ -755,11 +765,38 @@ def test_table_expands_the_bichar_series_once_per_job(capsys, monkeypatch, n_ran
 
 
 def test_a_table_whose_ranges_select_no_cell_prints_only_the_header(capsys):
+    empty = {"command": "table", "formula_id": "Extwedgewedge", "profile": "p2.json", "rows": []}
+    for fmt, header in [
+        ("csv", ",".join(CSV_HEADER) + "\n"),
+        ("json", json.dumps(empty, indent=2, sort_keys=True) + "\n"),
+    ]:
+        code, out, err = run_cli(
+            capsys, "table", "--formula", "Extwedgewedge", "--surface", "p2.json",
+            "--K", "H", "--L", "H", "--n", "1..2", "--k", "3..4", "--l", "0..n",
+            "--format", fmt,
+        )
+        assert (code, out, err) == (0, header, ""), fmt
+
+
+def test_a_json_table_is_its_document_encoded_whole(capsys, tmp_path):
+    # the rows take the place of the frame's last "null", also when the
+    # profile path holds one before it
+    profile = tmp_path / "null" / "null.json"
+    profile.parent.mkdir()
+    profile.write_text(Path(geometry.resolve_profile("k3.json")).read_text())
     code, out, err = run_cli(
-        capsys, "table", "--formula", "Extwedgewedge", "--surface", "p2.json",
-        "--K", "H", "--L", "H", "--n", "1..2", "--k", "3..4", "--l", "0..n",
+        capsys, "table", "--formula", "Extwedgewedge", "--surface", str(profile),
+        "--K", "H", "--L", "H", "--n", "1..2", "--k", "0..n", "--l", "0..n", "--format", "json",
     )
-    assert (code, out, err) == (0, ",".join(CSV_HEADER) + "\n", "")
+    assert (code, err) == (0, "")
+    names = {"E": "O", "F": "O", "K": "H", "L": "H"}
+    surface = geometry.load_config(str(profile)).surface
+    rows = list(cli._variant_job("Extwedgewedge", surface, names, ((1, 2), (0, None), (0, None))))
+    assert len(rows) == 13
+    document = {
+        "command": "table", "formula_id": "Extwedgewedge", "profile": str(profile), "rows": rows,
+    }
+    assert out == json.dumps(document, indent=2, sort_keys=True, default=GradedDim.to_json) + "\n"
 
 
 def count_power_passes(monkeypatch):
@@ -1453,6 +1490,51 @@ def test_a_closed_pipe_on_stdout_exits_two_with_one_line():
         os.close(write)
     assert result.returncode == 2
     assert result.stderr == b"error: cannot write to stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize(
+    "command, prefix", [("table", ""), ("run", "jobs[0]: ")], ids=["table", "run"]
+)
+def test_running_out_of_memory_exits_two_with_one_line(tmp_path, command, prefix):
+    import resource
+
+    limit = 100 * 2**20
+    (tmp_path / "jobs.json").write_text(json.dumps({"surface": "k3.json", "jobs": [
+        {"command": "table", "formula": "cohF", "F": "H", "n": "1..2250"}
+    ]}))
+    argv = {
+        "table": ["table", "--formula", "cohF", "--surface", "k3.json", "--F", "H",
+                  "--n", "1..2250"],
+        "run": ["run", "--config", str(tmp_path / "jobs.json")],
+    }[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "hilbtaut", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == f"error: {prefix}out of memory\n".encode()
+
+
+def test_an_integer_past_python_s_digit_limit_prints(capsys, tmp_path):
+    # chi(H) = 1 + 200000000 / 2, and lambda^800 of it has 4424 digits,
+    # past the 4300 that Python converts to text by default
+    profile = tmp_path / "big.json"
+    profile.write_text(json.dumps({"surface": {
+        "chi_O": 1, "picard_rank": 1, "gram": [[200000000]], "canonical": [0],
+        "bundles": {"H": [1]},
+    }}))
+    code, out, err = run_cli(
+        capsys, "table", "--formula", "cohwedge", "--surface", str(profile),
+        "--L", "H", "--n", "800", "--k", "800",
+    )
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    # main has lifted the limit for this process too
+    assert row[4] == str(graded.lambda_scalar(800, 10**8 + 1))
+    assert len(row[4]) == 4424
 
 
 def test_out_with_a_trailing_slash_names_a_directory(capsys, tmp_path):
